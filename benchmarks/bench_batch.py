@@ -20,17 +20,6 @@ Three measured points:
   top of the already-vectorized backend (results are bit-identical
   by per-run purity, which the benchmark also asserts).
 
-On top of the event-vs-batch comparison, the **jit engine** section
-A/Bs the two batch execution engines (``engine="numpy"`` vs
-``engine="jit"``) on the UGAL point and on the whole lockstep grid.
-Both engines interpret the same pre-drawn RNG program, so the A/B also
-asserts bit-identity.  Numba compilation is paid *before* the timed
-region (``ensure_compiled``) and reported separately as
-``compile_seconds`` — with the persistent on-disk cache it is a cache
-load on every run but the machine's first.  Without numba the section
-is emitted with ``"measured": false`` (plus the floors a
-numba-equipped runner must enforce) instead of failing.
-
 Repeats are **interleaved** (event, batch, event, batch, ...) so both
 sides sample the same machine-noise regime; the headline per side is
 the best (minimum) wall time over the repeats.  Emits
@@ -108,21 +97,6 @@ MIN_GRID_SPEEDUP = 1.0
 #: larger slice of tiny windows; allow mild noise-driven inversions.
 MIN_GRID_SPEEDUP_QUICK = 0.8
 
-#: Floors for the jit engine over the numpy engine (compile time
-#: excluded).  The fused nopython cycle loop kills per-cycle numpy
-#: dispatch, which dominates the numpy engine at these problem sizes;
-#: the grid floor is higher because the wider run axis gives the
-#: compiled loop more work per cycle while the numpy engine still pays
-#: its per-cycle interpreter overhead per load *and* per cycle.
-MIN_JIT_SPEEDUP = 2.5
-MIN_JIT_GRID_SPEEDUP = 4.0
-
-#: Quick-window jit floors: tiny windows shrink the dispatch-overhead
-#: share much less than they shrink total work, but leave more room
-#: for noise.
-MIN_JIT_SPEEDUP_QUICK = 1.2
-MIN_JIT_GRID_SPEEDUP_QUICK = 1.5
-
 
 def _build(kernel, seed=BASE_SEED, algorithm_cls=MinimalAdaptive):
     return Simulator(
@@ -148,12 +122,12 @@ def _run_event(seeds, warmup, measure, drain_max,
 
 
 def _run_batch(seeds, warmup, measure, drain_max,
-               algorithm_cls=MinimalAdaptive, engine=None):
+               algorithm_cls=MinimalAdaptive):
     """One lockstep batched run; returns (wall, BatchRunResult)."""
     started = time.perf_counter()
     batch = _build("batch", BASE_SEED, algorithm_cls).run_open_loop_batch(
         LOAD, seeds=seeds, warmup=warmup, measure=measure,
-        drain_max=drain_max, engine=engine,
+        drain_max=drain_max,
     )
     return time.perf_counter() - started, batch
 
@@ -173,13 +147,13 @@ def _run_pointwise_grid(loads, seeds, warmup, measure, drain_max,
 
 
 def _run_lockstep_grid(loads, seeds, warmup, measure, drain_max,
-                       algorithm_cls, engine=None):
+                       algorithm_cls):
     """The whole (load x seed) grid as one program; same return shape."""
     started = time.perf_counter()
     sim = _build("batch", BASE_SEED, algorithm_cls)
     batches = sim.run_open_loop_grid(
         list(loads), seeds=seeds, warmup=warmup, measure=measure,
-        drain_max=drain_max, engine=engine,
+        drain_max=drain_max,
     )
     return time.perf_counter() - started, batches
 
@@ -291,79 +265,7 @@ def collect(repeat=3, quick=False):
             "bit_identical": grid_identical,
         },
         "engine_stats": engine_stats,
-        "jit": _collect_jit(seeds, warmup, measure, drain_max, repeat, quick),
     }
-
-
-def _collect_jit(seeds, warmup, measure, drain_max, repeat, quick):
-    """A/B the jit engine against the numpy engine on the UGAL point
-    and the whole lockstep grid.
-
-    The engines interpret the same pre-drawn RNG program, so besides
-    timing, every repeat asserts bit-identity of the results.  Numba
-    compilation happens before the timed region (``ensure_compiled``)
-    and is reported separately; without numba the section records the
-    floors as unmeasured instead of failing, so the base/numpy install
-    can still run the benchmark."""
-    from repro.network.batch_jit import HAVE_NUMBA, ensure_compiled
-
-    section = {
-        "engines": ["numpy", "jit"],
-        "measured": HAVE_NUMBA,
-        "floors": {
-            "point": MIN_JIT_SPEEDUP_QUICK if quick else MIN_JIT_SPEEDUP,
-            "grid": (
-                MIN_JIT_GRID_SPEEDUP_QUICK if quick else MIN_JIT_GRID_SPEEDUP
-            ),
-        },
-    }
-    if not HAVE_NUMBA:
-        section["note"] = (
-            "numba not installed; install the jit extra (pip install "
-            "repro[jit]) and rerun this benchmark to measure the jit "
-            "engine — the floors above then become hard assertions"
-        )
-        return section
-
-    section["compile_seconds"] = ensure_compiled()
-    numpy_walls, jit_walls = [], []
-    grid_numpy_walls, grid_jit_walls = [], []
-    identical = True
-    for _ in range(repeat):
-        wall, a = _run_batch(seeds, warmup, measure, drain_max, UGAL, "numpy")
-        numpy_walls.append(wall)
-        wall, b = _run_batch(seeds, warmup, measure, drain_max, UGAL, "jit")
-        jit_walls.append(wall)
-        identical = identical and a == b
-
-        wall, grid_a = _run_lockstep_grid(
-            GRID_LOADS, seeds, warmup, measure, drain_max, UGAL, "numpy"
-        )
-        grid_numpy_walls.append(wall)
-        wall, grid_b = _run_lockstep_grid(
-            GRID_LOADS, seeds, warmup, measure, drain_max, UGAL, "jit"
-        )
-        grid_jit_walls.append(wall)
-        identical = identical and _grid_identical(grid_a, grid_b)
-
-    section.update({
-        "bit_identical": identical,
-        "point": {
-            "algorithm": "UGAL",
-            "numpy_wall_seconds": min(numpy_walls),
-            "jit_wall_seconds": min(jit_walls),
-            "speedup": min(numpy_walls) / min(jit_walls),
-        },
-        "grid": {
-            "algorithm": "UGAL",
-            "loads": list(GRID_LOADS),
-            "runs": len(GRID_LOADS) * len(seeds),
-            "numpy_wall_seconds": min(grid_numpy_walls),
-            "jit_wall_seconds": min(grid_jit_walls),
-            "speedup": min(grid_numpy_walls) / min(grid_jit_walls),
-        },
-    })
-    return section
 
 
 def check(report):
@@ -402,27 +304,11 @@ def check(report):
         f"grid {grid['grid_wall_seconds']:.2f}s)"
     )
     scratch = report["engine_stats"]
-    assert scratch["engine"] == "numpy"
     assert scratch["scratch_reuses"] > scratch["scratch_allocs"], (
-        f"numpy engine's per-cycle scratch buffers are not being "
+        f"the batch step's per-cycle scratch buffers are not being "
         f"reused (allocs {scratch['scratch_allocs']}, reuses "
         f"{scratch['scratch_reuses']}) — the allocation pass regressed"
     )
-    jit = report["jit"]
-    if jit["measured"]:
-        assert jit["bit_identical"], (
-            "jit engine results diverge from the numpy engine — the "
-            "engines must be bit-identical interpreters of the same "
-            "pre-drawn program"
-        )
-        for label, floor in sorted(jit["floors"].items()):
-            section = jit[label]
-            assert section["speedup"] >= floor, (
-                f"jit engine {label} speedup {section['speedup']:.2f}x "
-                f"is below the {floor}x floor vs the numpy engine "
-                f"(numpy {section['numpy_wall_seconds']:.2f}s, "
-                f"jit {section['jit_wall_seconds']:.2f}s)"
-            )
 
 
 def check_against(report, baseline_path, tolerance=0.35):
@@ -444,25 +330,6 @@ def check_against(report, baseline_path, tolerance=0.35):
         gates.append(
             ("UGAL", report["ugal"]["speedup"], baseline["ugal"]["speedup"])
         )
-    # The jit gate needs a *measured* jit entry on both sides: a
-    # baseline regenerated without numba records the floors but no
-    # speedups, and a numba-less runner cannot produce a comparison
-    # point — in either case the engine is still covered by check()'s
-    # absolute floors wherever it does run.
-    if baseline.get("jit", {}).get("measured"):
-        if not report["jit"]["measured"]:
-            raise ValueError(
-                "baseline has a measured jit entry but this run could "
-                "not measure the jit engine (numba missing); install "
-                "the jit extra (pip install repro[jit]) so the "
-                "regression gate can compare"
-            )
-        for label in ("point", "grid"):
-            gates.append((
-                f"jit {label}",
-                report["jit"][label]["speedup"],
-                baseline["jit"][label]["speedup"],
-            ))
     for label, new, old in gates:
         if new < (1.0 - tolerance) * old:
             raise AssertionError(
@@ -497,26 +364,6 @@ def _print(report):
         f"pointwise {grid['pointwise_wall_seconds']:.2f}s vs "
         f"grid {grid['grid_wall_seconds']:.2f}s "
         f"({grid['speedup']:.2f}x, bit-identical: {grid['bit_identical']})"
-    )
-    jit = report["jit"]
-    if not jit["measured"]:
-        print(
-            "jit engine: not measured (numba not installed; "
-            "pip install repro[jit])"
-        )
-        return
-    point, jgrid = jit["point"], jit["grid"]
-    print(
-        f"jit engine, UGAL point: numpy {point['numpy_wall_seconds']:.2f}s "
-        f"vs jit {point['jit_wall_seconds']:.2f}s "
-        f"({point['speedup']:.2f}x; compile "
-        f"{jit['compile_seconds']:.2f}s, excluded)"
-    )
-    print(
-        f"jit engine, UGAL grid ({jgrid['runs']} runs): "
-        f"numpy {jgrid['numpy_wall_seconds']:.2f}s vs "
-        f"jit {jgrid['jit_wall_seconds']:.2f}s "
-        f"({jgrid['speedup']:.2f}x, bit-identical: {jit['bit_identical']})"
     )
 
 

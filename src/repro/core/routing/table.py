@@ -346,7 +346,7 @@ class RouteTable:
                     arrays.dtag_channel[r, pos] = channel.index
                     assert port_of[channel.index] == arrays.dtag_port[r, pos]
 
-        return arrays.canonical()
+        return arrays
 
 
 @dataclass
@@ -382,42 +382,6 @@ class RouteArrays:
     dtag_positions: Optional[int] = None
     dtag_port: Optional[object] = None  # [R, positions]
     dtag_channel: Optional[object] = None  # [R, positions]
-
-    #: Canonical dtype per exported family; :meth:`canonical` enforces
-    #: these.  Hop counts and candidate counts are int16 (bounded by
-    #: network diameter / radix), port and channel indices int32.
-    CANONICAL_DTYPES = {
-        "hops": "int16",
-        "minimal_vc": "int16",
-        "minimal_count": "int16",
-        "minimal_port": "int32",
-        "minimal_channel": "int32",
-        "dor_port": "int32",
-        "dor_channel": "int32",
-        "dor_hops": "int16",
-        "dtag_port": "int32",
-        "dtag_channel": "int32",
-    }
-
-    def canonical(self) -> "RouteArrays":
-        """Coerce every present array to its canonical dtype and
-        C-contiguous layout, in place, and return ``self``.
-
-        Consumers that hand these arrays to typed kernels — the batch
-        backend's program build and the jit engine's nopython step,
-        which binds concrete (dtype, layout) signatures at compile time
-        — rely on this so a table built through any code path produces
-        the same machine types.  Arrays already canonical are kept
-        as-is (no copy)."""
-        import numpy as np
-
-        for name, dtype in self.CANONICAL_DTYPES.items():
-            arr = getattr(self, name)
-            if arr is not None:
-                setattr(
-                    self, name, np.ascontiguousarray(arr, dtype=np.dtype(dtype))
-                )
-        return self
 
 
 def maybe_route_table(algorithm, topology) -> Optional[RouteTable]:

@@ -30,7 +30,7 @@ import sys
 import time
 
 from . import ALL_EXPERIMENTS
-from ..network import ENGINE_ENV, ENGINES, KERNELS
+from ..network import KERNELS
 from ..profiling import PROFILE_ENV, format_phase_report
 from ..runner import ResultCache, SweepRunner, resolve_jobs
 from ..runner.sweep import stderr_progress
@@ -147,17 +147,6 @@ def main(argv=None) -> int:
         "its envelope say so and name the event-kernel fallback)",
     )
     parser.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default=None,
-        help="batch-backend engine for --kernel batch runs: 'numpy' "
-        "(default) interprets the pre-drawn cycle program with "
-        "vectorized numpy; 'jit' compiles the whole cycle loop with "
-        "numba (requires the repro[jit] extra).  Results are "
-        "bit-identical; exported as $REPRO_BATCH_ENGINE so sweep "
-        "workers inherit the choice",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="profile the run: serial, cache disabled, kernel phase "
@@ -189,14 +178,6 @@ def main(argv=None) -> int:
             safe_campaign_name(args.campaign)
         except ValueError as exc:
             parser.error(str(exc))
-
-    if args.engine is not None:
-        # The engine travels by environment variable, not kwargs: the
-        # batch backend resolves $REPRO_BATCH_ENGINE at construction
-        # time, and forked sweep workers inherit the setting.  Cache
-        # keys are engine-independent because the engines are
-        # bit-identical.
-        os.environ[ENGINE_ENV] = args.engine
 
     if args.profile:
         # Serial and uncached so the profile reflects the simulation

@@ -2,13 +2,7 @@
 methodology)."""
 
 from .allocators import Allocator, GreedyAllocator, SequentialAllocator, make_allocator
-from .batch import (
-    ENGINE_ENV,
-    ENGINES,
-    BatchBackend,
-    BatchRunResult,
-    resolve_engine,
-)
+from .batch import BatchBackend, BatchRunResult
 from .config import SimulationConfig, derive_seed, replica_seeds
 from .injection import BatchInjection, BernoulliInjection, InjectionProcess
 from .packet import Flit, Packet
@@ -48,9 +42,6 @@ __all__ = [
     "replica_seeds",
     "BatchBackend",
     "BatchRunResult",
-    "ENGINE_ENV",
-    "ENGINES",
-    "resolve_engine",
     "BatchInjection",
     "BernoulliInjection",
     "InjectionProcess",

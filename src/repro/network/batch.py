@@ -80,7 +80,6 @@ this module without numpy works, using the backend raises.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -110,30 +109,6 @@ MODE_TABLE = 0
 MODE_VAL0 = 1
 MODE_VAL1 = 2
 MODE_UNDEC = 3
-
-#: Recognized batch execution engines.  Both interpret the same
-#: pre-drawn random program (see :class:`_ChunkProgram`) and are
-#: bit-identical; ``"jit"`` needs numba (``pip install repro[jit]``).
-ENGINES = ("numpy", "jit")
-
-#: Environment variable selecting the batch execution engine.
-ENGINE_ENV = "REPRO_BATCH_ENGINE"
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Engine name: explicit argument, else ``$REPRO_BATCH_ENGINE``,
-    else the numpy engine.  The engine is an execution detail — both
-    engines produce element-for-element identical results — so it is
-    deliberately *not* part of any cache key or job identity."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "numpy"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown batch engine {engine!r}; pick one of "
-            f"{', '.join(ENGINES)}"
-        )
-    return engine
-
 
 def _require_numpy() -> None:
     if not HAVE_NUMPY:
@@ -165,10 +140,10 @@ class BatchRunResult:
     packets_in_flight: Tuple[int, ...]
     packets_dropped: Tuple[int, ...]
     wall_seconds: float = field(compare=False)
-    #: Execution-engine counters (engine name, compile seconds, numpy
-    #: scratch reuse/alloc counts).  Timing-like, so excluded from
-    #: equality: two engines producing bit-identical results compare
-    #: equal even though their counters differ.
+    #: Scratch-buffer counters (``scratch_allocs``/``scratch_reuses``).
+    #: Execution detail, so excluded from equality: a run inside a grid
+    #: and the same run alone compare equal though their counters
+    #: differ.
     stats: Optional[Dict[str, object]] = field(
         default=None, compare=False, repr=False
     )
@@ -490,17 +465,16 @@ def _build_program(topology, algorithm, table) -> _Program:
 
 @dataclass
 class _ChunkProgram:
-    """One chunk's pre-drawn random program, shared by both engines.
+    """One chunk's pre-drawn random program.
 
     Every injection with cycle in ``[c0, c1)`` across the whole batch,
     flattened into parallel arrays sorted by ``(cycle, run,
     terminal)`` — exactly the order the cycle loop consumes them in —
     with ``offsets[t - c0] : offsets[t - c0 + 1]`` slicing out cycle
     ``t``'s packets.  All randomness (gaps, destinations, tie-break
-    uniforms, Valiant intermediates) is drawn here by the numpy
-    predraw pass in the canonical per-run stream order, so an engine
-    never touches a generator: it only *interprets* this program,
-    which is what makes the engines bit-identical.
+    uniforms, Valiant intermediates) is drawn here by the predraw pass
+    in the canonical per-run stream order, so the cycle step never
+    touches a generator: it only *interprets* this program.
     """
 
     c0: int
@@ -516,12 +490,11 @@ class _ChunkProgram:
 
 
 class _Scratch:
-    """Keyed, geometrically grown scratch buffers for the numpy
-    engine's per-cycle step: each request returns a view of a
-    persistent buffer, so steady-state cycles allocate nothing.  The
-    ``allocs``/``reuses`` counters are surfaced through
-    ``BatchRunResult.stats`` so the benchmark can assert the
-    allocation pass actually holds."""
+    """Keyed, geometrically grown scratch buffers for the per-cycle
+    step: each request returns a view of a persistent buffer, so
+    steady-state cycles allocate nothing.  The ``allocs``/``reuses``
+    counters are surfaced through ``BatchRunResult.stats`` so the
+    benchmark can assert the allocation pass actually holds."""
 
     __slots__ = ("_bufs", "_arange", "allocs", "reuses")
 
@@ -557,7 +530,7 @@ class _Scratch:
 class _RunState:
     """All mutable state of one batched run, shared between the
     predraw pass (which owns the generators and the pending-injection
-    calendar) and whichever engine steps the cycles."""
+    calendar) and the cycle step."""
 
     def __init__(self, backend: "BatchBackend", load_of_run, seeds,
                  warmup: int, measure: int, drain_max: int,
@@ -590,9 +563,9 @@ class _RunState:
         for b, gen in enumerate(self.gens):
             self.next_inj[b] = -1 + gen.geometric(self.rates[b], size=T)
 
-        # In-flight event calendar: cycle -> list of array blocks
-        # (numpy engine; the jit engine keeps its own packet pool).
+        # In-flight event calendar: cycle -> list of array blocks.
         self.cal: Dict[int, list] = {}
+        self.scratch = _Scratch()
 
         self.done = np.zeros(B, dtype=bool)
         self.saturated = np.zeros(B, dtype=bool)
@@ -616,226 +589,6 @@ class _RunState:
         self.rec_hops: List["np.ndarray"] = []
 
 
-class _NumpyStepper:
-    """The numpy engine: interprets the pre-drawn chunk program with
-    the per-cycle vector step, reusing :class:`_Scratch` buffers so
-    the steady-state loop allocates almost nothing."""
-
-    def __init__(self, backend: "BatchBackend", state: _RunState) -> None:
-        self.backend = backend
-        self.state = state
-        self.scratch = _Scratch()
-        self.chunk: Optional[_ChunkProgram] = None
-
-    def prepare(self) -> float:
-        return 0.0  # nothing to compile
-
-    def counters(self) -> Dict[str, object]:
-        return {
-            "scratch_allocs": self.scratch.allocs,
-            "scratch_reuses": self.scratch.reuses,
-        }
-
-    def load_chunk(self, chunk: _ChunkProgram) -> None:
-        self.chunk = chunk
-
-    # ------------------------------------------------------------------
-    def step_until(self, t: int, t1: int) -> int:
-        """Advance cycles ``t .. t1-1``, stopping early once every run
-        is done; returns the next cycle to execute."""
-        backend = self.backend
-        state = self.state
-        scratch = self.scratch
-        prog = backend.program
-        cfg = backend.config
-        cp = self.chunk
-        B, C, Q = state.B, state.C, state.Q
-        warmup, end = state.warmup, state.end
-        next_free = state.next_free
-        period_flat = state.period_flat
-        occ_grace = state.occ_grace
-        done = state.done
-        nonmin = prog.kind != "table"
-
-        while t < t1:
-            blocks = state.cal.pop(t, [])
-            lo = int(cp.offsets[t - cp.c0])
-            hi = int(cp.offsets[t - cp.c0 + 1])
-            if hi > lo:
-                runs = cp.run[lo:hi]
-                dmask = done[runs]
-                if not dmask.any():
-                    i_run = runs
-                    i_router = cp.router[lo:hi]
-                    i_dst = cp.dst[lo:hi]
-                    i_imd = cp.imd[lo:hi]
-                    i_ur = cp.u_route[lo:hi]
-                    i_uk = cp.u_rank[lo:hi]
-                else:
-                    keep = ~dmask
-                    i_run = runs[keep]
-                    i_router = cp.router[lo:hi][keep]
-                    i_dst = cp.dst[lo:hi][keep]
-                    i_imd = cp.imd[lo:hi][keep]
-                    i_ur = cp.u_route[lo:hi][keep]
-                    i_uk = cp.u_rank[lo:hi][keep]
-                n = i_run.size
-                if n:
-                    counts = np.bincount(i_run, minlength=B)
-                    state.created += counts
-                    if warmup <= t < end:
-                        state.labeled_created += counts
-                    born0 = scratch.get("i_born", n, np.int64)
-                    born0[:] = t
-                    hops0 = scratch.get("i_hops", n, np.int16)
-                    hops0[:] = 0
-                    mode0 = scratch.get("i_mode", n, np.int8)
-                    mode0[:] = prog.mode0
-                    blocks.append((
-                        i_run, i_router, i_dst, born0, hops0, i_imd,
-                        mode0, i_ur, i_uk,
-                    ))
-
-            if blocks:
-                if len(blocks) == 1:
-                    (run, router, dst, born, hops, imd, mode, u_route,
-                     u_rank) = blocks[0]
-                    m = run.size
-                else:
-                    m = sum(blk[0].size for blk in blocks)
-                    run = np.concatenate(
-                        [blk[0] for blk in blocks],
-                        out=scratch.get("run", m, np.int32),
-                    )
-                    router = np.concatenate(
-                        [blk[1] for blk in blocks],
-                        out=scratch.get("router", m, np.int32),
-                    )
-                    dst = np.concatenate(
-                        [blk[2] for blk in blocks],
-                        out=scratch.get("dst", m, np.int32),
-                    )
-                    born = np.concatenate(
-                        [blk[3] for blk in blocks],
-                        out=scratch.get("born", m, np.int64),
-                    )
-                    hops = np.concatenate(
-                        [blk[4] for blk in blocks],
-                        out=scratch.get("hops", m, np.int16),
-                    )
-                    imd = np.concatenate(
-                        [blk[5] for blk in blocks],
-                        out=scratch.get("imd", m, np.int32),
-                    )
-                    mode = np.concatenate(
-                        [blk[6] for blk in blocks],
-                        out=scratch.get("mode", m, np.int8),
-                    )
-                    u_route = np.concatenate(
-                        [blk[7] for blk in blocks],
-                        out=scratch.get(
-                            "u_route", m, np.float32, cols=state.ucols
-                        ),
-                    )
-                    u_rank = np.concatenate(
-                        [blk[8] for blk in blocks],
-                        out=scratch.get(
-                            "u_rank", m, np.float32, cols=state.ucols
-                        ),
-                    )
-                state.n_events += np.bincount(run, minlength=B)
-
-                ej = prog.ej_router[dst] == router
-                if nonmin:
-                    # Event-kernel route() order: the VAL0 -> VAL1 flip
-                    # at the intermediate happens *before* the ejection
-                    # test, and phase-0 packets pass through their
-                    # destination router (inline_eject = False).
-                    flip = (mode == MODE_VAL0) & (imd == router)
-                    if flip.any():
-                        mode[flip] = MODE_VAL1
-                    ej &= mode != MODE_VAL0
-                fwd = np.flatnonzero(~ej)
-                ej = np.flatnonzero(ej)
-
-                # Queue choice: ejection port of dst, or a routed channel.
-                q = scratch.get("q", m, np.int64)
-                q[ej] = run[ej].astype(np.int64) * Q + C + dst[ej]
-                if fwd.size:
-                    chan = backend._route(
-                        run, router, dst, hops, imd, mode, u_route,
-                        u_rank, fwd, next_free, Q, t, occ_grace,
-                    )
-                    state.n_routes += np.bincount(run[fwd], minlength=B)
-                    q[fwd] = run[fwd].astype(np.int64) * Q + chan
-
-                # FIFO service: rank same-cycle arrivals per queue by
-                # their pre-drawn per-run tie-break value, then serve at
-                # one flit per period.
-                rank_u = u_rank[scratch.arange(m), hops]
-                order = np.lexsort((rank_u, q))
-                sq = q[order]
-                starts = scratch.get("starts", m, bool)
-                starts[0] = True
-                np.not_equal(sq[1:], sq[:-1], out=starts[1:])
-                start_idx = np.flatnonzero(starts)
-                seg = np.cumsum(starts) - 1
-                rank = scratch.arange(m) - start_idx[seg]
-                base = np.maximum(t, next_free[sq[start_idx]])
-                dep_sorted = base[seg] + rank * period_flat[sq]
-                counts = np.diff(np.append(start_idx, m))
-                next_free[sq[start_idx]] = (
-                    base + counts * period_flat[sq[start_idx]]
-                )
-                dep = scratch.get("dep", m, np.int64)
-                dep[order] = dep_sorted
-
-                if ej.size:
-                    backend._record_ejections(
-                        run[ej], born[ej], dep[ej], hops[ej], warmup, end,
-                        B, state.win_ejects, state.eject_at,
-                        state.labeled_eject_at, state.rec_run,
-                        state.rec_created, state.rec_dep, state.rec_hops,
-                    )
-                if fwd.size:
-                    arrival = dep[fwd] + cfg.channel_latency
-                    backend._push(
-                        state.cal, arrival, run[fwd],
-                        prog.channel_dst[chan], dst[fwd], born[fwd],
-                        (hops[fwd] + 1).astype(np.int16), imd[fwd],
-                        mode[fwd], u_route[fwd], u_rank[fwd],
-                    )
-
-            arr = state.eject_at.pop(t, None)
-            if arr is not None:
-                state.delivered += arr
-            arr = state.labeled_eject_at.pop(t, None)
-            if arr is not None:
-                state.labeled_done += arr
-
-            now = t + 1
-            if state.drain:
-                newly = (
-                    (~done)
-                    & (now >= end)
-                    & (state.labeled_done >= state.labeled_created)
-                )
-                cut = (~done) & (~newly) & (now >= state.drain_max)
-                state.saturated |= cut
-                newly |= cut
-            else:
-                newly = (~done) & (now >= end)
-            if newly.any():
-                state.cycles[newly] = now
-                state.frozen_created[newly] = state.created[newly]
-                state.frozen_delivered[newly] = state.delivered[newly]
-                done |= newly
-            t += 1
-            if done.all():
-                break
-        return t
-
-
 class BatchBackend:
     """A compiled batch simulator for one ``(topology, algorithm,
     pattern, config)`` combination; run methods take the batch's seed
@@ -847,7 +600,6 @@ class BatchBackend:
         algorithm,
         pattern,
         config: Optional[SimulationConfig] = None,
-        engine: Optional[str] = None,
     ) -> None:
         _require_numpy()
         self.topology = topology
@@ -855,11 +607,6 @@ class BatchBackend:
         self.pattern = pattern
         self.config = config or SimulationConfig()
         _validate_config(self.config)
-        self.engine = resolve_engine(engine)
-        if self.engine == "jit":
-            from .batch_jit import require_jit
-
-            require_jit()  # fail fast with the install hint
         pattern.bind(topology)
         self._pattern_mode = self._compile_pattern(pattern)
         from ..core.routing.table import shared_route_table
@@ -1043,31 +790,17 @@ class BatchBackend:
         state = _RunState(
             self, load_of_run, seeds, warmup, measure, drain_max, drain
         )
-        if self.engine == "jit":
-            from .batch_jit import JitStepper
 
-            stepper = JitStepper(self, state)
-        else:
-            stepper = _NumpyStepper(self, state)
-        compile_seconds = stepper.prepare()
-
-        # The driver: alternate the numpy predraw pass (which owns all
-        # randomness) with the selected engine's fused cycle loop.  The
-        # predraw cadence is load-bearing for bit-compatibility: chunk
-        # ``[c, c+INJECTION_CHUNK)`` is drawn exactly when the loop
-        # reaches ``c``, only for runs still live at that moment, so
-        # each run consumes its generator stream precisely as the
-        # original monolithic loop did.
+        # Alternate the predraw pass (which owns all randomness) with
+        # the cycle step.  The predraw cadence is load-bearing for
+        # bit-compatibility: chunk ``[c, c+INJECTION_CHUNK)`` is drawn
+        # exactly when the loop reaches ``c``, only for runs still live
+        # at that moment, so each run consumes its generator stream in
+        # one fixed order.
         t = 0
-        chunk_end = 0
         while not state.done.all():
-            if t >= chunk_end:
-                c1 = chunk_end + INJECTION_CHUNK
-                stepper.load_chunk(
-                    self._predraw_chunk(state, chunk_end, c1)
-                )
-                chunk_end = c1
-            t = stepper.step_until(t, chunk_end)
+            chunk = self._predraw_chunk(state, t, t + INJECTION_CHUNK)
+            t = self._step_until(state, chunk, t, chunk.c1)
 
         wall = time.perf_counter() - started
         results = self._finalize(
@@ -1077,15 +810,207 @@ class BatchBackend:
             state.rec_run, state.rec_created, state.rec_dep,
             state.rec_hops, wall,
         )
-        stats: Dict[str, object] = {
-            "engine": self.engine,
-            "compile_seconds": compile_seconds,
+        stats = {
+            "scratch_allocs": state.scratch.allocs,
+            "scratch_reuses": state.scratch.reuses,
         }
-        stats.update(stepper.counters())
         return (
             results, state.frozen_created, state.frozen_delivered, wall,
             stats,
         )
+
+    def _step_until(self, state: _RunState, cp: _ChunkProgram, t: int,
+                    t1: int) -> int:
+        """Advance cycles ``t .. t1-1`` of chunk ``cp``, stopping early
+        once every run is done; returns the next cycle to execute."""
+        scratch = state.scratch
+        prog = self.program
+        cfg = self.config
+        B, C, Q = state.B, state.C, state.Q
+        warmup, end = state.warmup, state.end
+        next_free = state.next_free
+        period_flat = state.period_flat
+        occ_grace = state.occ_grace
+        done = state.done
+        nonmin = prog.kind != "table"
+
+        while t < t1:
+            blocks = state.cal.pop(t, [])
+            lo = int(cp.offsets[t - cp.c0])
+            hi = int(cp.offsets[t - cp.c0 + 1])
+            if hi > lo:
+                runs = cp.run[lo:hi]
+                dmask = done[runs]
+                if not dmask.any():
+                    i_run = runs
+                    i_router = cp.router[lo:hi]
+                    i_dst = cp.dst[lo:hi]
+                    i_imd = cp.imd[lo:hi]
+                    i_ur = cp.u_route[lo:hi]
+                    i_uk = cp.u_rank[lo:hi]
+                else:
+                    keep = ~dmask
+                    i_run = runs[keep]
+                    i_router = cp.router[lo:hi][keep]
+                    i_dst = cp.dst[lo:hi][keep]
+                    i_imd = cp.imd[lo:hi][keep]
+                    i_ur = cp.u_route[lo:hi][keep]
+                    i_uk = cp.u_rank[lo:hi][keep]
+                n = i_run.size
+                if n:
+                    counts = np.bincount(i_run, minlength=B)
+                    state.created += counts
+                    if warmup <= t < end:
+                        state.labeled_created += counts
+                    born0 = scratch.get("i_born", n, np.int64)
+                    born0[:] = t
+                    hops0 = scratch.get("i_hops", n, np.int16)
+                    hops0[:] = 0
+                    mode0 = scratch.get("i_mode", n, np.int8)
+                    mode0[:] = prog.mode0
+                    blocks.append((
+                        i_run, i_router, i_dst, born0, hops0, i_imd,
+                        mode0, i_ur, i_uk,
+                    ))
+
+            if blocks:
+                if len(blocks) == 1:
+                    (run, router, dst, born, hops, imd, mode, u_route,
+                     u_rank) = blocks[0]
+                    m = run.size
+                else:
+                    m = sum(blk[0].size for blk in blocks)
+                    run = np.concatenate(
+                        [blk[0] for blk in blocks],
+                        out=scratch.get("run", m, np.int32),
+                    )
+                    router = np.concatenate(
+                        [blk[1] for blk in blocks],
+                        out=scratch.get("router", m, np.int32),
+                    )
+                    dst = np.concatenate(
+                        [blk[2] for blk in blocks],
+                        out=scratch.get("dst", m, np.int32),
+                    )
+                    born = np.concatenate(
+                        [blk[3] for blk in blocks],
+                        out=scratch.get("born", m, np.int64),
+                    )
+                    hops = np.concatenate(
+                        [blk[4] for blk in blocks],
+                        out=scratch.get("hops", m, np.int16),
+                    )
+                    imd = np.concatenate(
+                        [blk[5] for blk in blocks],
+                        out=scratch.get("imd", m, np.int32),
+                    )
+                    mode = np.concatenate(
+                        [blk[6] for blk in blocks],
+                        out=scratch.get("mode", m, np.int8),
+                    )
+                    u_route = np.concatenate(
+                        [blk[7] for blk in blocks],
+                        out=scratch.get(
+                            "u_route", m, np.float32, cols=state.ucols
+                        ),
+                    )
+                    u_rank = np.concatenate(
+                        [blk[8] for blk in blocks],
+                        out=scratch.get(
+                            "u_rank", m, np.float32, cols=state.ucols
+                        ),
+                    )
+                state.n_events += np.bincount(run, minlength=B)
+
+                ej = prog.ej_router[dst] == router
+                if nonmin:
+                    # Event-kernel route() order: the VAL0 -> VAL1 flip
+                    # at the intermediate happens *before* the ejection
+                    # test, and phase-0 packets pass through their
+                    # destination router (inline_eject = False).
+                    flip = (mode == MODE_VAL0) & (imd == router)
+                    if flip.any():
+                        mode[flip] = MODE_VAL1
+                    ej &= mode != MODE_VAL0
+                fwd = np.flatnonzero(~ej)
+                ej = np.flatnonzero(ej)
+
+                # Queue choice: ejection port of dst, or a routed channel.
+                q = scratch.get("q", m, np.int64)
+                q[ej] = run[ej].astype(np.int64) * Q + C + dst[ej]
+                if fwd.size:
+                    chan = self._route(
+                        run, router, dst, hops, imd, mode, u_route,
+                        u_rank, fwd, next_free, Q, t, occ_grace,
+                    )
+                    state.n_routes += np.bincount(run[fwd], minlength=B)
+                    q[fwd] = run[fwd].astype(np.int64) * Q + chan
+
+                # FIFO service: rank same-cycle arrivals per queue by
+                # their pre-drawn per-run tie-break value, then serve at
+                # one flit per period.
+                rank_u = u_rank[scratch.arange(m), hops]
+                order = np.lexsort((rank_u, q))
+                sq = q[order]
+                starts = scratch.get("starts", m, bool)
+                starts[0] = True
+                np.not_equal(sq[1:], sq[:-1], out=starts[1:])
+                start_idx = np.flatnonzero(starts)
+                seg = np.cumsum(starts) - 1
+                rank = scratch.arange(m) - start_idx[seg]
+                base = np.maximum(t, next_free[sq[start_idx]])
+                dep_sorted = base[seg] + rank * period_flat[sq]
+                counts = np.diff(np.append(start_idx, m))
+                next_free[sq[start_idx]] = (
+                    base + counts * period_flat[sq[start_idx]]
+                )
+                dep = scratch.get("dep", m, np.int64)
+                dep[order] = dep_sorted
+
+                if ej.size:
+                    self._record_ejections(
+                        run[ej], born[ej], dep[ej], hops[ej], warmup, end,
+                        B, state.win_ejects, state.eject_at,
+                        state.labeled_eject_at, state.rec_run,
+                        state.rec_created, state.rec_dep, state.rec_hops,
+                    )
+                if fwd.size:
+                    arrival = dep[fwd] + cfg.channel_latency
+                    self._push(
+                        state.cal, arrival, run[fwd],
+                        prog.channel_dst[chan], dst[fwd], born[fwd],
+                        (hops[fwd] + 1).astype(np.int16), imd[fwd],
+                        mode[fwd], u_route[fwd], u_rank[fwd],
+                    )
+
+            arr = state.eject_at.pop(t, None)
+            if arr is not None:
+                state.delivered += arr
+            arr = state.labeled_eject_at.pop(t, None)
+            if arr is not None:
+                state.labeled_done += arr
+
+            now = t + 1
+            if state.drain:
+                newly = (
+                    (~done)
+                    & (now >= end)
+                    & (state.labeled_done >= state.labeled_created)
+                )
+                cut = (~done) & (~newly) & (now >= state.drain_max)
+                state.saturated |= cut
+                newly |= cut
+            else:
+                newly = (~done) & (now >= end)
+            if newly.any():
+                state.cycles[newly] = now
+                state.frozen_created[newly] = state.created[newly]
+                state.frozen_delivered[newly] = state.delivered[newly]
+                done |= newly
+            t += 1
+            if done.all():
+                break
+        return t
 
     # ------------------------------------------------------------------
     # The predraw pass (all randomness lives here)

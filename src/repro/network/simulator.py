@@ -1392,7 +1392,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Batched runs (kernel="batch")
     # ------------------------------------------------------------------
-    def _batch_backend(self, engine: Optional[str] = None):
+    def _batch_backend(self):
         self._require_pattern("run_open_loop_batch")
         if self.kernel != "batch":
             raise ValueError(
@@ -1403,8 +1403,7 @@ class Simulator:
         from .batch import BatchBackend
 
         return BatchBackend(
-            self.topology, self.algorithm, self.pattern, self.config,
-            engine=engine,
+            self.topology, self.algorithm, self.pattern, self.config
         )
 
     def _batch_seeds(self, replicas, seeds) -> Tuple[int, ...]:
@@ -1424,7 +1423,6 @@ class Simulator:
         warmup: int = 1000,
         measure: int = 1000,
         drain_max: int = 100_000,
-        engine: Optional[str] = None,
     ):
         """Batched :meth:`run_open_loop`: one measurement per replica
         seed, advanced in lockstep by the vectorized backend.
@@ -1432,14 +1430,11 @@ class Simulator:
         Pass either ``replicas`` (seeds come from
         :func:`repro.network.config.replica_seeds`, so replica 0 uses
         this config's own seed) or an explicit ``seeds`` tuple.
-        ``engine`` picks the batch execution engine (``"numpy"`` or
-        ``"jit"``; default ``$REPRO_BATCH_ENGINE``, else numpy) — the
-        engines are bit-identical, so the choice never affects
-        results.  Returns a
+        Returns a
         :class:`repro.network.batch.BatchRunResult`.
         """
         run_seeds = self._batch_seeds(replicas, seeds)
-        return self._batch_backend(engine).run_open_loop(
+        return self._batch_backend().run_open_loop(
             load, run_seeds, warmup=warmup, measure=measure,
             drain_max=drain_max,
         )
@@ -1452,7 +1447,6 @@ class Simulator:
         warmup: int = 1000,
         measure: int = 1000,
         drain_max: int = 100_000,
-        engine: Optional[str] = None,
     ):
         """Whole-curve :meth:`run_open_loop_batch`: every ``(load,
         seed)`` pair advances in lockstep as one array program, and the
@@ -1460,10 +1454,9 @@ class Simulator:
         load — element ``i`` bit-identical to
         ``run_open_loop_batch(loads[i], seeds=...)`` (per-run purity),
         so per-point cache keys and downstream consumers are
-        unaffected by the grid batching.  ``engine`` selects the batch
-        execution engine exactly as in :meth:`run_open_loop_batch`."""
+        unaffected by the grid batching."""
         run_seeds = self._batch_seeds(replicas, seeds)
-        return self._batch_backend(engine).run_load_grid(
+        return self._batch_backend().run_load_grid(
             loads, run_seeds, warmup=warmup, measure=measure,
             drain_max=drain_max,
         )
@@ -1474,11 +1467,10 @@ class Simulator:
         seeds: Optional[Tuple[int, ...]] = None,
         warmup: int = 1000,
         measure: int = 1000,
-        engine: Optional[str] = None,
     ) -> List[float]:
         """Batched :meth:`measure_saturation_throughput`: one
         accepted-throughput value per replica seed."""
         run_seeds = self._batch_seeds(replicas, seeds)
-        return self._batch_backend(engine).measure_saturation(
+        return self._batch_backend().measure_saturation(
             run_seeds, warmup=warmup, measure=measure
         )

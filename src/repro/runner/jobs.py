@@ -113,13 +113,7 @@ def clear_warm_cache() -> None:
 def init_worker(warm: Optional[bool]) -> None:
     """Pool initializer: pin warm mode and zero the construction
     counters so every worker reports totals since its own start
-    (forked workers otherwise inherit the parent's counts).
-
-    When ``$REPRO_BATCH_ENGINE`` selects the jit batch engine, also
-    warm the numba kernel here, once per worker before any job runs:
-    with the persistent compile cache this is a cache *load*, so the
-    per-job path never pays compilation (and the first-ever worker on
-    a machine pays it outside any timed measurement)."""
+    (forked workers otherwise inherit the parent's counts)."""
     global _warm_override, _sim_builds_value, _topology_builds_value
     global _warm_hits_value
     _warm_override = warm if warm is None else bool(warm)
@@ -131,18 +125,6 @@ def init_worker(warm: Optional[bool]) -> None:
     from ..core.routing.table import reset_build_count
 
     reset_build_count()
-    try:
-        from ..network.batch import resolve_engine
-
-        if resolve_engine() == "jit":
-            from ..network.batch_jit import HAVE_NUMBA, ensure_compiled
-
-            if HAVE_NUMBA:
-                ensure_compiled()
-    except (ImportError, ValueError):
-        # No numpy/numba, or a bogus $REPRO_BATCH_ENGINE: the jobs
-        # themselves will raise the clean, named error.
-        pass
 
 
 def build_counters() -> Dict[str, int]:

@@ -9,9 +9,13 @@ cell of the equivalence matrix, at loads below the saturation knee.
 
 Also covered: exact per-run packet conservation, the canonical
 replica-seed family (pinned values, cross-path agreement), the
-unsupported-feature ``NotImplementedError`` envelope, and kernel
-selection plumbing.
+unsupported-feature ``NotImplementedError`` envelope, kernel
+selection plumbing, and exact output pinned to the committed
+fingerprints in ``tests/golden/batch_fingerprints.json``.
 """
+
+import json
+import os
 
 import pytest
 
@@ -488,3 +492,144 @@ class TestLoadGrid:
         for a, b in zip(first, again):
             for ra, rb in zip(a.results, b.results):
                 assert _fingerprint(ra) == _fingerprint(rb)
+
+
+# ----------------------------------------------------------------------
+# Committed fingerprints: exact batch output pinned to data
+# ----------------------------------------------------------------------
+
+#: Exact per-run output of every case below.  Regenerate (only after an
+#: intentional, numerically-understood change to the batch kernel) with
+#: ``PYTHONPATH=src python -m tests.test_batch_kernel``.
+GOLDEN_FINGERPRINTS = os.path.join(
+    os.path.dirname(__file__), "golden", "batch_fingerprints.json"
+)
+
+#: Short windows: the check is exact, so there is no noise to average
+#: away, and a few hundred cycles reach every code path (injection,
+#: adaptive decisions, FIFO ties, drain).
+PIN_WARMUP, PIN_MEASURE, PIN_DRAIN = 60, 80, 1200
+PIN_SEEDS = replica_seeds(1234, 4)
+
+#: Every supported algorithm family on its home topology, at loads
+#: that keep the short windows below saturation.
+PIN_MATRIX = [
+    ("dor-fb", lambda: FlattenedButterfly(4, 2), DimensionOrder, 0.4),
+    ("minad-fb", lambda: FlattenedButterfly(4, 3), MinimalAdaptive, 0.3),
+    ("dtag-butterfly", lambda: Butterfly(4, 2), DestinationTag, 0.3),
+    ("clos-ad", lambda: FoldedClos(16, 4), FoldedClosAdaptive, 0.3),
+    ("ugal-fb", lambda: FlattenedButterfly(4, 2), UGAL, 0.45),
+    ("ugal-s-fb", lambda: FlattenedButterfly(4, 2), UGALSequential, 0.3),
+    ("val-fb", lambda: FlattenedButterfly(4, 2), Valiant, 0.2),
+]
+
+
+def _pin_sim(make_topo, algorithm_cls):
+    return Simulator(
+        make_topo(), algorithm_cls(), UniformRandom(),
+        SimulationConfig(seed=PIN_SEEDS[0]), kernel="batch",
+    )
+
+
+def _batch_fingerprint(batch):
+    return {
+        "runs": [list(_fingerprint(r)) for r in batch.results],
+        "created": list(batch.packets_created),
+        "delivered": list(batch.packets_delivered),
+    }
+
+
+def _pinned_cases():
+    """``{case name: thunk}``: each row pointwise and as a three-load
+    grid, one saturation probe, and one overloaded run cut off at
+    ``drain_max``."""
+    window = dict(
+        seeds=PIN_SEEDS, warmup=PIN_WARMUP, measure=PIN_MEASURE,
+        drain_max=PIN_DRAIN,
+    )
+    cases = {}
+    for name, make_topo, algorithm_cls, load in PIN_MATRIX:
+        def pointwise(make_topo=make_topo, cls=algorithm_cls, load=load):
+            return _batch_fingerprint(
+                _pin_sim(make_topo, cls).run_open_loop_batch(load, **window)
+            )
+
+        def grid(make_topo=make_topo, cls=algorithm_cls, load=load):
+            loads = [load / 3, 2 * load / 3, load]
+            return [
+                _batch_fingerprint(batch)
+                for batch in _pin_sim(make_topo, cls).run_open_loop_grid(
+                    loads, **window
+                )
+            ]
+
+        cases[f"pointwise/{name}"] = pointwise
+        cases[f"grid/{name}"] = grid
+
+    def saturation():
+        return _pin_sim(
+            lambda: FlattenedButterfly(4, 2), UGAL
+        ).measure_saturation_throughput_batch(
+            seeds=replica_seeds(9, 3), warmup=80, measure=120
+        )
+
+    def drain_cutoff():
+        return _batch_fingerprint(
+            _pin_sim(lambda: FlattenedButterfly(4, 2), UGAL
+                     ).run_open_loop_batch(
+                0.9, seeds=replica_seeds(7, 3), warmup=60, measure=80,
+                drain_max=160,
+            )
+        )
+
+    cases["saturation/ugal-fb"] = saturation
+    cases["drain-cutoff/ugal-fb"] = drain_cutoff
+    return cases
+
+
+PINNED_CASES = _pinned_cases()
+
+
+def _load_golden():
+    with open(GOLDEN_FINGERPRINTS) as handle:
+        return json.load(handle)
+
+
+class TestGoldenFingerprints:
+    def test_cases_match_file(self):
+        assert sorted(_load_golden()) == sorted(PINNED_CASES)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CASES))
+    def test_matches_committed(self, name):
+        # Compared as JSON text: exact for every float, NaN included.
+        current = json.dumps(PINNED_CASES[name]())
+        assert current == json.dumps(_load_golden()[name]), (
+            f"{name}: batch output moved off tests/golden/"
+            f"batch_fingerprints.json"
+        )
+
+
+class TestScratchCounters:
+    def test_scratch_reused_and_stats_keys(self):
+        """The per-cycle step reuses its scratch buffers: after the
+        first few cycles every request hits a preallocated buffer, so
+        reuses must dwarf allocations.  ``stats`` carries exactly these
+        two counters (perfbench's paper-grid-batch reads both)."""
+        batch = _grid_sim(UGAL).run_open_loop_batch(
+            0.3, seeds=PIN_SEEDS, warmup=PIN_WARMUP, measure=PIN_MEASURE,
+            drain_max=PIN_DRAIN,
+        )
+        assert batch.stats["scratch_reuses"] > batch.stats["scratch_allocs"]
+        assert set(batch.stats) == {"scratch_allocs", "scratch_reuses"}
+
+
+if __name__ == "__main__":
+    golden = {name: case() for name, case in sorted(PINNED_CASES.items())}
+    with open(GOLDEN_FINGERPRINTS, "w") as handle:
+        handle.write("{\n")
+        handle.write(",\n".join(
+            f"  {json.dumps(name)}: {json.dumps(value)}"
+            for name, value in golden.items()
+        ))
+        handle.write("\n}\n")
+    print(f"wrote {os.path.normpath(GOLDEN_FINGERPRINTS)}")
