@@ -23,7 +23,8 @@ Three measured points:
 Repeats are **interleaved** (event, batch, event, batch, ...) so both
 sides sample the same machine-noise regime; the headline per side is
 the best (minimum) wall time over the repeats.  Emits
-``BENCH_batch.json``.
+``BENCH_batch.json``, with a ``machine`` record (CPU count, CPU model,
+Python and numpy versions) beside the timings.
 
 Asserted (here and in the pytest CI smoke entry point):
 
@@ -50,6 +51,7 @@ or via pytest (CI smoke: quick windows, one repeat)::
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 
@@ -188,6 +190,28 @@ def _side(walls, stats):
     }
 
 
+def _machine():
+    """CPU count, CPU model and interpreter/numpy versions: a committed
+    speed claim counts only together with the machine that made it."""
+    import numpy
+
+    model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": model,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
 def collect(repeat=3, quick=False):
     """Interleaved A/B measurement; returns the report dict."""
     warmup = 100 if quick else WARMUP
@@ -233,6 +257,7 @@ def collect(repeat=3, quick=False):
 
     return {
         "benchmark": "batch-kernel",
+        "machine": _machine(),
         "config": {
             "topology": f"{FB_K}-ary 2-flat",
             "algorithm": "MIN AD",

@@ -110,12 +110,40 @@ MODE_VAL0 = 1
 MODE_VAL1 = 2
 MODE_UNDEC = 3
 
+#: Exclusive bound on the major half of a packed sort key (see
+#: :func:`_packed_order`): ``runs x queues`` must stay below it.
+_KEY_MAJOR_BOUND = 1 << 31
+
+
 def _require_numpy() -> None:
     if not HAVE_NUMPY:
         raise ImportError(
             "kernel='batch' requires numpy; install the batch extra "
             "(pip install repro[batch])"
         )
+
+
+def _packed_order(major, minor):
+    """Stable order of events by ``(major, minor)`` — equal to
+    ``np.lexsort((minor, major))`` — as one argsort of the packed int64
+    key ``major << 32 | minor.view(uint32)``.  Requires ``0 <= major <
+    _KEY_MAJOR_BOUND`` and a non-negative float32 ``minor``, whose bit
+    patterns read as unsigned integers order exactly like its values."""
+    key = major.astype(np.int64) << 32
+    key |= minor.view(np.uint32)
+    return np.argsort(key, kind="stable")
+
+
+def _mixed_radix_order(digits, radices):
+    """Stable lexicographic order of ``digits`` (most significant
+    first) — equal to ``np.lexsort(digits[::-1])`` — as one argsort of
+    the mixed-radix int64 key.  Requires a non-negative leading digit,
+    ``0 <= digits[i + 1] < radices[i]``, and a key below 2**63."""
+    key = digits[0].astype(np.int64)
+    for digit, radix in zip(digits[1:], radices):
+        key *= radix
+        key += digit
+    return np.argsort(key, kind="stable")
 
 
 @dataclass
@@ -785,6 +813,15 @@ class BatchBackend:
                 )
         if not seeds:
             raise ValueError("need at least one seed")
+        # The (run, queue) major of the FIFO-rank sort key; the waves'
+        # (run, router) major is smaller, as every router owns a queue.
+        queues = self.program.C + self.program.T
+        if len(seeds) * queues >= _KEY_MAJOR_BOUND:
+            raise ValueError(
+                f"{len(seeds)} runs x {queues} queues does not fit the "
+                f"batch kernel's packed sort key (runs x queues must stay "
+                f"below 2**31); split the grid into smaller batches"
+            )
         self._consume()
         started = time.perf_counter()
         state = _RunState(
@@ -950,7 +987,7 @@ class BatchBackend:
                 # their pre-drawn per-run tie-break value, then serve at
                 # one flit per period.
                 rank_u = u_rank[scratch.arange(m), hops]
-                order = np.lexsort((rank_u, q))
+                order = _packed_order(q, rank_u)
                 sq = q[order]
                 starts = scratch.get("starts", m, bool)
                 starts[0] = True
@@ -975,12 +1012,16 @@ class BatchBackend:
                         state.rec_created, state.rec_dep, state.rec_hops,
                     )
                 if fwd.size:
-                    arrival = dep[fwd] + cfg.channel_latency
+                    by_arrival = np.argsort(dep[fwd], kind="stable")
+                    src = fwd[by_arrival]
+                    next_hops = hops[src]
+                    next_hops += 1
                     self._push(
-                        state.cal, arrival, run[fwd],
-                        prog.channel_dst[chan], dst[fwd], born[fwd],
-                        (hops[fwd] + 1).astype(np.int16), imd[fwd],
-                        mode[fwd], u_route[fwd], u_rank[fwd],
+                        state.cal, dep[src] + cfg.channel_latency, (
+                            run[src], prog.channel_dst[chan[by_arrival]],
+                            dst[src], born[src], next_hops, imd[src],
+                            mode[src], u_route[src], u_rank[src],
+                        ),
                     )
 
             arr = state.eject_at.pop(t, None)
@@ -1052,7 +1093,12 @@ class BatchBackend:
         imd = np.concatenate([p[4] for p in parts])
         u_route = np.concatenate([p[5] for p in parts])
         u_rank = np.concatenate([p[6] for p in parts])
-        order = np.lexsort((j_all, b_all, t_all))
+        # Release the per-run copies now: kept alive through the sorted
+        # gathers below they set the kernel's peak memory.
+        del parts
+        order = _mixed_radix_order(
+            (t_all - c0, b_all, j_all), (state.B, state.T)
+        )
         t_all = t_all[order]
         b_all = b_all[order]
         j_all = j_all[order]
@@ -1114,7 +1160,7 @@ class BatchBackend:
             return None
         t_all = np.concatenate(times_parts)
         j_all = np.concatenate(terms_parts)
-        order = np.lexsort((j_all, t_all))
+        order = _mixed_radix_order((t_all, j_all), (self.program.T,))
         t_all = t_all[order]
         j_all = j_all[order]
         n = t_all.size
@@ -1187,7 +1233,7 @@ class BatchBackend:
         in, randomly yet batch-composition independently."""
         prog = self.program
         group = run[fwd].astype(np.int64) * prog.R + router[fwd]
-        order = np.lexsort((u_rank[fwd, hops[fwd]], group))
+        order = _packed_order(group, u_rank[fwd, hops[fwd]])
         g_sorted = group[order]
         starts = np.r_[True, g_sorted[1:] != g_sorted[:-1]]
         start_idx = np.flatnonzero(starts)
@@ -1368,49 +1414,48 @@ class BatchBackend:
         in_window = (dep >= warmup) & (dep < end)
         if in_window.any():
             win_ejects += np.bincount(runs[in_window], minlength=B)
-        for cycle in np.unique(dep):
-            sel = dep == cycle
-            counts = np.bincount(runs[sel], minlength=B)
-            slot = eject_at.get(int(cycle))
-            if slot is None:
-                eject_at[int(cycle)] = counts
-            else:
-                slot += counts
+        BatchBackend._count_by_cycle(eject_at, runs, dep, B)
         labeled = (born >= warmup) & (born < end)
         if not labeled.any():
             return
         lruns = runs[labeled]
         ldep = dep[labeled]
-        for cycle in np.unique(ldep):
-            sel = ldep == cycle
-            counts = np.bincount(lruns[sel], minlength=B)
-            slot = labeled_eject_at.get(int(cycle))
-            if slot is None:
-                labeled_eject_at[int(cycle)] = counts
-            else:
-                slot += counts
+        BatchBackend._count_by_cycle(labeled_eject_at, lruns, ldep, B)
         rec_run.append(lruns)
         rec_created.append(born[labeled])
         rec_dep.append(ldep)
         rec_hops.append(hops[labeled])
 
     @staticmethod
-    def _push(cal, arrival, run, router, dst, born, hops, imd, mode,
-              u_route, u_rank) -> None:
+    def _count_by_cycle(slots, runs, dep, B) -> None:
+        """Add per-run ejection counts into ``slots[cycle]`` for every
+        departure cycle in ``dep``, from one 2-D bincount over
+        ``(cycle, run)``."""
+        d0 = int(dep.min())
+        span = int(dep.max()) - d0 + 1
+        counts = np.bincount(
+            (dep - d0) * B + runs, minlength=span * B
+        ).reshape(span, B)
+        for i in np.flatnonzero(counts.any(axis=1)).tolist():
+            slot = slots.get(d0 + i)
+            if slot is None:
+                slots[d0 + i] = counts[i]
+            else:
+                slot += counts[i]
+
+    @staticmethod
+    def _push(cal, arrival, columns) -> None:
         """File forwarded events into the calendar, grouped by arrival
-        cycle."""
-        order = np.argsort(arrival, kind="stable")
-        a_sorted = arrival[order]
-        cuts = np.flatnonzero(np.r_[True, a_sorted[1:] != a_sorted[:-1]])
-        bounds = np.append(cuts, a_sorted.size)
-        for i, start in enumerate(cuts):
-            stop = bounds[i + 1]
-            sel = order[start:stop]
-            cycle = int(a_sorted[start])
-            cal.setdefault(cycle, []).append((
-                run[sel], router[sel], dst[sel], born[sel], hops[sel],
-                imd[sel], mode[sel], u_route[sel], u_rank[sel],
-            ))
+        cycle.  ``arrival`` is sorted and every column was gathered once
+        in that same order, so each cycle's block is one contiguous
+        slice of each column."""
+        cuts = np.flatnonzero(np.r_[True, arrival[1:] != arrival[:-1]])
+        bounds = np.append(cuts, arrival.size).tolist()
+        for i, cycle in enumerate(arrival[cuts].tolist()):
+            start, stop = bounds[i], bounds[i + 1]
+            cal.setdefault(cycle, []).append(
+                tuple(col[start:stop] for col in columns)
+            )
 
     # ------------------------------------------------------------------
     def _finalize(self, load_of_run, measure, cycles, saturated,

@@ -40,6 +40,7 @@ from repro.network import (
     resolve_kernel,
 )
 from repro.network.batch import (
+    _KEY_MAJOR_BOUND,
     BatchBackend,
     BatchRunResult,
     batch_seeds,
@@ -357,6 +358,26 @@ class TestUnsupportedFeatures:
             self._sim().run_open_loop_batch(
                 0.2, replicas=2, warmup=100, measure=100, drain_max=200
             )
+
+    def test_grid_beyond_sort_key_bound_refused(self):
+        """runs x queues must fit the packed sort key's 31-bit major: a
+        grid one load past the bound on the paper's 32-ary 2-flat is
+        refused up front, and the refusal leaves the backend unused."""
+        backend = BatchBackend(
+            FlattenedButterfly(32, 2), UGAL(), UniformRandom(),
+            SimulationConfig(seed=1),
+        )
+        queues = backend.program.C + backend.program.T
+        seeds = tuple(range(1024))
+        loads = [0.5] * (_KEY_MAJOR_BOUND // (queues * len(seeds)) + 1)
+        assert len(loads) * len(seeds) * queues >= _KEY_MAJOR_BOUND
+        with pytest.raises(ValueError, match="runs x 2016 queues"):
+            backend.run_load_grid(
+                loads, seeds, warmup=10, measure=10, drain_max=100
+            )
+        batch = backend.run_open_loop(0.1, (1,), warmup=5, measure=5,
+                                      drain_max=100)
+        assert not batch.results[0].saturated
 
     def test_backend_single_use(self):
         backend = BatchBackend(

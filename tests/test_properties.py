@@ -19,6 +19,12 @@ from repro.core import (
 )
 from repro.core.flattened_butterfly import FlattenedButterfly
 from repro.network import SimulationConfig, Simulator
+from repro.network.batch import (
+    INJECTION_CHUNK,
+    _KEY_MAJOR_BOUND,
+    _mixed_radix_order,
+    _packed_order,
+)
 from repro.traffic import UniformRandom, adversarial
 
 ALGORITHMS = [
@@ -223,3 +229,86 @@ def test_batch_open_loop_physics(algorithm_cls, k, batch_size, seed):
         assert result.accepted_throughput == pytest.approx(0.2, abs=0.08)
         assert result.latency.mean >= result.mean_hops - 1e-9
         assert result.latency.p50 <= result.latency.p95 <= result.latency.max
+
+
+# ----------------------------------------------------------------------
+# Batch-kernel sort keys: every within-cycle order is one stable argsort
+# on a packed integer key, which must equal the lexsort it stands for.
+# ----------------------------------------------------------------------
+
+#: float32 edge values of the packed key's minor half: +0.0, the
+#: smallest and largest subnormals, the smallest normal, and the values
+#: just below 1.0 (the tie-break uniforms are drawn from [0, 1)).
+EDGE_MINORS = [
+    0.0,
+    2.0**-149,
+    2.0**-126 - 2.0**-149,
+    2.0**-126,
+    0.5,
+    1.0 - 2.0**-23,
+    1.0 - 2.0**-24,
+]
+
+#: Majors from a tiny pool (heavy ties) or right below the key bound.
+major_st = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.integers(
+        min_value=_KEY_MAJOR_BOUND - 4, max_value=_KEY_MAJOR_BOUND - 1
+    ),
+)
+minor_st = st.one_of(
+    st.sampled_from(EDGE_MINORS),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True, width=32),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(major_st, minor_st), min_size=1,
+                      max_size=200))
+def test_packed_order_matches_lexsort(pairs):
+    """The FIFO-rank / wave order equals ``lexsort((minor, major))``,
+    ties in both keys included."""
+    np = pytest.importorskip("numpy")
+    major = np.array([p[0] for p in pairs], dtype=np.int64)
+    minor = np.array([p[1] for p in pairs], dtype=np.float32)
+    assert np.array_equal(
+        _packed_order(major, minor), np.lexsort((minor, major))
+    )
+
+
+def _digit_st(radix):
+    """A digit in ``[0, radix)``, biased to the edges where a wrong
+    radix would carry into the next digit."""
+    return st.one_of(
+        st.sampled_from(sorted({0, min(1, radix - 1), radix - 1})),
+        st.integers(min_value=0, max_value=radix - 1),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c0=st.integers(min_value=0, max_value=10**6),
+    runs=st.integers(min_value=1, max_value=64),
+    terms=st.integers(min_value=1, max_value=4096),
+    data=st.data(),
+)
+def test_mixed_radix_order_matches_lexsort(c0, runs, terms, data):
+    """The predraw's (cycle, run, terminal) and per-run (cycle,
+    terminal) orders equal the multi-key lexsorts they stand for."""
+    np = pytest.importorskip("numpy")
+    rows = data.draw(st.lists(
+        st.tuples(
+            _digit_st(INJECTION_CHUNK), _digit_st(runs), _digit_st(terms)
+        ),
+        min_size=1, max_size=200,
+    ))
+    t = np.array([c0 + row[0] for row in rows], dtype=np.int64)
+    b = np.array([row[1] for row in rows], dtype=np.int32)
+    j = np.array([row[2] for row in rows], dtype=np.int32)
+    assert np.array_equal(
+        _mixed_radix_order((t - c0, b, j), (runs, terms)),
+        np.lexsort((j, b, t)),
+    )
+    assert np.array_equal(
+        _mixed_radix_order((t, j), (terms,)), np.lexsort((j, t))
+    )
