@@ -43,6 +43,7 @@ from typing import Tuple
 from ...topologies.hyperx import HyperX
 from .base import RoutingAlgorithm
 from .min_adaptive import pick_min_cost
+from .table import maybe_route_table
 
 PHASE_ASCENT = 0
 PHASE_DESCENT = 1
@@ -72,6 +73,7 @@ class ClosAD(RoutingAlgorithm):
         super().attach(simulator)
         if not isinstance(self.topology, HyperX):
             raise TypeError(f"{self.name} requires a HyperX-family topology")
+        self._route_table = maybe_route_table(self, self.topology)
 
     def on_packet_created(self, packet) -> None:
         packet.phase = PHASE_ASCENT
@@ -137,3 +139,65 @@ class ClosAD(RoutingAlgorithm):
         if packet.phase == PHASE_ASCENT:
             return self._ascent_choice(engine, packet)
         return self._descent_choice(engine, packet)
+
+    def route_event(self, engine, packet) -> Tuple[int, int]:
+        """Same decision as :meth:`route`, with the ascent candidates
+        read from the shared route table's CLOS AD rows and the descent
+        hop from its DOR entries.
+
+        The ascent compares the same ``(occupancy * hops + bias, hops)``
+        keys in the same candidate order as :meth:`route`'s
+        ``pick_min_cost`` call, with the same reservoir draws on exact
+        ties, so the shared route RNG advances identically."""
+        table = self._route_table
+        if table is None:
+            return self.route(engine, packet)
+        current = engine.router_id
+        dst = packet.dst_router
+        if current == dst:
+            return engine.ejection_port(packet.dst), 0
+        if packet.phase == PHASE_ASCENT:
+            topo = self.topology
+            strides = topo._strides
+            dims = topo.dims
+            num_dims = topo.num_dims
+            state = packet.scratch
+            d = state["next_dim"]
+            while d <= num_dims:
+                stride = strides[d - 1]
+                extent = dims[d - 1]
+                want = (dst // stride) % extent
+                if (current // stride) % extent != want:
+                    break
+                d += 1
+            else:
+                packet.phase = PHASE_DESCENT
+                return table.dor_next(current, dst)[0], VC_DESCENT
+            state["next_dim"] = d + 1
+            out_ports = engine.out_ports
+            threshold = self.threshold
+            rng = self.rng
+            best = -1
+            best_cost = None
+            best_hops = 0
+            ties = 0
+            for port, hops in table.clos_ascent(current, d, want):
+                if hops == 1:
+                    cost = out_ports[port].occ
+                else:
+                    cost = out_ports[port].occ * hops + threshold
+                if (
+                    best_cost is None
+                    or cost < best_cost
+                    or (cost == best_cost and hops < best_hops)
+                ):
+                    best = port
+                    best_cost = cost
+                    best_hops = hops
+                    ties = 1
+                elif cost == best_cost and hops == best_hops:
+                    ties += 1
+                    if rng.random() * ties < 1.0:
+                        best = port
+            return best, VC_ASCENT
+        return table.dor_next(current, dst)[0], VC_DESCENT

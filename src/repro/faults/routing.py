@@ -537,10 +537,11 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         return engine.port_for_channel(channel), remaining - 1
 
     def route_event(self, engine, packet) -> Tuple[int, int]:
-        # UGAL's table route_event takes *healthy* DOR hops for the
-        # Valiant phase; under faults the masked path in route() must
-        # run instead (its minimal branch still hits the masked-table
-        # candidate cache through self._minimal).
+        # UGAL's table route_event decides over the *healthy* minimal
+        # row and takes healthy DOR hops for the Valiant phase; under
+        # faults the masked path in route() must run instead (its
+        # minimal branch still hits the masked-table candidate cache
+        # through self._minimal).
         if self._faults is None:
             return super().route_event(engine, packet)
         return self.route(engine, packet)
