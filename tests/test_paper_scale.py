@@ -2,7 +2,10 @@
 
 These run the paper's actual 1024-node configurations — minutes of
 pure-Python simulation each — so they are skipped unless
-``REPRO_FULL=1`` is set.  The regular suite covers the same claims at
+``REPRO_FULL=1`` is set.  On a 2-vCPU Intel Xeon VM (Python 3.11),
+``test_32ary_2flat_clos_ad_ur_full`` took 316 s with CLOS AD routing
+through its generic ``route()`` and 190 s once its event-kernel path
+read the shared route table's ascent rows.  The regular suite covers the same claims at
 reduced scale; these confirm them at the paper's operating point.
 """
 
