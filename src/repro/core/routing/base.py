@@ -100,10 +100,12 @@ class RoutingAlgorithm(abc.ABC):
 
         Defaults to :meth:`route`.  Algorithms may override with a
         faster implementation (e.g. memoized minimal-route candidate
-        sets), but it must be *bit-identical* to :meth:`route` —
-        including the number and order of draws it takes from the
-        shared route RNG — because the polling cross-check kernel keeps
-        calling :meth:`route` and the two kernels must agree exactly.
+        sets or shared route-table rows), but it must be
+        *bit-identical* to :meth:`route` — the same port and VC, the
+        same packet state, and the same number and order of draws from
+        the shared route RNG.  :meth:`route` is the reference: runs
+        with the route table off take it, and the decision-level
+        property tests and ``TestRouteTableParity`` compare the two.
         """
         return self.route(engine, packet)
 

@@ -300,8 +300,8 @@ class FaultAwareMinimalAdaptive(MinimalAdaptive):
 
     def route_event(self, engine, packet) -> Tuple[int, int]:
         # The memoized fault-free fast path is invalid once transient
-        # outages make costs time-dependent; re-route identically to
-        # the polling kernel instead.
+        # outages make costs time-dependent; take the reference
+        # ``route()`` decision instead.
         if self._faults is None:
             return super().route_event(engine, packet)
         return self.route(engine, packet)

@@ -47,10 +47,10 @@ class InjectionProcess(abc.ABC):
         * ``None`` is a promise that ``injections`` returns ``[]``
           forever after — the run may terminate as soon as the network
           drains.
-        * The method must not mutate state or draw RNG: it may be
-          called on cycles that are subsequently skipped, and is never
-          called under the polling kernel, so any side effect would
-          desynchronize the two (bit-identical) kernels.
+        * The method must not mutate state or draw RNG: it is called
+          only when the kernel considers an idle skip (and not at all
+          when a tracer disables skipping), so any side effect would
+          make results depend on whether cycles were skipped.
 
         The conservative default returns ``now`` ("an injection may
         happen immediately"), which keeps custom subclasses *correct*

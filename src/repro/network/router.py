@@ -61,7 +61,6 @@ class RouterEngine:
         "_num_invcs",
         "_resweep",
         "_resweep_cycle",
-        "_event",
         "_pipes",
         "_wheel",
         "_active_pipes",
@@ -75,10 +74,6 @@ class RouterEngine:
     def __init__(self, sim: "Simulator", router_id: int) -> None:
         self.sim = sim
         self.router_id = router_id
-        # Whether the owning simulator runs the event kernel; the
-        # incremental _unrouted/_requests views are maintained only
-        # then (the polling kernel recomputes from ``active``).
-        self._event = sim._event_driven
         # Input ports: per port, a list of InputVC (channel inputs get
         # the algorithm's VC count; injection inputs are single-FIFO).
         self.in_ports: List[List[InputVC]] = []
@@ -91,11 +86,9 @@ class RouterEngine:
         self._ej_port_of_terminal: Dict[int, int] = {}
         # Ordered set of non-empty input VCs.
         self.active: Dict[InputVC, None] = {}
-        # Incremental views of ``active`` kept for the fused event
-        # path: input VCs whose head still needs a routing decision,
-        # and per-output-port sets of input VCs with a locked route
-        # (the standing switch requests).  The legacy polling phases
-        # recompute both from ``active`` instead of reading these.
+        # Incremental views of ``active``: input VCs whose head still
+        # needs a routing decision, and per-output-port sets of input
+        # VCs with a locked route (the standing switch requests).
         self._unrouted: Dict[InputVC, None] = {}
         self._requests: Dict[OutPort, Dict[InputVC, None]] = {}
         # Ordered set of output ports with staged flits.
@@ -113,8 +106,8 @@ class RouterEngine:
     # ------------------------------------------------------------------
     def finalize(self) -> None:
         """Snapshot stable simulator references once construction is
-        complete, so the per-cycle event phases don't re-derive them on
-        every call."""
+        complete, so the per-cycle phases don't re-derive them on every
+        call."""
         sim = self.sim
         self._pipes = sim.pipes
         self._wheel = sim._wheel
@@ -200,7 +193,10 @@ class RouterEngine:
     # Per-cycle phases
     # ------------------------------------------------------------------
     def deliver(self, in_port: int, vc: int, flit: Flit) -> None:
-        """Accept a flit arriving from a channel (or injection)."""
+        """Accept a flit arriving from a channel (or injection).
+
+        The simulator's delivery and injection loops inline this body;
+        it stays as the reference for direct engine-level driving."""
         invc = self.in_ports[in_port][vc]
         fifo = invc.fifo
         if len(fifo) >= invc.depth:
@@ -214,18 +210,17 @@ class RouterEngine:
         fifo.append(flit)
         # The VC just went non-empty: a head awaiting a route, or the
         # next flits of a packet whose route is already locked.
-        if self._event:
-            port = invc.route_port
-            if port is None:
-                self._unrouted[invc] = None
+        port = invc.route_port
+        if port is None:
+            self._unrouted[invc] = None
+        else:
+            requests = self._requests
+            out = self.out_ports[port]
+            members = requests.get(out)
+            if members is None:
+                requests[out] = {invc: None}
             else:
-                requests = self._requests
-                out = self.out_ports[port]
-                members = requests.get(out)
-                if members is None:
-                    requests[out] = {invc: None}
-                else:
-                    members[invc] = None
+                members[invc] = None
         active = self.active
         if not active:
             # Idle -> busy transition: tell the kernel this router now
@@ -233,59 +228,10 @@ class RouterEngine:
             self.sim._busy_engines[self.router_id] = self
         active[invc] = None
 
-    def routing_phase(self, now: int) -> None:
-        """Make routing decisions for head flits that need one."""
-        pending = [invc for invc in self.active if invc.route_port is None]
-        if not pending:
-            return
-        num_in = len(self.in_ports)
-        offset = self._rr_offset
-        self._rr_offset = (offset + 1) % max(num_in, 1)
-        if len(pending) > 1:
-            pending.sort(key=lambda v: ((v.in_port - offset) % num_in, v.vc))
-        allocator = self.sim.allocator
-        algorithm = self.sim.algorithm
-        self.sim._route_calls += len(pending)
-        allocator.begin_cycle()
-        for invc in pending:
-            head = invc.fifo[0]
-            packet = head.packet
-            port, vc = algorithm.route(self, packet)
-            out = self.out_ports[port]
-            if packet.msg_class and out.kind == CHANNEL_PORT:
-                # Message-class VC partitioning: the algorithm's choice
-                # lands in the packet's own class partition.  Ejection
-                # ports are exempt (the sink always drains, so classes
-                # cannot deadlock through it — and the fused kernel's
-                # inline ejection assumes vc 0).
-                vc += packet.msg_class * self._base_vcs
-            if not 0 <= vc < out.num_vcs:
-                raise AssertionError(
-                    f"{algorithm.name} chose vc {vc} outside 0..{out.num_vcs - 1}"
-                )
-            invc.route_port = port
-            invc.route_vc = vc
-            allocator.record(out, vc, packet.size)
-        allocator.end_cycle()
-
-    def _drop_request(self, invc: InputVC, out: OutPort) -> None:
-        """Withdraw ``invc``'s standing switch request on ``out``.
-
-        Tolerates absence: under the polling kernel routing decisions
-        are made by the legacy ``routing_phase``, which does not file
-        standing requests.
-        """
-        requests = self._requests
-        members = requests.get(out)
-        if members is not None:
-            members.pop(invc, None)
-            if not members:
-                del requests[out]
-
     def route_switch(self, now: int) -> int:
-        """Fused routing + switch sub-iteration used by the event
-        kernel: route every head awaiting a decision, then run one
-        switch sub-iteration over the standing requests.
+        """One fused routing + switch sub-iteration: route every head
+        awaiting a decision, then let every output port accept at most
+        one flit from a requesting input head into its staging FIFO.
 
         Returns 0 if no flit moved, 1 if flits moved but another
         sub-iteration provably cannot move more (every output that
@@ -294,14 +240,11 @@ class RouterEngine:
         engine's state within the cycle), and 2 if flits moved and a
         further sub-iteration might move more.
 
-        Bit-identical to ``routing_phase`` followed by
-        ``switch_subiter``: the pending heads are sorted by the same
-        round-robin key before routing (so the shared route RNG is
-        drawn in the same order), and switch winners are picked by the
-        same total-order arbitration key (so candidate enumeration
-        order is irrelevant).  The sub-iterations it declines (return
-        value 1) are exactly those in which the polling kernel routes
-        and switches nothing at this router.
+        Pending heads are routed in round-robin order over input ports
+        (the rotating ``_rr_offset``, then VC), so the shared route RNG
+        is drawn in a fixed order; switch winners are picked by a total
+        order on the round-robin key (so candidate enumeration order is
+        irrelevant).
 
         Follow-up sub-iterations within one cycle (the calls after a
         return of 2) sweep only the outputs that moved a flit in the
@@ -318,12 +261,7 @@ class RouterEngine:
         # the same cycle (a 2-return from an earlier sub-iteration).
         sweep = self._resweep if self._resweep_cycle == now else None
         if unrouted:
-            # ``route_port is None and fifo`` filters entries left
-            # stale by interleaved legacy-phase driving (tests that
-            # call routing_phase/switch_subiter by hand).
-            pending = [
-                invc for invc in unrouted if invc.route_port is None and invc.fifo
-            ]
+            pending = list(unrouted)
             unrouted.clear()
             if pending:
                 num_in = len(self.in_ports)
@@ -357,8 +295,12 @@ class RouterEngine:
                         port, vc = route(self, packet)
                         out = out_ports[port]
                         if packet.msg_class and out.kind == CHANNEL_PORT:
-                            # Shift into the class's VC partition
-                            # (mirrors routing_phase; ejection exempt).
+                            # Message-class VC partitioning: the choice
+                            # lands in the packet's own class partition.
+                            # Ejection ports are exempt (the sink always
+                            # drains, so classes cannot deadlock through
+                            # it — and the inline ejection above uses
+                            # vc 0).
                             vc += packet.msg_class * self._base_vcs
                         if not 0 <= vc < out.num_vcs:
                             raise AssertionError(
@@ -458,8 +400,7 @@ class RouterEngine:
                             best = key
                             winner = cand
             out.rr_pointer = (winner.order + 1) % total
-            # --- inline of _switch_flit, minus the polling-only
-            # bookkeeping recomputation ---
+            # Move the winner's head flit into output staging.
             fifo = winner.fifo
             flit = fifo.popleft()
             vc = winner.route_vc
@@ -527,162 +468,17 @@ class RouterEngine:
         self._resweep_cycle = -1
         return moved
 
-    def switch_subiter(self, now: int) -> bool:
-        """One speedup sub-iteration: every output port accepts at most
-        one flit from a requesting input head into its staging FIFO.
-        Returns whether any flit moved."""
-        if not self.active:
-            return False
-        requests: Dict[int, List[InputVC]] = {}
-        for invc in self.active:
-            port = invc.route_port
-            if port is None:
-                continue
-            requests.setdefault(port, []).append(invc)
-        if not requests:
-            return False
-        moved = False
-        total = self._num_invcs
-        for port, candidates in requests.items():
-            out = self.out_ports[port]
-            owner = out.owner
-            staging = out.staging
-            depth = out.staging_depth
-            sendable = []
-            for invc in candidates:
-                vc = invc.route_vc
-                if len(staging[vc]) >= depth:
-                    continue
-                holder = owner[vc]
-                flit = invc.fifo[0]
-                if flit.is_head:
-                    if holder is not None:
-                        continue
-                elif holder is not flit.packet:
-                    continue
-                sendable.append(invc)
-            if not sendable:
-                continue
-            if len(sendable) == 1:
-                winner = sendable[0]
-            else:
-                pointer = out.rr_pointer
-                winner = min(sendable, key=lambda v: (v.order - pointer) % total)
-            out.rr_pointer = (winner.order + 1) % total
-            self._switch_flit(winner, out)
-            moved = True
-        return moved
-
-    def _switch_flit(self, invc: InputVC, out: OutPort) -> None:
-        """Move one flit from an input VC into output staging."""
-        fifo = invc.fifo
-        flit = fifo.popleft()
-        vc = invc.route_vc
-        out.pending[vc] -= 1
-        if flit.is_head:
-            out.owner[vc] = flit.packet
-        if flit.is_tail:
-            out.owner[vc] = None
-            invc.route_port = None
-            invc.route_vc = None
-            if self._event:
-                self._drop_request(invc, out)
-                if fifo:
-                    # The next packet's head is exposed, needs a route.
-                    self._unrouted[invc] = None
-        elif not fifo:
-            # Mid-packet stall: the rest of the packet is still
-            # upstream; the locked route resumes when it arrives.
-            if self._event:
-                self._drop_request(invc, out)
-        out.staging[vc].append(flit)
-        staged = self._staged_ports
-        if not staged:
-            self.sim._wire_engines[self.router_id] = self
-        staged[out] = None
-        # Return a credit upstream for the freed input-buffer slot.
-        if self.in_port_kind[invc.in_port] == CHANNEL_INPUT:
-            sim = self.sim
-            feed = sim.pipes[self.in_port_source[invc.in_port]]
-            feed.send_credit(sim, invc.vc, sim.now)
-        else:
-            stalled = self.sim._stalled_sources
-            if stalled:
-                # Injection-FIFO slot freed: wake a parked terminal
-                # (tests drive the legacy phases on event simulators,
-                # so the wake lives here too, not just in
-                # route_switch).
-                terminal = self.in_port_source[invc.in_port]
-                if terminal in stalled:
-                    del stalled[terminal]
-                    self.sim._active_sources[terminal] = None
-        if not invc.fifo:
-            active = self.active
-            del active[invc]
-            if not active:
-                # Busy -> idle transition: nothing left to route or
-                # switch at this router until a new flit arrives.
-                del self.sim._busy_engines[self.router_id]
-
-    def wire_phase(self, now: int) -> None:
-        """Move at most one staged flit per output port onto the wire
-        (or into the ejection sink).
+    def wire_event(self, now: int) -> None:
+        """Wire phase: move at most one staged flit per output port onto
+        the wire (or into the ejection sink), pushing its delivery cycle
+        onto the event wheel.
 
         A port whose staged flits cannot move this cycle — every VC
-        credit-starved, or the channel still paced by ``next_free`` —
-        simply stays in the staged set and is retried on later cycles;
-        it leaves the set only once its staging FIFOs are empty.
+        credit-starved, the channel still paced by ``next_free``, or
+        the channel transiently down — simply stays in the staged set
+        and is retried on later cycles; it leaves the set only once its
+        staging FIFOs are empty.
         """
-        staged_ports = self._staged_ports
-        if not staged_ports:
-            return
-        sim = self.sim
-        period = sim.config.channel_period
-        faults = self._fault_state
-        done = []
-        for out in staged_ports:
-            staging = out.staging
-            num_vcs = out.num_vcs
-            credits = out.credits
-            if out.kind == CHANNEL_PORT:
-                if now < out.next_free:
-                    continue
-                # A transiently-down channel refuses new flits; the
-                # staged flit simply waits (the port stays in the
-                # staged set and is retried every cycle).
-                if faults is not None and faults.channel_down(
-                    out.channel_index, now
-                ):
-                    continue
-            start = out.wire_pointer
-            for i in range(num_vcs):
-                vc = (start + i) % num_vcs
-                queue = staging[vc]
-                if not queue or credits[vc] <= 0:
-                    continue
-                flit = queue.popleft()
-                out.wire_pointer = (vc + 1) % num_vcs
-                if out.kind == CHANNEL_PORT:
-                    credits[vc] -= 1
-                    out.next_free = now + period
-                    if flit.is_head:
-                        flit.packet.hops += 1
-                    sim.pipes[out.channel_index].send_flit(sim, flit, vc, now)
-                else:
-                    sim.on_flit_ejected(flit, now)
-                break
-            if not any(staging):
-                done.append(out)
-        for out in done:
-            del staged_ports[out]
-        if not staged_ports:
-            del sim._wire_engines[self.router_id]
-
-    def wire_event(self, now: int) -> None:
-        """Event-kernel wire phase: identical decisions to
-        :meth:`wire_phase`, with the channel send inlined (the flit
-        still goes through :meth:`ChannelPipe.push_flit`) and its
-        delivery cycle pushed onto the event wheel directly."""
         staged_ports = self._staged_ports
         if not staged_ports:
             return
@@ -700,8 +496,7 @@ class RouterEngine:
             if is_channel:
                 if now < out.next_free:
                     continue
-                # Same transient-outage guard as wire_phase, so both
-                # kernels hold identical flits back on identical cycles.
+                # A transiently-down channel refuses new flits.
                 if faults is not None and faults.channel_down(
                     out.channel_index, now
                 ):

@@ -81,11 +81,10 @@ class KernelStats:
     """Execution metrics of one simulation run.
 
     Produced by every run method so kernel speedups are measured, not
-    asserted: ``router_phase_calls`` counts the routing / switch /
-    wire-phase invocations the kernel actually executed, which is the
-    quantity the active-set kernel shrinks, and ``events_dispatched``
-    counts channel-pipe wakeups (flit and credit deliveries pulled off
-    the event wheel, or active-pipe scans under the polling kernel).
+    asserted: ``router_phase_calls`` counts the route+switch and wire
+    invocations the kernel actually executed (only routers holding
+    work are visited), and ``events_dispatched`` counts channel-pipe
+    wakeups (flit and credit deliveries pulled off the event wheel).
 
     Excluded from result equality (and from ``repr``) because
     ``wall_seconds`` varies run to run while the simulation outcome

@@ -33,8 +33,8 @@ stretches are never executed at all (they are jumped over guided by
 :meth:`Workload.next_message_cycle`).  A workload must therefore draw
 from the shared RNGs **only on cycles where it emits messages** —
 calendar-style scheduling, where the next firing is drawn when the
-current one fires, satisfies this; drawing "per cycle" would desync
-the event and polling kernels.  State that must advance on a schedule
+current one fires, satisfies this; drawing "per cycle" would make
+results depend on whether quiescent cycles were skipped.  State that must advance on a schedule
 regardless of arrivals (e.g. churn epochs) has to be derived from the
 cycle number and a private seed, not from a shared stream.
 """
@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class UnsupportedWorkloadError(NotImplementedError):
     """Raised when a kernel cannot run a workload — e.g. the vectorized
     ``kernel="batch"`` backend asked to run a closed-loop or
-    trace-replay source, which require the exact kernels' delivery
+    trace-replay source, which require the event kernel's delivery
     hooks and per-cycle message timing."""
 
 
@@ -306,13 +306,13 @@ class RequestReply(Workload):
         out = self._replies.pop(now, None)
         if out is None:
             out = []
-        # Once the quota is spent, stop polling the Bernoulli calendar
+        # Once the quota is spent, stop consulting the Bernoulli calendar
         # entirely: its reschedule draws would otherwise advance the
         # injection RNG on cycles the event kernel (whose idle-skip
         # consults next_message_cycle, which already excludes the spent
-        # process) never executes, desyncing the final RNG states
-        # between kernels.  The transition happens at the same cycle in
-        # both kernels, so behavior before it is untouched.
+        # process) never executes, making the final RNG states depend
+        # on which cycles were skipped.  The transition happens at a
+        # fixed cycle, so behavior before it is untouched.
         fires = (
             self._process.injections(now) if self._quota_left != 0 else ()
         )
@@ -448,8 +448,8 @@ register_workload("request_reply")(RequestReply)
 def churn_permutation(seed: int, epoch_index: int, num_terminals: int) -> List[int]:
     """The fixed permutation of churn epoch ``epoch_index`` — a pure
     function of ``(seed, epoch_index)`` via :func:`derive_seed`, so
-    both exact kernels (and any number of skipped epochs) agree on it
-    without touching the shared RNG streams."""
+    any number of skipped epochs leaves it unchanged without touching
+    the shared RNG streams."""
     perm = list(range(num_terminals))
     random.Random(derive_seed(seed, "churn-epoch", epoch_index)).shuffle(perm)
     return perm

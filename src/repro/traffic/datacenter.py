@@ -13,9 +13,9 @@ folded Clos, so "rack" skew is the same physical skew in all three.
 Determinism: every source here is calendar-driven — shared-RNG draws
 happen only on cycles that emit messages (see the contract in
 :mod:`repro.network.workload`), and epoch-scoped state (the churn
-permutation) is a pure function of a private per-epoch seed — so the
-event and polling kernels remain bit-identical even when the event
-kernel skips quiescent stretches.
+permutation) is a pure function of a private per-epoch seed — so
+results stay bit-identical whether or not the event kernel skips
+quiescent stretches.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class Incast(Workload):
         if now % self.epoch == 0:
             # Epoch boundary: draw this epoch's incast cast.  Boundary
             # cycles always emit messages, so they are never skipped
-            # and both kernels make these draws on the same cycle.
+            # and these draws land on the same cycle in every run.
             blocks = self._blocks
             target = rng._randbelow(self.racks)
             others = [r for r in range(self.racks) if r != target]
