@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..core import ClosAD, MinimalAdaptive, UGAL
 from ..core.flattened_butterfly import FlattenedButterfly
-from ..network import KERNELS, SimulationConfig, Simulator
+from ..network import SimulationConfig, Simulator, resolve_kernel
 from ..runner import SaturationJob, SimSpec, execute_job
 from ..traffic import (
     BitComplement,
@@ -72,8 +72,8 @@ def _make(topology, algorithm_cls, pattern_name: str,
 
 def run(scale=None, runner=None, kernel=None) -> ExperimentResult:
     scale = resolve_scale(scale)
-    if kernel is not None and kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; pick one of {KERNELS}")
+    if kernel is not None:
+        resolve_kernel(kernel)
     batch = kernel == "batch"
     k = scale.fb_k
     dropped = []

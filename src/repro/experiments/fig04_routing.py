@@ -16,7 +16,7 @@ from typing import Callable, Dict
 
 from ..core import ClosAD, MinimalAdaptive, UGAL, UGALSequential, Valiant
 from ..core.flattened_butterfly import FlattenedButterfly
-from ..network import KERNELS, SimulationConfig, Simulator, replica_seeds
+from ..network import SimulationConfig, Simulator, replica_seeds, resolve_kernel
 from ..runner import BatchSaturationJob, SaturationJob, SimSpec, execute_job
 from ..traffic import UniformRandom, adversarial
 from .common import (
@@ -73,8 +73,8 @@ def _spec(k: int, algorithm_cls, pattern_factory, kernel=None,
 
 def run(scale=None, runner=None, kernel=None, replicas=None) -> ExperimentResult:
     scale = resolve_scale(scale)
-    if kernel is not None and kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; pick one of {KERNELS}")
+    if kernel is not None:
+        resolve_kernel(kernel)
     batch = kernel == "batch"
     algorithms = dict(ALGORITHMS)
     if batch:

@@ -14,7 +14,7 @@ from typing import Callable, Dict
 
 from ..core import ClosAD, MinimalAdaptive, UGAL, UGALSequential, Valiant
 from ..core.flattened_butterfly import FlattenedButterfly
-from ..network import KERNELS, SimulationConfig, Simulator
+from ..network import SimulationConfig, Simulator, resolve_kernel
 from ..runner import BatchJob, SimSpec, execute_job
 from ..traffic import adversarial
 from .common import ExperimentResult, Table, resolve_scale
@@ -40,8 +40,8 @@ def _make(topology, algorithm_cls, kernel: str = None) -> Simulator:
 
 def run(scale=None, runner=None, kernel=None) -> ExperimentResult:
     scale = resolve_scale(scale)
-    if kernel is not None and kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; pick one of {KERNELS}")
+    if kernel is not None:
+        resolve_kernel(kernel)
     if kernel == "batch":
         # The dynamic-response measurement drains one fixed batch of
         # packets and watches the transient — a per-cycle delivery-hook

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Tuple
 
 from ..core import ClosAD, DimensionOrder
 from ..core.flattened_butterfly import FlattenedButterfly
-from ..network import KERNELS, SimulationConfig, Simulator
+from ..network import SimulationConfig, Simulator, resolve_kernel
 from ..topologies import (
     Butterfly,
     DestinationTag,
@@ -123,8 +123,8 @@ def topology_suite(k: int, kernel: str = None) -> Callable[[Callable], Dict[str,
 
 def run(scale=None, runner=None, kernel=None) -> ExperimentResult:
     scale = resolve_scale(scale)
-    if kernel is not None and kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; pick one of {KERNELS}")
+    if kernel is not None:
+        resolve_kernel(kernel)
     batch = kernel == "batch"
     k = scale.fb_k
     result = ExperimentResult(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..analysis.scaling import table4_configs
 from ..core import MinimalAdaptive, Valiant
 from ..core.flattened_butterfly import FlattenedButterfly
-from ..network import KERNELS, SimulationConfig, Simulator
+from ..network import SimulationConfig, Simulator, resolve_kernel
 from ..runner import OpenLoopJob, SaturationJob, SimSpec, execute_job
 from ..traffic import UniformRandom
 from .common import ExperimentResult, Table, resolve_scale
@@ -38,8 +38,8 @@ def _make(topology, algorithm_cls, buffer_per_port: int = 32,
 
 def run(scale=None, runner=None, kernel=None) -> ExperimentResult:
     scale = resolve_scale(scale)
-    if kernel is not None and kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; pick one of {KERNELS}")
+    if kernel is not None:
+        resolve_kernel(kernel)
     extra = {} if kernel is None else {"kernel": kernel}
     configs = [
         cfg for cfg in table4_configs(scale.design_study_n) if cfg.n_prime <= 8
