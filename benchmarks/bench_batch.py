@@ -51,7 +51,6 @@ or via pytest (CI smoke: quick windows, one repeat)::
 import argparse
 import json
 import os
-import platform
 import sys
 import time
 
@@ -64,6 +63,8 @@ from repro.core import MinimalAdaptive, UGAL
 from repro.core.flattened_butterfly import FlattenedButterfly
 from repro.network import SimulationConfig, Simulator, replica_seeds
 from repro.traffic import UniformRandom
+
+from _machine import machine
 
 #: fig04 CI-scale topology and measurement point (experiments/common.py
 #: CI_SCALE windows; load 0.5 sits below the MIN AD/UR knee).
@@ -190,28 +191,6 @@ def _side(walls, stats):
     }
 
 
-def _machine():
-    """CPU count, CPU model and interpreter/numpy versions: a committed
-    speed claim counts only together with the machine that made it."""
-    import numpy
-
-    model = platform.processor() or "unknown"
-    try:
-        with open("/proc/cpuinfo") as handle:
-            for line in handle:
-                if line.startswith("model name"):
-                    model = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    return {
-        "nproc": os.cpu_count(),
-        "cpu_model": model,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-    }
-
-
 def collect(repeat=3, quick=False):
     """Interleaved A/B measurement; returns the report dict."""
     warmup = 100 if quick else WARMUP
@@ -255,9 +234,11 @@ def collect(repeat=3, quick=False):
             pointwise, lockstep
         )
 
+    import numpy
+
     return {
         "benchmark": "batch-kernel",
-        "machine": _machine(),
+        "machine": machine(numpy=numpy.__version__),
         "config": {
             "topology": f"{FB_K}-ary 2-flat",
             "algorithm": "MIN AD",
