@@ -111,8 +111,9 @@ class TestChannelPipe:
     def test_ordered_delivery(self):
         pipe = ChannelPipe(0, 0, 1, 0, 0)
         packet = Packet(0, 0, 1, 0, 1, 0)
-        pipe.push_flit(Flit(packet, True, True), 0, arrival=5)
-        pipe.push_credit(1, arrival=6)
+        assert not pipe.busy()
+        pipe.flits.append((5, Flit(packet, True, True), 0))
+        pipe.credits.append((6, 1))
         assert pipe.busy()
         assert pipe.flits[0][0] == 5
         assert pipe.credits[0] == (6, 1)

@@ -1,6 +1,8 @@
 """Low-level router-engine tests: credit protocol, arbitration,
 staging, wormhole ownership, and flow-control invariants."""
 
+from collections import deque
+
 import pytest
 
 from repro.core import DimensionOrder, MinimalAdaptive
@@ -120,33 +122,34 @@ class TestWormholeOwnership:
             SimulationConfig(packet_size=3, seed=5),
         )
         # Spy on pipe traffic: per (pipe, vc), packet ids must change
-        # only at head flits.  ChannelPipe uses __slots__, so wrap the
-        # method at class level.
-        from repro.network.channel import ChannelPipe
-
+        # only at head flits.  The wire phase appends
+        # ``(arrival, flit, vc)`` to each pipe's flit deque, so swap in
+        # a deque that checks every append.
         violations = []
         state = {}
-        original = ChannelPipe.push_flit
+        sent = []
 
-        def spy(pipe, flit, vc, arrival):
-            key = (pipe.index, vc)
-            current = state.get(key)
-            if flit.is_head:
-                if current is not None:
+        class SpyDeque(deque):
+            def append(self, item):
+                _, flit, vc = item
+                key = (self.pipe_index, vc)
+                current = state.get(key)
+                if flit.is_head:
+                    if current is not None:
+                        violations.append(key)
+                    state[key] = flit.packet.pid
+                elif current != flit.packet.pid:
                     violations.append(key)
-                state[key] = flit.packet.pid
-            else:
-                if current != flit.packet.pid:
-                    violations.append(key)
-            if flit.is_tail:
-                state[key] = None
-            original(pipe, flit, vc, arrival)
+                if flit.is_tail:
+                    state[key] = None
+                sent.append(key)
+                super().append(item)
 
-        ChannelPipe.push_flit = spy
-        try:
-            sim.run_batch(4)
-        finally:
-            ChannelPipe.push_flit = original
+        for pipe in sim.pipes:
+            pipe.flits = SpyDeque()
+            pipe.flits.pipe_index = pipe.index
+        sim.run_batch(4)
+        assert sent  # the spy saw the traffic
         assert not violations
         assert sim.packets_delivered == 64
 
