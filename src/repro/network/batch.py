@@ -80,8 +80,9 @@ this module without numpy works, using the backend raises.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import SimulationConfig, replica_seeds
@@ -146,6 +147,94 @@ def _mixed_radix_order(digits, radices):
     return np.argsort(key, kind="stable")
 
 
+def _offset_order(offsets):
+    """Stable order of the non-negative integer ``offsets`` — equal to
+    ``np.argsort(offsets, kind="stable")``.  Offsets below 2**16 are
+    sorted as ``uint16``, which numpy radix-sorts in linear time; a
+    larger offset falls back to the int64 sort."""
+    if offsets.size and int(offsets.max()) < 1 << 16:
+        return np.argsort(offsets.astype(np.uint16), kind="stable")
+    return np.argsort(offsets, kind="stable")
+
+
+def _run_order(t, j, c0, T, blocks):
+    """``(cycle, terminal)`` order of one run's draws ``t``/``j`` —
+    equal to ``np.lexsort((j, t))``.  A single draw block lists the
+    terminals in ascending order, each with its cycles ascending, so a
+    stable sort on the cycle offset ``t - c0`` alone yields it.  Later
+    blocks restart the terminal order, so a draw of ``blocks > 1``
+    takes the mixed-radix key."""
+    if blocks == 1:
+        return _offset_order(t - c0)
+    return _mixed_radix_order((t, j), (T,))
+
+
+def _segment_ranks(major, minor):
+    """Rank of every event among the events sharing its ``major`` in
+    the stable ``(major, minor)`` order, and the size of its group.
+
+    Equal to the within-group position under ``_packed_order(major,
+    minor)``, under the same key requirements.  One ``np.bincount``
+    sizes the groups; an event alone in its group has rank 0 without
+    sorting, and only the contested events go through the packed
+    sort."""
+    group_n = np.bincount(major)[major]
+    rank = np.zeros(major.size, dtype=np.int64)
+    contested = np.flatnonzero(group_n > 1)
+    if contested.size:
+        sub = major[contested]
+        order = _packed_order(sub, minor[contested])
+        sub = sub[order]
+        starts = np.empty(sub.size, dtype=bool)
+        starts[0] = True
+        np.not_equal(sub[1:], sub[:-1], out=starts[1:])
+        start_idx = np.flatnonzero(starts)
+        rank[contested[order]] = (
+            np.arange(sub.size) - start_idx[np.cumsum(starts) - 1]
+        )
+    return rank, group_n
+
+
+def _serve_fifo(q, minor, t, next_free, period_flat, dep):
+    """FIFO service of one cycle's arrivals at the flat ``(run, queue)``
+    indices ``q``: same-cycle arrivals at one queue are ranked by their
+    pre-drawn per-run tie-break ``minor`` (see :func:`_segment_ranks`)
+    and served at one flit per period, so arrival ``i`` departs at
+    ``max(t, next_free[q]) + rank * period``.  Writes the departures
+    into ``dep`` and advances ``next_free`` in place; returns ``dep``."""
+    rank, queue_n = _segment_ranks(q, minor)
+    period = period_flat[q]
+    base = np.maximum(t, next_free[q])
+    np.multiply(rank, period, out=dep)
+    dep += base
+    # Every arrival at one queue shares its base, so this scatter writes
+    # one value per queue.
+    next_free[q] = base + queue_n * period
+    return dep
+
+
+def _latency_summary(ordered) -> LatencySummary:
+    """:meth:`LatencySummary.from_samples` of the ascending int64
+    array ``ordered``, computed in numpy: the exact integer sum over
+    the count gives the same mean, and every field is a Python
+    ``int``/``float``."""
+    n = int(ordered.size)
+    if not n:
+        return LatencySummary.from_samples([])
+
+    def percentile(q):
+        return float(ordered[max(1, math.ceil(q * n)) - 1])
+
+    return LatencySummary(
+        count=n,
+        mean=int(ordered.sum()) / n,
+        p50=percentile(0.50),
+        p95=percentile(0.95),
+        p99=percentile(0.99),
+        max=float(ordered[-1]),
+    )
+
+
 @dataclass
 class BatchRunResult:
     """Results of one batched open-loop measurement.
@@ -168,10 +257,11 @@ class BatchRunResult:
     packets_in_flight: Tuple[int, ...]
     packets_dropped: Tuple[int, ...]
     wall_seconds: float = field(compare=False)
-    #: Scratch-buffer counters (``scratch_allocs``/``scratch_reuses``).
-    #: Execution detail, so excluded from equality: a run inside a grid
-    #: and the same run alone compare equal though their counters
-    #: differ.
+    #: Scratch-buffer counters (``scratch_allocs``/``scratch_reuses``)
+    #: and per-layer host seconds (``predraw_s``/``step_s``/
+    #: ``finalize_s``).  Execution detail, so excluded from equality: a
+    #: run inside a grid and the same run alone compare equal though
+    #: their counters differ.
     stats: Optional[Dict[str, object]] = field(
         default=None, compare=False, repr=False
     )
@@ -833,13 +923,20 @@ class BatchBackend:
         # bit-compatibility: chunk ``[c, c+INJECTION_CHUNK)`` is drawn
         # exactly when the loop reaches ``c``, only for runs still live
         # at that moment, so each run consumes its generator stream in
-        # one fixed order.
+        # one fixed order.  The per-layer seconds are timed once per
+        # chunk, never per cycle.
+        predraw_s = step_s = 0.0
         t = 0
         while not state.done.all():
+            mark = time.perf_counter()
             chunk = self._predraw_chunk(state, t, t + INJECTION_CHUNK)
+            split = time.perf_counter()
             t = self._step_until(state, chunk, t, chunk.c1)
+            predraw_s += split - mark
+            step_s += time.perf_counter() - split
 
-        wall = time.perf_counter() - started
+        mark = time.perf_counter()
+        wall = mark - started
         results = self._finalize(
             load_of_run, measure, state.cycles, state.saturated,
             state.labeled_created, state.frozen_delivered,
@@ -850,6 +947,9 @@ class BatchBackend:
         stats = {
             "scratch_allocs": state.scratch.allocs,
             "scratch_reuses": state.scratch.reuses,
+            "predraw_s": predraw_s,
+            "step_s": step_s,
+            "finalize_s": time.perf_counter() - mark,
         }
         return (
             results, state.frozen_created, state.frozen_delivered, wall,
@@ -983,26 +1083,10 @@ class BatchBackend:
                     state.n_routes += np.bincount(run[fwd], minlength=B)
                     q[fwd] = run[fwd].astype(np.int64) * Q + chan
 
-                # FIFO service: rank same-cycle arrivals per queue by
-                # their pre-drawn per-run tie-break value, then serve at
-                # one flit per period.
-                rank_u = u_rank[scratch.arange(m), hops]
-                order = _packed_order(q, rank_u)
-                sq = q[order]
-                starts = scratch.get("starts", m, bool)
-                starts[0] = True
-                np.not_equal(sq[1:], sq[:-1], out=starts[1:])
-                start_idx = np.flatnonzero(starts)
-                seg = np.cumsum(starts) - 1
-                rank = scratch.arange(m) - start_idx[seg]
-                base = np.maximum(t, next_free[sq[start_idx]])
-                dep_sorted = base[seg] + rank * period_flat[sq]
-                counts = np.diff(np.append(start_idx, m))
-                next_free[sq[start_idx]] = (
-                    base + counts * period_flat[sq[start_idx]]
+                dep = _serve_fifo(
+                    q, u_rank[scratch.arange(m), hops], t, next_free,
+                    period_flat, scratch.get("dep", m, np.int64),
                 )
-                dep = scratch.get("dep", m, np.int64)
-                dep[order] = dep_sorted
 
                 if ej.size:
                     self._record_ejections(
@@ -1012,7 +1096,7 @@ class BatchBackend:
                         state.rec_created, state.rec_dep, state.rec_hops,
                     )
                 if fwd.size:
-                    by_arrival = np.argsort(dep[fwd], kind="stable")
+                    by_arrival = _offset_order(dep[fwd] - t)
                     src = fwd[by_arrival]
                     next_hops = hops[src]
                     next_hops += 1
@@ -1067,7 +1151,8 @@ class BatchBackend:
             if state.done[b]:
                 continue
             part = self._draw_run_chunk(
-                b, gen, state.rates[b], c1, state.next_inj, state.ucols
+                b, gen, state.rates[b], c0, c1, state.next_inj,
+                state.ucols,
             )
             if part is not None:
                 parts.append((b,) + part)
@@ -1096,9 +1181,10 @@ class BatchBackend:
         # Release the per-run copies now: kept alive through the sorted
         # gathers below they set the kernel's peak memory.
         del parts
-        order = _mixed_radix_order(
-            (t_all - c0, b_all, j_all), (state.B, state.T)
-        )
+        # The parts are concatenated in run order and each is already in
+        # (cycle, terminal) order, so a stable sort on the cycle alone
+        # gives (cycle, run, terminal).
+        order = _offset_order(t_all - c0)
         t_all = t_all[order]
         b_all = b_all[order]
         j_all = j_all[order]
@@ -1117,15 +1203,15 @@ class BatchBackend:
             offsets=offsets,
         )
 
-    def _draw_run_chunk(self, b, gen, rate, c1, next_inj, ucols):
-        """Draw run ``b``'s injections with cycle < ``c1`` (vectorized
-        geometric gaps continuing the per-run calendar ``next_inj``),
-        together with each packet's destination, pre-drawn tie-break
-        uniforms, and (non-minimal algorithms) Valiant intermediate,
-        all from run ``b``'s own generator in a canonical (cycle,
-        terminal) order.  Returns ``(t, terminal, dst, imd, u_route,
-        u_rank)`` arrays, or ``None`` when the chunk has no
-        injections."""
+    def _draw_run_chunk(self, b, gen, rate, c0, c1, next_inj, ucols):
+        """Draw run ``b``'s injections with cycle in ``[c0, c1)``
+        (vectorized geometric gaps continuing the per-run calendar
+        ``next_inj``, which never lags ``c0``), together with each
+        packet's destination, pre-drawn tie-break uniforms, and
+        (non-minimal algorithms) Valiant intermediate, all from run
+        ``b``'s own generator in a canonical (cycle, terminal) order.
+        Returns ``(t, terminal, dst, imd, u_route, u_rank)`` arrays, or
+        ``None`` when the chunk has no injections."""
         nt = next_inj[b]
         times_parts: List["np.ndarray"] = []
         terms_parts: List["np.ndarray"] = []
@@ -1160,7 +1246,9 @@ class BatchBackend:
             return None
         t_all = np.concatenate(times_parts)
         j_all = np.concatenate(terms_parts)
-        order = _mixed_radix_order((t_all, j_all), (self.program.T,))
+        order = _run_order(
+            t_all, j_all, c0, self.program.T, len(times_parts)
+        )
         t_all = t_all[order]
         j_all = j_all[order]
         n = t_all.size
@@ -1231,17 +1319,8 @@ class BatchBackend:
         by their pre-drawn per-run uniform: the wave number emulates the
         order a sequential allocator would serve same-cycle decisions
         in, randomly yet batch-composition independently."""
-        prog = self.program
-        group = run[fwd].astype(np.int64) * prog.R + router[fwd]
-        order = _packed_order(group, u_rank[fwd, hops[fwd]])
-        g_sorted = group[order]
-        starts = np.r_[True, g_sorted[1:] != g_sorted[:-1]]
-        start_idx = np.flatnonzero(starts)
-        seg = np.cumsum(starts) - 1
-        wave = np.arange(fwd.size) - start_idx[seg]
-        wave_of = np.empty(fwd.size, dtype=np.int64)
-        wave_of[order] = wave
-        return wave_of
+        group = run[fwd].astype(np.int64) * self.program.R + router[fwd]
+        return _segment_ranks(group, u_rank[fwd, hops[fwd]])[0]
 
     def _route_table(self, run, router, dst, hops, u_route, u_rank, fwd,
                      next_free, Q, t, occ_grace):
@@ -1473,15 +1552,15 @@ class BatchBackend:
             all_run = np.zeros(0, dtype=np.int32)
             all_created = all_dep = np.zeros(0, dtype=np.int64)
             all_hops = np.zeros(0, dtype=np.int16)
+        all_lat = all_dep - all_created
         results = []
         for b in range(B):
             # Mirror the event kernel's break semantics: an ejection
             # counts only if it happened strictly before the run's
             # final ``now`` (relevant for saturated cutoffs).
             sel = (all_run == b) & (all_dep < cycles[b])
-            lat = (all_dep[sel] - all_created[sel]).tolist()
             hop_samples = all_hops[sel]
-            summary = LatencySummary.from_samples(lat)
+            summary = _latency_summary(np.sort(all_lat[sel]))
             stats = KernelStats(
                 kernel="batch",
                 cycles=int(cycles[b]),
@@ -1493,7 +1572,7 @@ class BatchBackend:
                 offered_load=float(load_of_run[b]),
                 accepted_throughput=float(win_ejects[b]) / (measure * T),
                 latency=summary,
-                network_latency=LatencySummary.from_samples(lat),
+                network_latency=replace(summary),
                 saturated=bool(saturated[b]),
                 cycles=int(cycles[b]),
                 packets_labeled=int(labeled_created[b]),

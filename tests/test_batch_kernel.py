@@ -635,13 +635,25 @@ class TestScratchCounters:
         """The per-cycle step reuses its scratch buffers: after the
         first few cycles every request hits a preallocated buffer, so
         reuses must dwarf allocations.  ``stats`` carries exactly these
-        two counters (perfbench's paper-grid-batch reads both)."""
+        two counters (perfbench's paper-grid-batch reads both) and the
+        per-layer seconds of the predraw, step and finalize calls."""
         batch = _grid_sim(UGAL).run_open_loop_batch(
             0.3, seeds=PIN_SEEDS, warmup=PIN_WARMUP, measure=PIN_MEASURE,
             drain_max=PIN_DRAIN,
         )
         assert batch.stats["scratch_reuses"] > batch.stats["scratch_allocs"]
-        assert set(batch.stats) == {"scratch_allocs", "scratch_reuses"}
+        layers = {"predraw_s", "step_s", "finalize_s"}
+        counters = {"scratch_allocs", "scratch_reuses"}
+        assert set(batch.stats) == counters | layers
+        for key in layers:
+            assert isinstance(batch.stats[key], float)
+            assert batch.stats[key] >= 0.0
+        # The layers are timed inside the run's wall clock, which stops
+        # before finalize.
+        assert (
+            batch.stats["predraw_s"] + batch.stats["step_s"]
+            <= batch.wall_seconds
+        )
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ taken), and bandwidth limits (accepted throughput can exceed neither
 the offered load nor unit ejection bandwidth).
 """
 
+import copy
+import dataclasses
+import math
 import random
 
 import pytest
@@ -25,11 +28,17 @@ from repro.network import SimulationConfig, Simulator
 from repro.network.batch import (
     INJECTION_CHUNK,
     _KEY_MAJOR_BOUND,
+    _latency_summary,
     _mixed_radix_order,
+    _offset_order,
     _packed_order,
+    _run_order,
+    _segment_ranks,
+    _serve_fifo,
 )
 from repro.network.buffers import CHANNEL_PORT
 from repro.network.packet import Packet
+from repro.network.stats import LatencySummary
 from repro.topologies.hyperx import HyperX
 from repro.traffic import UniformRandom, adversarial
 
@@ -318,6 +327,268 @@ def test_mixed_radix_order_matches_lexsort(c0, runs, terms, data):
     assert np.array_equal(
         _mixed_radix_order((t, j), (terms,)), np.lexsort((j, t))
     )
+
+
+# ----------------------------------------------------------------------
+# Batch-kernel linear-time orders: the contested-only FIFO rank, the
+# radix-sorted cycle offsets and the numpy run summaries must equal the
+# full sorts and the Python summary they stand for.
+# ----------------------------------------------------------------------
+
+#: Offsets on both sides of the 2**16 radix cut-over.
+offset_st = st.one_of(
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=(1 << 16) - 3, max_value=(1 << 16) + 3),
+    st.integers(min_value=0, max_value=1 << 20),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(offsets=st.lists(offset_st, max_size=200), narrow=st.booleans())
+def test_offset_order_matches_stable_argsort(offsets, narrow):
+    """The calendar-push and predraw order equals the stable int64
+    argsort, whether it takes the uint16 radix path or falls back."""
+    np = pytest.importorskip("numpy")
+    key = np.array(offsets, dtype=np.int64)
+    if narrow:
+        key %= 1 << 16  # every offset on the radix path
+    assert np.array_equal(
+        _offset_order(key), np.argsort(key, kind="stable")
+    )
+
+
+def _serve_fifo_reference(q, minor, t, next_free, period_flat):
+    """FIFO service by one packed sort of every arrival: the rank is the
+    position in the stable ``(queue, minor)`` order within the queue.
+    Returns ``(rank, dep)`` in arrival order."""
+    np = pytest.importorskip("numpy")
+    m = q.size
+    order = _packed_order(q, minor)
+    sq = q[order]
+    starts = np.r_[True, sq[1:] != sq[:-1]]
+    start_idx = np.flatnonzero(starts)
+    seg = np.cumsum(starts) - 1
+    rank_sorted = np.arange(m) - start_idx[seg]
+    base = np.maximum(t, next_free[sq[start_idx]])
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = rank_sorted
+    dep = np.empty(m, dtype=np.int64)
+    dep[order] = base[seg] + rank_sorted * period_flat[sq]
+    counts = np.diff(np.append(start_idx, m))
+    next_free[sq[start_idx]] = base + counts * period_flat[sq[start_idx]]
+    return rank, dep
+
+
+#: Queue layouts of one cycle's arrivals: every arrival alone in its
+#: queue, all in one queue, or drawn from a small pool (mixed).
+queue_layout_st = st.sampled_from(["singleton", "shared", "pool"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layout=queue_layout_st,
+    channel_period=st.integers(min_value=1, max_value=3),
+    t=st.integers(min_value=0, max_value=40),
+    data=st.data(),
+)
+def test_contested_ranks_match_full_packed_sort(layout, channel_period, t,
+                                                data):
+    """Contested-only ranks and the ``dep``/``next_free`` they give equal
+    the full packed-sort FIFO service, equal float32 minors in one queue
+    included."""
+    np = pytest.importorskip("numpy")
+    runs, channels, terminals = 2, 5, 3
+    queues = channels + terminals
+    size = runs * queues
+    m = data.draw(st.integers(min_value=1, max_value=size))
+    if layout == "singleton":
+        q = data.draw(st.permutations(range(size)))[:m]
+    elif layout == "shared":
+        q = [data.draw(st.integers(min_value=0, max_value=size - 1))] * m
+    else:
+        q = data.draw(st.lists(
+            st.integers(min_value=0, max_value=3), min_size=m, max_size=m
+        ))
+    q = np.array(q, dtype=np.int64)
+    minor = np.array(
+        data.draw(st.lists(st.sampled_from(EDGE_MINORS[:3]) | minor_st,
+                           min_size=m, max_size=m)),
+        dtype=np.float32,
+    )
+    next_free = np.array(
+        data.draw(st.lists(st.integers(min_value=0, max_value=60),
+                           min_size=size, max_size=size)),
+        dtype=np.int64,
+    )
+    period_q = np.ones(queues, dtype=np.int64)
+    period_q[:channels] = channel_period
+    period_flat = np.tile(period_q, runs)
+
+    expected_free = next_free.copy()
+    expected_rank, expected_dep = _serve_fifo_reference(
+        q, minor, t, expected_free, period_flat
+    )
+    rank, queue_n = _segment_ranks(q, minor)
+    assert np.array_equal(rank, expected_rank)
+    assert np.array_equal(queue_n, np.bincount(q)[q])
+    dep = _serve_fifo(q, minor, t, next_free, period_flat,
+                      np.empty(m, dtype=np.int64))
+    assert np.array_equal(dep, expected_dep)
+    assert np.array_equal(next_free, expected_free)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c0=st.integers(min_value=0, max_value=10**6),
+    terms=st.integers(min_value=1, max_value=64),
+    data=st.data(),
+)
+def test_run_order_matches_lexsort(c0, terms, data):
+    """One run's draw order equals ``lexsort((terminal, cycle))`` for
+    single- and multi-block draws.  Block 1 lists ascending terminals,
+    each with ascending cycles; each later block continues a subset of
+    the terminals past their earlier cycles, as ``_draw_run_chunk``
+    does."""
+    np = pytest.importorskip("numpy")
+    span = INJECTION_CHUNK
+    last = {}
+    t_parts, j_parts = [], []
+    blocks = data.draw(st.integers(min_value=1, max_value=3))
+    for block in range(blocks):
+        pool = range(terms) if block == 0 else sorted(last)
+        rows = sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1))
+                      if pool else [])
+        for j in rows:
+            lo = last.get(j, -1) + 1
+            if lo >= span:
+                continue
+            cycles = sorted(data.draw(st.sets(
+                st.integers(min_value=lo, max_value=span - 1),
+                min_size=1, max_size=4,
+            )))
+            last[j] = cycles[-1]
+            t_parts += [c0 + c for c in cycles]
+            j_parts += [j] * len(cycles)
+    t = np.array(t_parts, dtype=np.int64)
+    j = np.array(j_parts, dtype=np.int32)
+    assert np.array_equal(
+        _run_order(t, j, c0, terms, blocks), np.lexsort((j, t))
+    )
+
+
+class _BlockyGenerator:
+    """A numpy Generator whose 2-D gap blocks are all ones, so every
+    terminal's block lands before the chunk end and
+    ``_draw_run_chunk`` must continue it in further blocks."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def geometric(self, p, size=None):
+        if isinstance(size, tuple):
+            import numpy
+
+            return numpy.ones(size, dtype=numpy.int64)
+        return self._gen.geometric(p, size=size)
+
+    def integers(self, *args, **kwargs):
+        return self._gen.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self._gen.random(*args, **kwargs)
+
+
+def _reference_run_order(t, j, c0, T, blocks):
+    import numpy
+
+    return numpy.lexsort((j, t))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    algorithm_cls=st.sampled_from([MinimalAdaptive, UGAL]),
+    runs=st.integers(min_value=1, max_value=4),
+    rate=st.sampled_from([0.02, 0.3, 1.0]),
+    blocky=st.booleans(),
+    seed=st.integers(min_value=0, max_value=99),
+)
+def test_predraw_layout_matches_lexsort(algorithm_cls, runs, rate, blocky,
+                                        seed):
+    """Two predraw chunks laid out by the radix offset orders equal the
+    same draws laid out by ``lexsort((terminal, run, cycle))``,
+    multi-block draws included."""
+    np = pytest.importorskip("numpy")
+    from unittest import mock
+
+    from repro.network import batch as batch_module
+
+    backend = batch_module.BatchBackend(
+        FlattenedButterfly(4, 2), algorithm_cls(), UniformRandom()
+    )
+    state = batch_module._RunState(
+        backend, np.full(runs, rate), list(range(seed, seed + runs)),
+        warmup=100, measure=100, drain_max=1000, drain=True,
+    )
+    if blocky:
+        state.gens = [_BlockyGenerator(gen) for gen in state.gens]
+    for c0 in (0, INJECTION_CHUNK):
+        c1 = c0 + INJECTION_CHUNK
+        gens = copy.deepcopy(state.gens)
+        next_inj = state.next_inj.copy()
+        parts = []
+        with mock.patch.object(
+            batch_module, "_run_order", _reference_run_order
+        ):
+            for b, gen in enumerate(gens):
+                part = backend._draw_run_chunk(
+                    b, gen, rate, c0, c1, next_inj, state.ucols
+                )
+                if part is not None:
+                    parts.append((np.full(part[0].size, b), ) + part)
+        cols = [np.concatenate(col) for col in zip(*parts)]
+        b_all, t_all, j_all, dst, imd, u_route, u_rank = cols
+        order = np.lexsort((j_all, b_all, t_all))
+
+        chunk = backend._predraw_chunk(state, c0, c1)
+        assert np.array_equal(state.next_inj, next_inj)
+        assert np.array_equal(chunk.t, t_all[order])
+        assert np.array_equal(chunk.run, b_all[order])
+        assert np.array_equal(
+            chunk.router, backend.program.inj_router[j_all[order]]
+        )
+        for got, want in ((chunk.dst, dst), (chunk.imd, imd),
+                          (chunk.u_route, u_route), (chunk.u_rank, u_rank)):
+            assert np.array_equal(got, want[order])
+        assert np.array_equal(
+            chunk.offsets,
+            np.searchsorted(chunk.t, np.arange(c0, c1 + 1)),
+        )
+
+
+def _summary_fields(summary):
+    return [getattr(summary, f.name) for f in dataclasses.fields(summary)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.one_of(
+    st.just([]),
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1,
+             max_size=1),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=300),
+    st.lists(st.integers(min_value=0, max_value=10**9), max_size=300),
+))
+def test_numpy_summary_matches_from_samples(samples):
+    """The batch kernel's numpy run summary equals
+    ``LatencySummary.from_samples`` field for field and by ``repr``,
+    for empty, one-sample and tied samples, with no numpy scalar
+    leaking into a field."""
+    np = pytest.importorskip("numpy")
+    expected = LatencySummary.from_samples(samples)
+    got = _latency_summary(np.sort(np.array(samples, dtype=np.int64)))
+    assert repr(got) == repr(expected)
+    for value, want in zip(_summary_fields(got), _summary_fields(expected)):
+        assert type(value) is type(want)
+        assert value == want or (math.isnan(value) and math.isnan(want))
 
 
 # ----------------------------------------------------------------------
