@@ -179,6 +179,9 @@ class UGAL(RoutingAlgorithm):
                 return self._minimal.route_event(engine, packet)
             return best, vc_min
         if minimal:
+            if current == packet.dst_router:
+                # MIN AD's at-destination answer, without the hand-off.
+                return engine._ej_port_of_terminal[packet.dst], 0
             return self._minimal.route_event(engine, packet)
         if packet.phase == PHASE_TO_INTERMEDIATE and current == packet.intermediate:
             packet.phase = PHASE_TO_DESTINATION

@@ -24,7 +24,7 @@ its staging FIFOs at one flit per cycle.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .packet import Flit, Packet
 
@@ -39,11 +39,34 @@ INJECTION_INPUT = 1
 # Effectively-infinite credits for ejection (sink) ports.
 _SINK_CREDITS = 1 << 30
 
+# Shared VC rotation tables, one per VC count (see vc_rotations).
+_ROTATIONS: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
+
+
+def vc_rotations(num_vcs: int) -> Tuple[Tuple[int, ...], ...]:
+    """``vc_rotations(n)[start]`` is the VC visiting order
+    ``(start + i) % n`` for ``i`` in ``0..n-1``.
+
+    The wire phase walks one of these per staged port instead of
+    computing the modulo per VC; every port with ``n`` VCs shares the
+    same table.
+    """
+    table = _ROTATIONS.get(num_vcs)
+    if table is None:
+        table = tuple(
+            tuple((start + i) % num_vcs for i in range(num_vcs))
+            for start in range(num_vcs)
+        )
+        _ROTATIONS[num_vcs] = table
+    return table
+
 
 class InputVC:
     """One virtual-channel FIFO at a router input port."""
 
-    __slots__ = ("in_port", "vc", "depth", "fifo", "route_port", "route_vc", "order")
+    __slots__ = (
+        "in_port", "vc", "depth", "fifo", "route_port", "route_vc", "order", "feed"
+    )
 
     def __init__(self, in_port: int, vc: int, depth: int, order: int) -> None:
         self.in_port = in_port
@@ -56,6 +79,10 @@ class InputVC:
         self.route_vc: Optional[int] = None
         # Dense index used for round-robin arbitration ordering.
         self.order = order
+        # Channel inputs: the pipe that returns this VC's credits
+        # upstream (set by ``RouterEngine.finalize``); None for
+        # injection inputs.
+        self.feed = None
 
     def head(self) -> Flit:
         return self.fifo[0]
@@ -90,6 +117,7 @@ class OutPort:
         "owner",
         "rr_pointer",
         "wire_pointer",
+        "rotations",
         "next_free",
         "occ",
     )
@@ -127,6 +155,7 @@ class OutPort:
         self.owner: List[Optional[Packet]] = [None] * num_vcs
         self.rr_pointer = 0
         self.wire_pointer = 0
+        self.rotations = vc_rotations(num_vcs)
         # Earliest cycle the (possibly sub-unit-bandwidth) channel can
         # accept its next flit.
         self.next_free = 0

@@ -28,6 +28,9 @@ class ChannelPipe:
         src_router / dst_router: endpoints.
         src_port: output-port index at the source router.
         dst_in_port: input-port index at the destination router.
+        dst_vcs: the destination input port's ``InputVC`` list, and
+        src_out: the source ``OutPort`` (both bound by the simulator
+            once its engines exist, so delivery skips the lookups).
     """
 
     __slots__ = (
@@ -36,6 +39,8 @@ class ChannelPipe:
         "dst_router",
         "src_port",
         "dst_in_port",
+        "dst_vcs",
+        "src_out",
         "flits",
         "credits",
     )
@@ -53,6 +58,8 @@ class ChannelPipe:
         self.dst_router = dst_router
         self.src_port = src_port
         self.dst_in_port = dst_in_port
+        self.dst_vcs = None
+        self.src_out = None
         # (arrival_cycle, flit/vc) with monotonically non-decreasing
         # arrival cycles, so delivery pops from the left only.
         self.flits: Deque[Tuple[int, Flit, int]] = deque()

@@ -24,6 +24,8 @@ only routers that can possibly do something each cycle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .buffers import (
@@ -39,6 +41,28 @@ from .packet import Flit
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..topologies.base import Channel
     from .simulator import Simulator
+
+_order = attrgetter("order")
+
+
+def round_robin_order(
+    heads: List[InputVC], port_order: List[int], offset: int
+) -> List[InputVC]:
+    """``heads`` in round-robin routing order: input ports from
+    ``offset`` upward and wrapping, then VC.
+
+    ``order`` is dense in (in_port, vc) and ``port_order[p]`` is the
+    order of port ``p``'s first VC, so sorting by ``order`` and
+    rotating at the first head of port ``offset`` or later gives
+    exactly the ``((in_port - offset) % num_ports, vc)`` key order.
+    Sorts ``heads`` in place.
+    """
+    heads.sort(key=_order)
+    if offset:
+        split = bisect_left(list(map(_order, heads)), port_order[offset])
+        if split:
+            return heads[split:] + heads[:split]
+    return heads
 
 
 class RouterEngine:
@@ -59,11 +83,11 @@ class RouterEngine:
         "_staged_ports",
         "_rr_offset",
         "_num_invcs",
+        "_port_order",
         "_resweep",
         "_resweep_cycle",
         "_pipes",
         "_wheel",
-        "_active_pipes",
         "_credit_latency",
         "_channel_latency",
         "_period",
@@ -95,6 +119,10 @@ class RouterEngine:
         self._staged_ports: Dict[OutPort, None] = {}
         self._rr_offset = 0
         self._num_invcs = 0
+        # Per input port, the ``order`` of its first VC: ``order`` is
+        # dense in (in_port, vc), so the heads of ports >= p are exactly
+        # those with order >= _port_order[p].
+        self._port_order: List[int] = []
         # Narrow re-sweep state for route_switch: the outputs worth
         # re-examining in a follow-up sub-iteration, valid only while
         # ``_resweep_cycle`` matches the current cycle.
@@ -111,7 +139,13 @@ class RouterEngine:
         sim = self.sim
         self._pipes = sim.pipes
         self._wheel = sim._wheel
-        self._active_pipes = sim._active_pipes
+        for port, kind, source in zip(
+            self.in_ports, self.in_port_kind, self.in_port_source
+        ):
+            if kind == CHANNEL_INPUT:
+                feed = sim.pipes[source]
+                for invc in port:
+                    invc.feed = feed
         cfg = sim.config
         self._credit_latency = cfg.credit_latency
         self._channel_latency = cfg.channel_latency
@@ -125,6 +159,7 @@ class RouterEngine:
     def add_channel_input(self, channel_index: int, num_vcs: int, depth: int) -> int:
         port = len(self.in_ports)
         vcs = [InputVC(port, vc, depth, self._num_invcs + vc) for vc in range(num_vcs)]
+        self._port_order.append(self._num_invcs)
         self._num_invcs += num_vcs
         self.in_ports.append(vcs)
         self.in_port_kind.append(CHANNEL_INPUT)
@@ -134,6 +169,7 @@ class RouterEngine:
     def add_injection_input(self, terminal: int, depth: int) -> int:
         port = len(self.in_ports)
         self.in_ports.append([InputVC(port, 0, depth, self._num_invcs)])
+        self._port_order.append(self._num_invcs)
         self._num_invcs += 1
         self.in_port_kind.append(INJECTION_INPUT)
         self.in_port_source.append(terminal)
@@ -264,11 +300,12 @@ class RouterEngine:
             pending = list(unrouted)
             unrouted.clear()
             if pending:
-                num_in = len(self.in_ports)
                 offset = self._rr_offset
-                self._rr_offset = (offset + 1) % max(num_in, 1)
+                self._rr_offset = (offset + 1) % max(len(self.in_ports), 1)
                 if len(pending) > 1:
-                    pending.sort(key=lambda v: ((v.in_port - offset) % num_in, v.vc))
+                    pending = round_robin_order(
+                        pending, self._port_order, offset
+                    )
                 algorithm = sim.algorithm
                 route = algorithm.route_event
                 inline_eject = algorithm.inline_eject
@@ -333,12 +370,8 @@ class RouterEngine:
         more = False
         total = self._num_invcs
         active = self.active
-        kinds = self.in_port_kind
-        sources = self.in_port_source
-        pipes = self._pipes
         now_credit = now + self._credit_latency
         wheel = self._wheel
-        active_pipes = self._active_pipes
         staged = self._staged_ports
         wire_engines = sim._wire_engines
         busy_engines = sim._busy_engines
@@ -405,10 +438,11 @@ class RouterEngine:
             flit = fifo.popleft()
             vc = winner.route_vc
             out.pending[vc] -= 1
-            if flit.is_head:
-                owner[vc] = flit.packet
             if flit.is_tail:
-                owner[vc] = None
+                # A head-and-tail flit leaves ``owner[vc]`` as it found
+                # it: None.
+                if not flit.is_head:
+                    owner[vc] = None
                 winner.route_port = None
                 winner.route_vc = None
                 del members[winner]
@@ -420,15 +454,18 @@ class RouterEngine:
                     # The next packet's head is exposed.
                     unrouted[winner] = None
                     more = True
-            elif not fifo:
-                # Mid-packet stall: the rest is still upstream.
-                del members[winner]
-                if members:
+            else:
+                if flit.is_head:
+                    owner[vc] = flit.packet
+                if not fifo:
+                    # Mid-packet stall: the rest is still upstream.
+                    del members[winner]
+                    if members:
+                        more = True
+                    else:
+                        del requests[out]
+                elif members:
                     more = True
-                else:
-                    del requests[out]
-            elif members:
-                more = True
             if members:
                 # This output moved and still has standing requesters:
                 # it is the only kind of output (besides one gaining a
@@ -440,10 +477,9 @@ class RouterEngine:
                 wire_engines[router_id] = self
             staged[out] = None
             # Return a credit upstream for the freed input slot.
-            if kinds[winner.in_port] == CHANNEL_INPUT:
-                feed = pipes[sources[winner.in_port]]
+            feed = winner.feed
+            if feed is not None:
                 feed.credits.append((now_credit, winner.vc))
-                active_pipes[feed] = None
                 slot = wheel.get(now_credit)
                 if slot is None:
                     wheel[now_credit] = [feed]
@@ -452,7 +488,7 @@ class RouterEngine:
             elif stalled_sources:
                 # An injection-FIFO slot was freed: wake the terminal
                 # if its source queue is parked on a full FIFO.
-                terminal = sources[winner.in_port]
+                terminal = self.in_port_source[winner.in_port]
                 if terminal in stalled_sources:
                     del stalled_sources[terminal]
                     active_sources[terminal] = None
@@ -487,7 +523,6 @@ class RouterEngine:
         arrival = now + self._channel_latency
         pipes = self._pipes
         wheel = self._wheel
-        active_pipes = self._active_pipes
         faults = self._fault_state
         eject = sim.on_flit_ejected
         done = None
@@ -504,9 +539,7 @@ class RouterEngine:
             staging = out.staging
             num_vcs = out.num_vcs
             credits = out.credits
-            start = out.wire_pointer
-            for i in range(num_vcs):
-                vc = (start + i) % num_vcs
+            for vc in out.rotations[out.wire_pointer]:
                 queue = staging[vc]
                 if not queue or credits[vc] <= 0:
                     continue
@@ -520,7 +553,6 @@ class RouterEngine:
                     pipe = pipes[out.channel_index]
                     # Inline of pipe.push_flit(flit, vc, arrival).
                     pipe.flits.append((arrival, flit, vc))
-                    active_pipes[pipe] = None
                     slot = wheel.get(arrival)
                     if slot is None:
                         wheel[arrival] = [pipe]

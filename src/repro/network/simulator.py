@@ -215,7 +215,12 @@ class Simulator:
         self._wire_engines: Dict[int, RouterEngine] = {}
         # Event wheel: cycle -> pipes with a delivery due that cycle.
         # Channel/credit latencies are fixed, so arrivals cluster on a
-        # handful of future cycles; a calendar dict beats a heap.
+        # handful of future cycles; a calendar dict beats a heap.  The
+        # wheel is the only record of busy pipes: every flit or credit
+        # put on a pipe files the pipe under its delivery cycle.  A
+        # pipe may appear twice in one slot (a credit and a flit due
+        # the same cycle, filed around other pipes); delivery drains
+        # everything due on the first visit, so the second is a no-op.
         self._wheel: Dict[int, List[ChannelPipe]] = {}
 
         # Kernel metrics (materialized into KernelStats by run methods).
@@ -302,7 +307,9 @@ class Simulator:
             )
             for channel in topo.channels
         ]
-        self._active_pipes: Dict[ChannelPipe, None] = {}
+        for pipe in self.pipes:
+            pipe.dst_vcs = self.engines[pipe.dst_router].in_ports[pipe.dst_in_port]
+            pipe.src_out = self.engines[pipe.src_router].out_ports[pipe.src_port]
         for engine in self.engines:
             engine.finalize()
         # Bind the shared per-topology route table (if the algorithm
@@ -341,6 +348,11 @@ class Simulator:
         for terminal, (r, port) in self._injection_port.items():
             self._injection_engine[terminal] = self.engines[r]
             self._injection_invc[terminal] = self.engines[r].in_ports[port][0]
+        # Terminal -> ejection router, for the packets ``_inject``
+        # creates (pattern destinations are always valid terminals).
+        self._ejection_router: List[int] = [
+            topo.ejection_router(t) for t in range(topo.num_terminals)
+        ]
 
     # ------------------------------------------------------------------
     # Hooks used by RouterEngine / ChannelPipe
@@ -395,7 +407,6 @@ class Simulator:
         if batch is None:
             return
         engines = self.engines
-        active = self._active_pipes
         busy_engines = self._busy_engines
         self._events_dispatched += len(batch)
         for pipe in batch:
@@ -404,7 +415,7 @@ class Simulator:
                 engine = engines[pipe.dst_router]
                 # Inline of engine.deliver(port, vc, flit), saving a
                 # method call per arriving flit.
-                in_vcs = engine.in_ports[pipe.dst_in_port]
+                in_vcs = pipe.dst_vcs
                 while flits and flits[0][0] <= now:
                     _, flit, vc = flits.popleft()
                     invc = in_vcs[vc]
@@ -436,15 +447,13 @@ class Simulator:
                     eng_active[invc] = None
             credits = pipe.credits
             if credits:
-                out = engines[pipe.src_router].out_ports[pipe.src_port]
+                out = pipe.src_out
                 out_credits = out.credits
                 arrived = 0
                 while credits and credits[0][0] <= now:
                     out_credits[credits.popleft()[1]] += 1
                     arrived += 1
                 out.occ -= arrived
-            if not flits and not credits and pipe in active:
-                del active[pipe]
 
     def _flush_events_through(self, target: int) -> None:
         """Drain every wheel slot up to and including ``target`` (used
@@ -485,7 +494,7 @@ class Simulator:
             algorithm = self.algorithm
             on_created = self._on_created
             check_faults = self.fault_state is not None
-            ejection_router = self.topology.ejection_router
+            ejection_router = self._ejection_router
             size = self.config.packet_size
             window = self._window
             labeling = window is not None and window.start <= now < window.end
@@ -502,7 +511,7 @@ class Simulator:
                         self.packets_undeliverable += 1
                         continue
                     packet = Packet(
-                        pid, terminal, dst, ejection_router(dst), size, now
+                        pid, terminal, dst, ejection_router[dst], size, now
                     )
                     pid += 1
                     if labeling:
@@ -796,7 +805,9 @@ class Simulator:
             and not self._stalled_sources
             and not self._busy_engines
             and not self._wire_engines
-            and not any(pipe.flits for pipe in self._active_pipes)
+            and not any(
+                pipe.flits for slot in self._wheel.values() for pipe in slot
+            )
         )
 
     def check_activation_invariants(self) -> None:
@@ -804,8 +815,8 @@ class Simulator:
 
         ``_busy_engines`` must be exactly the engines with buffered
         flits, ``_wire_engines`` exactly those with staged flits, and
-        every in-flight pipe item must be reachable (active pipe and a
-        scheduled wheel entry)."""
+        every pipe with an item in flight must be filed on the event
+        wheel."""
         busy_truth = {
             e.router_id for e in self.engines
             if any(invc.fifo for port in e.in_ports for invc in port)
@@ -844,8 +855,6 @@ class Simulator:
                     f"terminal {terminal} stalled with injection-FIFO space"
                 )
         busy_pipes = {pipe for pipe in self.pipes if pipe.busy()}
-        if not busy_pipes.issubset(self._active_pipes):
-            raise AssertionError("pipe with in-flight items not in active set")
         scheduled = {pipe for slot in self._wheel.values() for pipe in slot}
         if not busy_pipes.issubset(scheduled):
             raise AssertionError("pipe with in-flight items has no event")

@@ -25,6 +25,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
 
 
+def _sent_pipes(simulator: "Simulator", due: int):
+    """The pipes filed on the event wheel for cycle ``due``, each once.
+
+    Every flit sent this cycle arrives at ``due`` (now plus the channel
+    latency), so its pipe is in that slot.  A pipe can be filed twice in
+    one slot, when a credit due the same cycle was filed first with
+    other pipes in between; without the dedupe its flits would be
+    counted twice.
+    """
+    return dict.fromkeys(simulator._wheel.get(due, ()))
+
+
 class Tracer(abc.ABC):
     """Base class for per-cycle observers."""
 
@@ -146,10 +158,10 @@ class PacketJourneyTrace(Tracer):
 
     def on_cycle(self, now: int) -> None:
         sim = self.simulator
-        latency = sim.config.channel_latency
-        for pipe in sim._active_pipes:
+        due = now + sim.config.channel_latency
+        for pipe in _sent_pipes(sim, due):
             for arrival, flit, _vc in pipe.flits:
-                if arrival != now + latency:
+                if arrival != due:
                     continue
                 if not flit.is_head:
                     continue
@@ -191,12 +203,13 @@ class ChannelLoadTrace(Tracer):
 
     def on_cycle(self, now: int) -> None:
         # Channel pipes buffer (arrival, flit, vc); flits pushed this
-        # cycle are those whose arrival is in the future.
+        # cycle are those arriving one channel latency from now.
         sim = self.simulator
         self.cycles += 1
-        for pipe in sim._active_pipes:
+        due = now + sim.config.channel_latency
+        for pipe in _sent_pipes(sim, due):
             for arrival, _flit, _vc in pipe.flits:
-                if arrival == now + sim.config.channel_latency:
+                if arrival == due:
                     self.flits[pipe.index] += 1
 
     def on_idle_gap(self, start: int, end: int) -> None:

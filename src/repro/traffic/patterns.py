@@ -84,12 +84,15 @@ class GroupShift(TrafficPattern):
         for g, members in enumerate(groups):
             for t in members:
                 self._group_of[t] = g
+        # Each source's destination group, resolved once.
+        self._target = [
+            groups[(g + self.shift) % len(groups)] for g in self._group_of
+        ]
 
     def destination(self, src: int, rng: random.Random) -> int:
-        group = self._groups[
-            (self._group_of[src] + self.shift) % len(self._groups)
-        ]
-        return group[rng.randrange(len(group))]
+        # _randbelow(n) is randrange(n)'s draw (see UniformRandom).
+        group = self._target[src]
+        return group[rng._randbelow(len(group))]
 
 
 def adversarial(shift: int = 1) -> GroupShift:

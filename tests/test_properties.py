@@ -36,8 +36,9 @@ from repro.network.batch import (
     _segment_ranks,
     _serve_fifo,
 )
-from repro.network.buffers import CHANNEL_PORT
+from repro.network.buffers import CHANNEL_PORT, OutPort, vc_rotations
 from repro.network.packet import Packet
+from repro.network.router import RouterEngine, round_robin_order
 from repro.network.stats import LatencySummary
 from repro.topologies.hyperx import HyperX
 from repro.traffic import UniformRandom, adversarial
@@ -721,7 +722,12 @@ def test_ugal_route_event_matches_route(
     _check_route_event(algorithm_cls, topology, threshold, seed, data)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 1023, 1024])
+# The WC pattern draws within a router's terminal group, so the
+# concentrations of the simulated topologies (4, 8, 16, 32, 64) are
+# among the sizes.
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 8, 16, 31, 32, 33, 64, 1023, 1024]
+)
 def test_randbelow_is_randrange(n):
     """``Random._randbelow(n)`` is exactly ``randrange(n)``'s draw: the
     same values and the same generator state.  UGAL's intermediate and
@@ -731,3 +737,44 @@ def test_randbelow_is_randrange(n):
         for _ in range(50):
             assert direct._randbelow(n) == ranged.randrange(n)
         assert direct.getstate() == ranged.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    layout=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_round_robin_order_matches_port_key_sort(layout, data):
+    """Sorting pending heads by ``order`` and rotating at the offset
+    port gives the ``((in_port - offset) % num_in, vc)`` order the
+    routing phase has always used, for any port layout (a VC count of
+    1 stands for an injection input), head subset and offset."""
+    engine = RouterEngine(None, 0)
+    for num_vcs in layout:
+        if num_vcs == 1 and data.draw(st.booleans()):
+            engine.add_injection_input(terminal=0, depth=1)
+        else:
+            engine.add_channel_input(0, num_vcs, depth=1)
+    invcs = [invc for port in engine.in_ports for invc in port]
+    heads = data.draw(st.lists(st.sampled_from(invcs), unique=True))
+    heads = data.draw(st.permutations(heads))
+    num_in = len(layout)
+    offset = data.draw(st.integers(0, num_in - 1))
+    expected = sorted(
+        heads, key=lambda v: ((v.in_port - offset) % num_in, v.vc)
+    )
+    got = round_robin_order(list(heads), engine._port_order, offset)
+    assert got == expected
+
+
+@pytest.mark.parametrize("num_vcs", range(1, 7))
+def test_vc_rotations_match_modulo_walk(num_vcs):
+    """The wire phase's rotation tables visit ``(start + i) % num_vcs``
+    for every start, and every port with a VC count shares one table."""
+    table = vc_rotations(num_vcs)
+    assert table == tuple(
+        tuple((start + i) % num_vcs for i in range(num_vcs))
+        for start in range(num_vcs)
+    )
+    ports = [OutPort(i, CHANNEL_PORT, num_vcs, 4, 2) for i in range(3)]
+    assert all(port.rotations is table for port in ports)

@@ -11,6 +11,7 @@ from repro.network import (
     Simulator,
     ThroughputTrace,
 )
+from repro.network.trace import Tracer
 from repro.traffic import UniformRandom, adversarial
 
 
@@ -21,6 +22,24 @@ def make_sim(algorithm=None, pattern=None, **kwargs):
         pattern or UniformRandom(),
         SimulationConfig(seed=1, **kwargs),
     )
+
+
+class _DoubleFilings(Tracer):
+    """Counts pipes filed more than once in the wheel slot that the
+    cycle's sent flits arrive in."""
+
+    supports_idle_skip = True
+
+    def __init__(self):
+        self.count = 0
+
+    def on_cycle(self, now):
+        sim = self.simulator
+        slot = sim._wheel.get(now + sim.config.channel_latency, ())
+        self.count += len(slot) - len(set(slot))
+
+    def on_idle_gap(self, start, end):
+        pass
 
 
 class TestThroughputTrace:
@@ -90,21 +109,32 @@ class TestChannelLoadTrace:
             assert 0.0 <= trace.utilization(index) <= 1.0
 
     def test_counts_every_sent_flit(self):
-        """Total traced channel flits equals total hops taken."""
-        sim = make_sim()
-        trace = ChannelLoadTrace()
-        sim.attach_tracer(trace)
-        packets = []
-        original = sim.on_flit_ejected
+        """Total traced channel flits equals total hops taken.
 
-        def spy(flit, now):
-            original(flit, now)
-            if flit.is_tail:
-                packets.append(flit.packet)
+        Each (channel, credit) latency pair makes some pipe be filed
+        twice in the wheel slot its sent flits arrive in: a credit due
+        the same cycle files it first, with other pipes between.  The
+        tracer must count that pipe's flits once."""
+        for channel_latency, credit_latency in ((1, 1), (2, 2), (1, 2)):
+            sim = make_sim(
+                channel_latency=channel_latency, credit_latency=credit_latency
+            )
+            trace = ChannelLoadTrace()
+            sim.attach_tracer(trace)
+            doubles = _DoubleFilings()
+            sim.attach_tracer(doubles)
+            packets = []
+            original = sim.on_flit_ejected
 
-        sim.on_flit_ejected = spy
-        sim.run_batch(2)
-        assert sum(trace.flits.values()) == sum(p.hops for p in packets)
+            def spy(flit, now, original=original, packets=packets):
+                original(flit, now)
+                if flit.is_tail:
+                    packets.append(flit.packet)
+
+            sim.on_flit_ejected = spy
+            sim.run_batch(2)
+            assert doubles.count > 0
+            assert sum(trace.flits.values()) == sum(p.hops for p in packets)
 
     def test_hot_channel_identified_under_wc(self):
         fb = FlattenedButterfly(8, 2)
