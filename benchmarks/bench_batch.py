@@ -22,9 +22,11 @@ Three measured points:
 
 Repeats are **interleaved** (event, batch, event, batch, ...) so both
 sides sample the same machine-noise regime; the headline per side is
-the best (minimum) wall time over the repeats.  Emits
-``BENCH_batch.json``, with a ``machine`` record (CPU count, CPU model,
-Python and numpy versions) beside the timings.
+the best (minimum) wall time over the repeats.  One more, untimed grid
+run under ``tracemalloc`` records the grid's peak traced Python
+allocation as ``grid.peak_traced_mb``.  Emits ``BENCH_batch.json``,
+with a ``machine`` record (CPU count, CPU model, Python and numpy
+versions) beside the timings.
 
 Asserted (here and in the pytest CI smoke entry point):
 
@@ -37,6 +39,11 @@ Asserted (here and in the pytest CI smoke entry point):
   latency and accepted throughput agree within 5% (the thorough CI
   check is ``tests/test_batch_kernel.py``; this guards the benchmark
   itself from silently timing two different measurements).
+
+Checked against a committed report (``--check-against``): each
+speedup stays within ``--tolerance`` of the committed one, and the
+grid's ``peak_traced_mb`` grows at most :data:`MEMORY_TOLERANCE` over
+the committed peak.
 
 Usage::
 
@@ -53,6 +60,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(
@@ -99,6 +107,11 @@ MIN_GRID_SPEEDUP = 1.0
 #: Under --quick the grid's fixed compile/injection overhead is a
 #: larger slice of tiny windows; allow mild noise-driven inversions.
 MIN_GRID_SPEEDUP_QUICK = 0.8
+
+#: Allowed fractional growth of the grid's ``peak_traced_mb`` over the
+#: committed baseline.  The traced peak counts Python allocations, so
+#: it depends on the code and the numpy version, not on machine load.
+MEMORY_TOLERANCE = 0.15
 
 
 def _build(kernel, seed=BASE_SEED, algorithm_cls=MinimalAdaptive):
@@ -159,6 +172,21 @@ def _run_lockstep_grid(loads, seeds, warmup, measure, drain_max,
         drain_max=drain_max,
     )
     return time.perf_counter() - started, batches
+
+
+def _traced_grid_peak(seeds, warmup, measure, drain_max):
+    """Peak traced allocation (MB) of one lockstep UGAL grid run,
+    construction included.  Run apart from the timed repeats, since
+    tracing slows every allocation."""
+    tracemalloc.start()
+    try:
+        _run_lockstep_grid(
+            GRID_LOADS, seeds, warmup, measure, drain_max, UGAL
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
 
 
 def _grid_identical(a_batches, b_batches):
@@ -234,6 +262,8 @@ def collect(repeat=3, quick=False):
             pointwise, lockstep
         )
 
+    peak_traced_mb = _traced_grid_peak(seeds, warmup, measure, drain_max)
+
     import numpy
 
     return {
@@ -269,6 +299,7 @@ def collect(repeat=3, quick=False):
             "grid_wall_seconds": min(grid_walls),
             "speedup": min(point_walls) / min(grid_walls),
             "bit_identical": grid_identical,
+            "peak_traced_mb": peak_traced_mb,
         },
         "engine_stats": engine_stats,
     }
@@ -322,7 +353,8 @@ def check_against(report, baseline_path, tolerance=0.35):
     ``tolerance`` below the committed baseline's.  Speedup is a ratio
     of two walls from the same box, so unlike absolute rates it
     transfers across machines; the tolerance absorbs scheduler noise
-    on shared runners."""
+    on shared runners.  Also fail when the grid's traced memory peak
+    grows more than :data:`MEMORY_TOLERANCE` over the baseline's."""
     with open(baseline_path) as handle:
         baseline = json.load(handle)
     if report["config"]["quick"] != baseline["config"]["quick"]:
@@ -347,6 +379,18 @@ def check_against(report, baseline_path, tolerance=0.35):
             f"regression gate passed ({label}): {new:.2f}x vs baseline "
             f"{old:.2f}x (tolerance {tolerance:.0%})"
         )
+    new = report["grid"]["peak_traced_mb"]
+    old = baseline["grid"]["peak_traced_mb"]
+    if new > (1.0 + MEMORY_TOLERANCE) * old:
+        raise AssertionError(
+            f"batch-kernel grid memory regression vs {baseline_path}: "
+            f"traced peak {new:.1f} MB is more than "
+            f"{MEMORY_TOLERANCE:.0%} above the baseline {old:.1f} MB"
+        )
+    print(
+        f"memory gate passed (grid): traced peak {new:.1f} MB vs "
+        f"baseline {old:.1f} MB (tolerance {MEMORY_TOLERANCE:.0%})"
+    )
 
 
 def _print(report):
@@ -369,7 +413,8 @@ def _print(report):
         f"UGAL grid, {grid['runs']} runs over {len(grid['loads'])} loads: "
         f"pointwise {grid['pointwise_wall_seconds']:.2f}s vs "
         f"grid {grid['grid_wall_seconds']:.2f}s "
-        f"({grid['speedup']:.2f}x, bit-identical: {grid['bit_identical']})"
+        f"({grid['speedup']:.2f}x, bit-identical: {grid['bit_identical']}); "
+        f"traced peak {grid['peak_traced_mb']:.1f} MB"
     )
 
 
@@ -399,7 +444,8 @@ def main(argv=None):
         metavar="BASELINE_JSON",
         default=None,
         help="fail if the speedup regresses more than --tolerance below "
-        "this committed baseline report",
+        "this committed baseline report, or the grid's traced memory "
+        f"peak grows more than {100 * MEMORY_TOLERANCE:.0f}%% over it",
     )
     parser.add_argument(
         "--tolerance",

@@ -582,29 +582,26 @@ def _build_program(topology, algorithm, table) -> _Program:
 
 
 @dataclass
-class _ChunkProgram:
-    """One chunk's pre-drawn random program.
+class _ChunkDraws:
+    """Every live run's pre-drawn injections of one chunk ``[c0, c1)``.
 
-    Every injection with cycle in ``[c0, c1)`` across the whole batch,
-    flattened into parallel arrays sorted by ``(cycle, run,
-    terminal)`` — exactly the order the cycle loop consumes them in —
-    with ``offsets[t - c0] : offsets[t - c0 + 1]`` slicing out cycle
-    ``t``'s packets.  All randomness (gaps, destinations, tie-break
-    uniforms, Valiant intermediates) is drawn here by the predraw pass
-    in the canonical per-run stream order, so the cycle step never
-    touches a generator: it only *interprets* this program.
+    Parallel columns in ``(cycle, run, terminal)`` order, the order the
+    cycle loop consumes them in, with ``offsets[t - c0] : offsets[t -
+    c0 + 1]`` slicing out cycle ``t``'s packets.  The predraw pass
+    writes each run's draws straight to their rows, so the chunk is
+    held once and never sorted or gathered.  All randomness (gaps,
+    destinations, tie-break uniforms, Valiant intermediates) is drawn
+    there in the canonical per-run stream order, so the cycle step
+    never touches a generator: it only *interprets* these columns.
     """
 
-    c0: int
-    c1: int
-    t: "np.ndarray"  # [N] int64 injection cycle
+    offsets: List[int]  # [c1 - c0 + 1] per-cycle row bounds
     run: "np.ndarray"  # [N] int32
     router: "np.ndarray"  # [N] int32 injection router
     dst: "np.ndarray"  # [N] int32 destination terminal
     imd: "np.ndarray"  # [N] int32 Valiant intermediate
     u_route: "np.ndarray"  # [N, ucols] float32 adaptive tie-breaks
     u_rank: "np.ndarray"  # [N, ucols] float32 FIFO/wave ranks
-    offsets: "np.ndarray"  # [c1 - c0 + 1] int64 per-cycle slice bounds
 
 
 class _Scratch:
@@ -929,11 +926,13 @@ class BatchBackend:
         t = 0
         while not state.done.all():
             mark = time.perf_counter()
-            chunk = self._predraw_chunk(state, t, t + INJECTION_CHUNK)
+            draws = self._predraw_chunk(state, t, t + INJECTION_CHUNK)
             split = time.perf_counter()
-            t = self._step_until(state, chunk, t, chunk.c1)
+            t = self._step_until(state, draws, t, t + INJECTION_CHUNK)
             predraw_s += split - mark
             step_s += time.perf_counter() - split
+            # Free this chunk's draws before the next chunk is drawn.
+            del draws
 
         mark = time.perf_counter()
         wall = mark - started
@@ -956,10 +955,11 @@ class BatchBackend:
             stats,
         )
 
-    def _step_until(self, state: _RunState, cp: _ChunkProgram, t: int,
-                    t1: int) -> int:
-        """Advance cycles ``t .. t1-1`` of chunk ``cp``, stopping early
-        once every run is done; returns the next cycle to execute."""
+    def _step_until(self, state: _RunState, draws: _ChunkDraws, c0: int,
+                    c1: int) -> int:
+        """Advance cycles ``c0 .. c1-1`` of the chunk drawn as
+        ``draws``, stopping early once every run is done; returns the
+        next cycle to execute."""
         scratch = state.scratch
         prog = self.program
         cfg = self.config
@@ -971,44 +971,12 @@ class BatchBackend:
         done = state.done
         nonmin = prog.kind != "table"
 
-        while t < t1:
+        t = c0
+        while t < c1:
             blocks = state.cal.pop(t, [])
-            lo = int(cp.offsets[t - cp.c0])
-            hi = int(cp.offsets[t - cp.c0 + 1])
-            if hi > lo:
-                runs = cp.run[lo:hi]
-                dmask = done[runs]
-                if not dmask.any():
-                    i_run = runs
-                    i_router = cp.router[lo:hi]
-                    i_dst = cp.dst[lo:hi]
-                    i_imd = cp.imd[lo:hi]
-                    i_ur = cp.u_route[lo:hi]
-                    i_uk = cp.u_rank[lo:hi]
-                else:
-                    keep = ~dmask
-                    i_run = runs[keep]
-                    i_router = cp.router[lo:hi][keep]
-                    i_dst = cp.dst[lo:hi][keep]
-                    i_imd = cp.imd[lo:hi][keep]
-                    i_ur = cp.u_route[lo:hi][keep]
-                    i_uk = cp.u_rank[lo:hi][keep]
-                n = i_run.size
-                if n:
-                    counts = np.bincount(i_run, minlength=B)
-                    state.created += counts
-                    if warmup <= t < end:
-                        state.labeled_created += counts
-                    born0 = scratch.get("i_born", n, np.int64)
-                    born0[:] = t
-                    hops0 = scratch.get("i_hops", n, np.int16)
-                    hops0[:] = 0
-                    mode0 = scratch.get("i_mode", n, np.int8)
-                    mode0[:] = prog.mode0
-                    blocks.append((
-                        i_run, i_router, i_dst, born0, hops0, i_imd,
-                        mode0, i_ur, i_uk,
-                    ))
+            injected = self._injections(state, draws, t - c0, t)
+            if injected is not None:
+                blocks.append(injected)
 
             if blocks:
                 if len(blocks) == 1:
@@ -1137,82 +1105,117 @@ class BatchBackend:
                 break
         return t
 
+    def _injections(self, state: _RunState, draws: _ChunkDraws, k: int,
+                    t: int):
+        """Cycle ``t``'s injection block: rows ``offsets[k] :
+        offsets[k + 1]`` of ``draws``, less the runs already done,
+        born at ``t`` with 0 hops in the program's birth mode; ``None``
+        when no live run injects.  Counts the packets created."""
+        lo = draws.offsets[k]
+        hi = draws.offsets[k + 1]
+        if hi == lo:
+            return None
+        runs = draws.run[lo:hi]
+        dmask = state.done[runs]
+        if not dmask.any():
+            run = runs
+            router = draws.router[lo:hi]
+            dst = draws.dst[lo:hi]
+            imd = draws.imd[lo:hi]
+            u_route = draws.u_route[lo:hi]
+            u_rank = draws.u_rank[lo:hi]
+        else:
+            keep = ~dmask
+            run = runs[keep]
+            router = draws.router[lo:hi][keep]
+            dst = draws.dst[lo:hi][keep]
+            imd = draws.imd[lo:hi][keep]
+            u_route = draws.u_route[lo:hi][keep]
+            u_rank = draws.u_rank[lo:hi][keep]
+        n = run.size
+        if not n:
+            return None
+        counts = np.bincount(run, minlength=state.B)
+        state.created += counts
+        if state.warmup <= t < state.end:
+            state.labeled_created += counts
+        scratch = state.scratch
+        born = scratch.get("i_born", n, np.int64)
+        born[:] = t
+        hops = scratch.get("i_hops", n, np.int16)
+        hops[:] = 0
+        # Written in place by the VAL flip and UGAL's decision, so a
+        # fresh fill every cycle.
+        mode = scratch.get("i_mode", n, np.int8)
+        mode[:] = self.program.mode0
+        return run, router, dst, born, hops, imd, mode, u_route, u_rank
+
     # ------------------------------------------------------------------
     # The predraw pass (all randomness lives here)
     # ------------------------------------------------------------------
     def _predraw_chunk(self, state: _RunState, c0: int,
-                       c1: int) -> _ChunkProgram:
+                       c1: int) -> _ChunkDraws:
         """Draw every live run's injections with cycle in ``[c0, c1)``
-        and merge them into one flat :class:`_ChunkProgram` sorted by
-        ``(cycle, run, terminal)`` — the exact order the cycle loop
-        consumes injections in."""
-        parts = []
+        into one :class:`_ChunkDraws`.
+
+        Every run's gaps are drawn first: their per-cycle counts fix
+        the rows each run's packets take in ``(cycle, run, terminal)``
+        order.  Then each run's per-packet values are drawn and written
+        straight to those rows.  Each run draws from its own generator,
+        so every run's stream order is that of drawing its gaps and its
+        values back to back."""
+        span = c1 - c0
+        timed = []
         for b, gen in enumerate(state.gens):
             if state.done[b]:
                 continue
-            part = self._draw_run_chunk(
-                b, gen, state.rates[b], c0, c1, state.next_inj,
-                state.ucols,
+            drawn = self._draw_run_times(
+                gen, state.rates[b], c0, c1, state.next_inj[b]
             )
-            if part is not None:
-                parts.append((b,) + part)
-        span = c1 - c0
-        if not parts:
-            empty_f = np.zeros((0, state.ucols), dtype=np.float32)
-            return _ChunkProgram(
-                c0=c0, c1=c1,
-                t=np.zeros(0, dtype=np.int64),
-                run=np.zeros(0, dtype=np.int32),
-                router=np.zeros(0, dtype=np.int32),
-                dst=np.zeros(0, dtype=np.int32),
-                imd=np.zeros(0, dtype=np.int32),
-                u_route=empty_f, u_rank=empty_f,
-                offsets=np.zeros(span + 1, dtype=np.int64),
-            )
-        t_all = np.concatenate([p[1] for p in parts])
-        b_all = np.concatenate([
-            np.full(p[1].size, p[0], dtype=np.int32) for p in parts
-        ])
-        j_all = np.concatenate([p[2] for p in parts])
-        dst = np.concatenate([p[3] for p in parts])
-        imd = np.concatenate([p[4] for p in parts])
-        u_route = np.concatenate([p[5] for p in parts])
-        u_rank = np.concatenate([p[6] for p in parts])
-        # Release the per-run copies now: kept alive through the sorted
-        # gathers below they set the kernel's peak memory.
-        del parts
-        # The parts are concatenated in run order and each is already in
-        # (cycle, terminal) order, so a stable sort on the cycle alone
-        # gives (cycle, run, terminal).
-        order = _offset_order(t_all - c0)
-        t_all = t_all[order]
-        b_all = b_all[order]
-        j_all = j_all[order]
-        offsets = np.searchsorted(
-            t_all, np.arange(c0, c1 + 1, dtype=np.int64)
-        ).astype(np.int64)
-        return _ChunkProgram(
-            c0=c0, c1=c1,
-            t=t_all,
-            run=b_all,
-            router=self.program.inj_router[j_all],
-            dst=dst[order],
-            imd=imd[order],
-            u_route=u_route[order],
-            u_rank=u_rank[order],
-            offsets=offsets,
+            if drawn is not None:
+                t_run, terminals = drawn
+                timed.append(
+                    (b, np.bincount(t_run - c0, minlength=span), terminals)
+                )
+        # per_cycle[i, k]: the i-th drawing run's packets at cycle c0 + k.
+        per_cycle = np.array(
+            [counts for _, counts, _ in timed], dtype=np.int64
+        ).reshape(len(timed), span)
+        offsets = np.zeros(span + 1, dtype=np.int64)
+        np.cumsum(per_cycle.sum(axis=0), out=offsets[1:])
+        # Each run's first row in each cycle: the cycle's first row plus
+        # the packets of the runs before it.
+        first = offsets[:-1] + (np.cumsum(per_cycle, axis=0) - per_cycle)
+        n = int(offsets[-1])
+        ucols = state.ucols
+        runs = np.array([b for b, _, _ in timed], dtype=np.int32)
+        draws = _ChunkDraws(
+            offsets=offsets.tolist(),
+            # Each cycle lists the drawing runs in order, each once per
+            # packet.
+            run=np.repeat(np.tile(runs, span), per_cycle.T.ravel()),
+            router=np.empty(n, dtype=np.int32),
+            dst=np.empty(n, dtype=np.int32),
+            imd=np.zeros(n, dtype=np.int32),
+            u_route=np.zeros((n, ucols), dtype=np.float32),
+            u_rank=np.empty((n, ucols), dtype=np.float32),
         )
+        for i, (b, counts, terminals) in enumerate(timed):
+            # The run's packets are in (cycle, terminal) order: the
+            # p-th of cycle c0 + k goes to row first[i, k] + p.
+            rows = np.repeat(first[i] - (np.cumsum(counts) - counts), counts)
+            rows += np.arange(terminals.size)
+            draws.router[rows] = self.program.inj_router[terminals]
+            self._draw_run_values(state.gens[b], terminals, draws, rows)
+        return draws
 
-    def _draw_run_chunk(self, b, gen, rate, c0, c1, next_inj, ucols):
-        """Draw run ``b``'s injections with cycle in ``[c0, c1)``
-        (vectorized geometric gaps continuing the per-run calendar
-        ``next_inj``, which never lags ``c0``), together with each
-        packet's destination, pre-drawn tie-break uniforms, and
-        (non-minimal algorithms) Valiant intermediate, all from run
-        ``b``'s own generator in a canonical (cycle, terminal) order.
-        Returns ``(t, terminal, dst, imd, u_route, u_rank)`` arrays, or
+    def _draw_run_times(self, gen, rate, c0, c1, nt):
+        """One run's injection cycles in ``[c0, c1)``: vectorized
+        geometric gaps continuing the run's calendar row ``nt`` (next
+        injection per terminal, which never lags ``c0``, advanced in
+        place), drawn from the run's own generator.  Returns ``(t,
+        terminal)`` in canonical ``(cycle, terminal)`` order, or
         ``None`` when the chunk has no injections."""
-        nt = next_inj[b]
         times_parts: List["np.ndarray"] = []
         terms_parts: List["np.ndarray"] = []
         while True:
@@ -1249,24 +1252,28 @@ class BatchBackend:
         order = _run_order(
             t_all, j_all, c0, self.program.T, len(times_parts)
         )
-        t_all = t_all[order]
-        j_all = j_all[order]
-        n = t_all.size
+        return t_all[order], j_all[order]
+
+    def _draw_run_values(self, gen, terminals, draws: _ChunkDraws,
+                         rows) -> None:
+        """Draw the per-packet values of one run's injections from
+        ``terminals`` into ``rows`` of ``draws``, from the run's own
+        generator in this order: destinations, adaptive tie-break
+        uniforms (adaptive algorithms; zeros otherwise), FIFO/wave rank
+        uniforms, Valiant intermediates (non-minimal algorithms; zeros
+        otherwise)."""
         prog = self.program
-        dsts = self._draw_dsts(gen, j_all)
+        n = terminals.size
+        ucols = draws.u_rank.shape[1]
+        draws.dst[rows] = self._draw_dsts(gen, terminals)
         if prog.adaptive:
-            u_route = gen.random((n, ucols), dtype=np.float32)
-        else:
-            u_route = np.zeros((n, ucols), dtype=np.float32)
-        u_rank = gen.random((n, ucols), dtype=np.float32)
+            draws.u_route[rows] = gen.random((n, ucols), dtype=np.float32)
+        draws.u_rank[rows] = gen.random((n, ucols), dtype=np.float32)
         if prog.kind != "table":
             # Drawn *after* the destination/tie-break draws so
             # table-compiled algorithms consume exactly the streams
             # they always did (bit-compatibility of the pinned runs).
-            imds = gen.integers(0, prog.R, size=n).astype(np.int32)
-        else:
-            imds = np.zeros(n, dtype=np.int32)
-        return t_all, j_all, dsts, imds, u_route, u_rank
+            draws.imd[rows] = gen.integers(0, prog.R, size=n)
 
     # ------------------------------------------------------------------
     # Routing

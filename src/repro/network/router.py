@@ -482,9 +482,9 @@ class RouterEngine:
                 feed.credits.append((now_credit, winner.vc))
                 slot = wheel.get(now_credit)
                 if slot is None:
-                    wheel[now_credit] = [feed]
-                elif slot[-1] is not feed:
-                    slot.append(feed)
+                    wheel[now_credit] = {feed: None}
+                else:
+                    slot[feed] = None
             elif stalled_sources:
                 # An injection-FIFO slot was freed: wake the terminal
                 # if its source queue is parked on a full FIFO.
@@ -555,9 +555,9 @@ class RouterEngine:
                     pipe.flits.append((arrival, flit, vc))
                     slot = wheel.get(arrival)
                     if slot is None:
-                        wheel[arrival] = [pipe]
-                    elif slot[-1] is not pipe:
-                        slot.append(pipe)
+                        wheel[arrival] = {pipe: None}
+                    else:
+                        slot[pipe] = None
                 else:
                     eject(flit, now)
                 break

@@ -118,7 +118,12 @@ class Simulator:
 
     Args:
         kernel: ``"event"`` or ``"batch"``; ``None`` (default) reads
-            ``$REPRO_KERNEL`` and falls back to the event kernel.
+            ``$REPRO_KERNEL`` and falls back to the event kernel.  A
+            batch simulator builds no event-kernel routers, ports or
+            pipes, and refuses the methods that drive or inspect them
+            (:meth:`step`, :meth:`attach_tracer`,
+            :meth:`flits_accounted`, :meth:`quiescent`,
+            :meth:`check_activation_invariants`).
         profile: enable per-phase wall timers (see
             :mod:`repro.profiling`); ``None`` (default) reads
             ``$REPRO_PROFILE_PHASES``.
@@ -217,11 +222,11 @@ class Simulator:
         # Channel/credit latencies are fixed, so arrivals cluster on a
         # handful of future cycles; a calendar dict beats a heap.  The
         # wheel is the only record of busy pipes: every flit or credit
-        # put on a pipe files the pipe under its delivery cycle.  A
-        # pipe may appear twice in one slot (a credit and a flit due
-        # the same cycle, filed around other pipes); delivery drains
-        # everything due on the first visit, so the second is a no-op.
-        self._wheel: Dict[int, List[ChannelPipe]] = {}
+        # put on a pipe files the pipe under its delivery cycle.  Each
+        # slot is an insertion-ordered dict, so a pipe that gets a
+        # credit and a flit due the same cycle is filed, and visited,
+        # once, in the position of its first filing.
+        self._wheel: Dict[int, Dict[ChannelPipe, None]] = {}
 
         # Kernel metrics (materialized into KernelStats by run methods).
         self.kernel_stats: Optional[KernelStats] = None
@@ -238,7 +243,11 @@ class Simulator:
         self._flits_reused = 0
 
         self.algorithm.attach(self)
-        self._build()
+        # The batch kernel compiles its own arrays from the topology
+        # and the shared route table, so only the event kernel needs
+        # the engines, ports and pipes.
+        if self.kernel == "event":
+            self._build()
         self._window: Optional[MeasurementWindow] = None
         self._tracers: List = []
         self._consumed = False
@@ -256,6 +265,16 @@ class Simulator:
                 "Simulator for each measurement"
             )
         self._consumed = True
+
+    def _require_event(self, method: str) -> None:
+        """Refuse an event-kernel-only method on a batch simulator,
+        which has no routers or pipes to drive or inspect."""
+        if self.kernel != "event":
+            raise ValueError(
+                f"{method}() needs the event kernel's routers and pipes, "
+                f"which a kernel={self.kernel!r} simulator does not build; "
+                f"use kernel='event'"
+            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -360,6 +379,7 @@ class Simulator:
     def attach_tracer(self, tracer) -> None:
         """Register a :class:`repro.network.trace.Tracer` to observe
         every subsequent cycle."""
+        self._require_event("attach_tracer")
         tracer.attach(self)
         self._tracers.append(tracer)
 
@@ -677,6 +697,8 @@ class Simulator:
         adds its wall time to ``self._profile``; the fences do no
         simulation work, so a profiled run is bit-identical.
         """
+        if self.kernel != "event":
+            self._require_event("step")
         now = self.now
         profile = self._profile
         if profile is not None:
@@ -786,6 +808,7 @@ class Simulator:
         the activation sets, so tests can use it to catch flits the
         kernel lost track of.
         """
+        self._require_event("flits_accounted")
         buffered = sum(
             len(invc.fifo)
             for engine in self.engines
@@ -799,6 +822,7 @@ class Simulator:
     def quiescent(self) -> bool:
         """No flits anywhere: sources, buffers, or channels.  Credits
         still returning upstream do not count — they carry no data."""
+        self._require_event("quiescent")
         return (
             self.in_flight == 0
             and not self._active_sources
@@ -817,6 +841,7 @@ class Simulator:
         flits, ``_wire_engines`` exactly those with staged flits, and
         every pipe with an item in flight must be filed on the event
         wheel."""
+        self._require_event("check_activation_invariants")
         busy_truth = {
             e.router_id for e in self.engines
             if any(invc.fifo for port in e.in_ports for invc in port)

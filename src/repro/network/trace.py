@@ -25,18 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
 
 
-def _sent_pipes(simulator: "Simulator", due: int):
-    """The pipes filed on the event wheel for cycle ``due``, each once.
-
-    Every flit sent this cycle arrives at ``due`` (now plus the channel
-    latency), so its pipe is in that slot.  A pipe can be filed twice in
-    one slot, when a credit due the same cycle was filed first with
-    other pipes in between; without the dedupe its flits would be
-    counted twice.
-    """
-    return dict.fromkeys(simulator._wheel.get(due, ()))
-
-
 class Tracer(abc.ABC):
     """Base class for per-cycle observers."""
 
@@ -159,7 +147,7 @@ class PacketJourneyTrace(Tracer):
     def on_cycle(self, now: int) -> None:
         sim = self.simulator
         due = now + sim.config.channel_latency
-        for pipe in _sent_pipes(sim, due):
+        for pipe in sim._wheel.get(due, ()):
             for arrival, flit, _vc in pipe.flits:
                 if arrival != due:
                     continue
@@ -203,11 +191,12 @@ class ChannelLoadTrace(Tracer):
 
     def on_cycle(self, now: int) -> None:
         # Channel pipes buffer (arrival, flit, vc); flits pushed this
-        # cycle are those arriving one channel latency from now.
+        # cycle are those arriving one channel latency from now, on the
+        # pipes filed (each once) in that wheel slot.
         sim = self.simulator
         self.cycles += 1
         due = now + sim.config.channel_latency
-        for pipe in _sent_pipes(sim, due):
+        for pipe in sim._wheel.get(due, ()):
             for arrival, _flit, _vc in pipe.flits:
                 if arrival == due:
                     self.flits[pipe.index] += 1

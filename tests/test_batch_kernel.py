@@ -347,6 +347,31 @@ class TestUnsupportedFeatures:
         with pytest.raises(ValueError, match="kernel"):
             sim.run_open_loop_batch(0.2, replicas=2)
 
+    def test_batch_kernel_refuses_event_methods(self):
+        """A batch simulator builds no event routers or pipes, and each
+        method that drives or inspects them refuses, naming the kernel,
+        while its batched runs still work."""
+        from repro.network import BernoulliInjection, ChannelLoadTrace
+
+        sim = self._sim()
+        assert not hasattr(sim, "engines") and not hasattr(sim, "pipes")
+        calls = {
+            "step": lambda: sim.step(BernoulliInjection(0.2)),
+            "attach_tracer": lambda: sim.attach_tracer(ChannelLoadTrace()),
+            "flits_accounted": sim.flits_accounted,
+            "check_activation_invariants": sim.check_activation_invariants,
+            "quiescent": sim.quiescent,
+        }
+        for method, call in calls.items():
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            message = str(excinfo.value)
+            assert f"{method}()" in message
+            assert "kernel='batch'" in message
+        result = sim.run_open_loop(0.2, warmup=50, measure=50,
+                                   drain_max=1000)
+        assert not result.saturated
+
     def test_replicas_xor_seeds(self):
         with pytest.raises(ValueError, match="exactly one"):
             self._sim().run_open_loop_batch(0.2)

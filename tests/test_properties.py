@@ -505,6 +505,48 @@ def _reference_run_order(t, j, c0, T, blocks):
     return numpy.lexsort((j, t))
 
 
+def _reference_draws(backend, state, c0, c1):
+    """Every live run's draws for chunk ``[c0, c1)`` from copies of the
+    run state's generators and calendar, the values drawn in the
+    documented per-run order: gaps, destinations, adaptive tie-breaks,
+    ranks, Valiant intermediates.  Returns the draws merged by
+    ``lexsort((terminal, run, cycle))`` as ``(run, t, terminal, dst,
+    imd, u_route, u_rank)`` columns, each run's own block in
+    ``lexsort((terminal, cycle))`` order, and the advanced calendar."""
+    from unittest import mock
+
+    import numpy as np
+
+    from repro.network import batch as batch_module
+
+    prog = backend.program
+    gens = copy.deepcopy(state.gens)
+    next_inj = state.next_inj.copy()
+    parts = []
+    with mock.patch.object(batch_module, "_run_order", _reference_run_order):
+        for b, gen in enumerate(gens):
+            if state.done[b]:
+                continue
+            drawn = backend._draw_run_times(
+                gen, state.rates[b], c0, c1, next_inj[b]
+            )
+            if drawn is None:
+                continue
+            t, j = drawn
+            n = t.size
+            shape = (n, state.ucols)
+            dst = backend._draw_dsts(gen, j)
+            u_route = (gen.random(shape, dtype=np.float32) if prog.adaptive
+                       else np.zeros(shape, dtype=np.float32))
+            u_rank = gen.random(shape, dtype=np.float32)
+            imd = (gen.integers(0, prog.R, size=n) if prog.kind != "table"
+                   else np.zeros(n, dtype=np.int64))
+            parts.append((np.full(n, b), t, j, dst, imd, u_route, u_rank))
+    cols = [np.concatenate(col) for col in zip(*parts)]
+    order = np.lexsort((cols[2], cols[0], cols[1]))
+    return [col[order] for col in cols], next_inj
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     algorithm_cls=st.sampled_from([MinimalAdaptive, UGAL]),
@@ -515,12 +557,11 @@ def _reference_run_order(t, j, c0, T, blocks):
 )
 def test_predraw_layout_matches_lexsort(algorithm_cls, runs, rate, blocky,
                                         seed):
-    """Two predraw chunks laid out by the radix offset orders equal the
-    same draws laid out by ``lexsort((terminal, run, cycle))``,
-    multi-block draws included."""
+    """Two predraw chunks, each run's values drawn straight into its
+    rows, equal the same draws laid out by ``lexsort((terminal, run,
+    cycle))``, multi-block draws included: so each run's rows hold its
+    draws in ``lexsort((terminal, cycle))`` order."""
     np = pytest.importorskip("numpy")
-    from unittest import mock
-
     from repro.network import batch as batch_module
 
     backend = batch_module.BatchBackend(
@@ -534,36 +575,78 @@ def test_predraw_layout_matches_lexsort(algorithm_cls, runs, rate, blocky,
         state.gens = [_BlockyGenerator(gen) for gen in state.gens]
     for c0 in (0, INJECTION_CHUNK):
         c1 = c0 + INJECTION_CHUNK
-        gens = copy.deepcopy(state.gens)
-        next_inj = state.next_inj.copy()
-        parts = []
-        with mock.patch.object(
-            batch_module, "_run_order", _reference_run_order
-        ):
-            for b, gen in enumerate(gens):
-                part = backend._draw_run_chunk(
-                    b, gen, rate, c0, c1, next_inj, state.ucols
-                )
-                if part is not None:
-                    parts.append((np.full(part[0].size, b), ) + part)
-        cols = [np.concatenate(col) for col in zip(*parts)]
-        b_all, t_all, j_all, dst, imd, u_route, u_rank = cols
-        order = np.lexsort((j_all, b_all, t_all))
-
-        chunk = backend._predraw_chunk(state, c0, c1)
+        want, next_inj = _reference_draws(backend, state, c0, c1)
+        b_all, t_all, j_all, dst, imd, u_route, u_rank = want
+        draws = backend._predraw_chunk(state, c0, c1)
         assert np.array_equal(state.next_inj, next_inj)
-        assert np.array_equal(chunk.t, t_all[order])
-        assert np.array_equal(chunk.run, b_all[order])
+        assert draws.offsets == np.searchsorted(
+            t_all, np.arange(c0, c1 + 1)
+        ).tolist()
+        assert np.array_equal(draws.run, b_all)
         assert np.array_equal(
-            chunk.router, backend.program.inj_router[j_all[order]]
+            draws.router, backend.program.inj_router[j_all]
         )
-        for got, want in ((chunk.dst, dst), (chunk.imd, imd),
-                          (chunk.u_route, u_route), (chunk.u_rank, u_rank)):
-            assert np.array_equal(got, want[order])
+        for got, ref in ((draws.dst, dst), (draws.imd, imd),
+                         (draws.u_route, u_route), (draws.u_rank, u_rank)):
+            assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("algorithm_cls", [MinimalAdaptive, UGAL])
+def test_step_injections_match_merged_layout(algorithm_cls):
+    """Each cycle's injection block, as the step files it, equals that
+    cycle's slice of the chunk merged by ``lexsort((terminal, run,
+    cycle))``, minus the runs already done; runs at different loads
+    finish at different cycles inside the chunk."""
+    np = pytest.importorskip("numpy")
+    from repro.network import batch as batch_module
+
+    backend = batch_module.BatchBackend(
+        FlattenedButterfly(4, 2), algorithm_cls(), UniformRandom()
+    )
+    state = batch_module._RunState(
+        backend, np.array([0.3, 1.0, 0.1, 0.6]), [7, 8, 9, 10],
+        warmup=20, measure=20, drain_max=120, drain=True,
+    )
+    c0, c1 = 0, INJECTION_CHUNK
+    want, _ = _reference_draws(backend, state, c0, c1)
+    b_all, t_all, j_all, dst, imd, u_route, u_rank = want
+
+    filed = {}
+    original = backend._injections
+
+    def spy(state, draws, k, t):
+        done = state.done.copy()
+        block = original(state, draws, k, t)
+        filed[t] = (done, None if block is None
+                    else [np.array(col) for col in block])
+        return block
+
+    backend._injections = spy
+    draws = backend._predraw_chunk(state, c0, c1)
+    stop = backend._step_until(state, draws, c0, c1)
+    assert state.done.all() and stop < c1
+    assert sorted(filed) == list(range(c0, stop))
+
+    dropped = 0
+    for t, (done, got) in filed.items():
+        at_t = t_all == t
+        keep = at_t & ~done[b_all]
+        dropped += int((at_t & done[b_all]).sum())
+        if not keep.any():
+            assert got is None
+            continue
+        run, router, g_dst, born, hops, g_imd, mode, g_ur, g_uk = got
+        assert np.array_equal(run, b_all[keep])
         assert np.array_equal(
-            chunk.offsets,
-            np.searchsorted(chunk.t, np.arange(c0, c1 + 1)),
+            router, backend.program.inj_router[j_all[keep]]
         )
+        for g, ref in ((g_dst, dst), (g_imd, imd), (g_ur, u_route),
+                       (g_uk, u_rank)):
+            assert np.array_equal(g, ref[keep])
+        assert (born == t).all() and (hops == 0).all()
+        assert (mode == backend.program.mode0).all()
+    # Some run finished while others still ran, with draws left over.
+    assert dropped > 0
 
 
 def _summary_fields(summary):

@@ -24,19 +24,29 @@ def make_sim(algorithm=None, pattern=None, **kwargs):
     )
 
 
-class _DoubleFilings(Tracer):
-    """Counts pipes filed more than once in the wheel slot that the
-    cycle's sent flits arrive in."""
+class _SharedSlots(Tracer):
+    """Watches the wheel slot that the cycle's sent flits arrive in.
+
+    Counts the pipes with both a credit and a flit due in that slot
+    (the filing pattern that could list a pipe twice in a slot) and
+    the pipes the slot lists more than once."""
 
     supports_idle_skip = True
 
     def __init__(self):
-        self.count = 0
+        self.shared = 0
+        self.repeats = 0
 
     def on_cycle(self, now):
         sim = self.simulator
-        slot = sim._wheel.get(now + sim.config.channel_latency, ())
-        self.count += len(slot) - len(set(slot))
+        due = now + sim.config.channel_latency
+        pipes = list(sim._wheel.get(due, ()))
+        self.repeats += len(pipes) - len(set(pipes))
+        self.shared += sum(
+            1 for pipe in pipes
+            if any(item[0] == due for item in pipe.credits)
+            and any(item[0] == due for item in pipe.flits)
+        )
 
     def on_idle_gap(self, start, end):
         pass
@@ -111,18 +121,18 @@ class TestChannelLoadTrace:
     def test_counts_every_sent_flit(self):
         """Total traced channel flits equals total hops taken.
 
-        Each (channel, credit) latency pair makes some pipe be filed
-        twice in the wheel slot its sent flits arrive in: a credit due
-        the same cycle files it first, with other pipes between.  The
-        tracer must count that pipe's flits once."""
+        Each (channel, credit) latency pair makes some pipe get a
+        credit and a flit due in the wheel slot its sent flits arrive
+        in.  The slot must list that pipe once, so the tracer counts
+        its flits once."""
         for channel_latency, credit_latency in ((1, 1), (2, 2), (1, 2)):
             sim = make_sim(
                 channel_latency=channel_latency, credit_latency=credit_latency
             )
             trace = ChannelLoadTrace()
             sim.attach_tracer(trace)
-            doubles = _DoubleFilings()
-            sim.attach_tracer(doubles)
+            slots = _SharedSlots()
+            sim.attach_tracer(slots)
             packets = []
             original = sim.on_flit_ejected
 
@@ -133,7 +143,8 @@ class TestChannelLoadTrace:
 
             sim.on_flit_ejected = spy
             sim.run_batch(2)
-            assert doubles.count > 0
+            assert slots.shared > 0
+            assert slots.repeats == 0
             assert sum(trace.flits.values()) == sum(p.hops for p in packets)
 
     def test_hot_channel_identified_under_wc(self):
