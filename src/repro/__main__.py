@@ -9,8 +9,6 @@
   :class:`~repro.runner.ResultCache`.
 * ``repro cache prune [--older-than-days N]`` — delete entries older
   than the cutoff (all entries without one).
-* ``repro fabric worker|resume|status|list`` — the distributed sweep
-  fabric (see ``repro fabric --help`` and ``docs/FABRIC.md``).
 
 The cache commands honor ``$REPRO_CACHE_DIR`` and accept
 ``--cache-dir`` to target another directory.
@@ -91,12 +89,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return experiments_main(args.rest)
 
 
-def _cmd_fabric(args: argparse.Namespace) -> int:
-    from .fabric.cli import main as fabric_main
-
-    return fabric_main(args.rest)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -117,15 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument("rest", nargs=argparse.REMAINDER)
     experiments.set_defaults(func=_cmd_experiments)
-
-    fabric = commands.add_parser(
-        "fabric",
-        help="distributed sweep fabric: workers, campaign resume, status "
-        "(same flags as python -m repro.fabric.cli)",
-        add_help=False,
-    )
-    fabric.add_argument("rest", nargs=argparse.REMAINDER)
-    fabric.set_defaults(func=_cmd_fabric)
 
     cache = commands.add_parser(
         "cache", help="inspect or prune the on-disk result cache"
@@ -163,10 +146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .experiments.__main__ import main as experiments_main
 
         return experiments_main(argv[1:])
-    if argv and argv[0] == "fabric":
-        from .fabric.cli import main as fabric_main
-
-        return fabric_main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.func(args)
 

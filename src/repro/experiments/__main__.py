@@ -13,12 +13,6 @@ results are bit-identical to a serial run.  Completed points are
 cached on disk (``--cache-dir``, default ``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro-flatbfly``) so repeated runs are nearly free; pass
 ``--no-cache`` to always re-simulate.
-
-``--fabric host:port`` swaps the local pool for the distributed sweep
-fabric: a coordinator binds the given address and `repro fabric
-worker` processes (local or remote) execute the points.  Combined with
-``--campaign NAME`` the run is durable — kill it at any moment and
-``repro fabric resume NAME`` finishes exactly the missing jobs.
 """
 
 from __future__ import annotations
@@ -106,22 +100,6 @@ def main(argv=None) -> int:
         help="disable the on-disk result cache",
     )
     parser.add_argument(
-        "--fabric",
-        metavar="HOST:PORT",
-        default=None,
-        help="run sweeps on the distributed fabric: bind a coordinator "
-        "here and dispatch to `repro fabric worker` processes instead "
-        "of a local pool (trusted networks only; see docs/FABRIC.md)",
-    )
-    parser.add_argument(
-        "--campaign",
-        metavar="NAME",
-        default=None,
-        help="with --fabric: durable campaign name for the manifest, "
-        "so an interrupted run can be finished with "
-        "`repro fabric resume NAME` (default: auto-generated)",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="print per-point sweep progress (with ETA) to stderr",
@@ -162,22 +140,6 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     if args.replicas is not None and args.replicas < 1:
         parser.error(f"--replicas must be >= 1, got {args.replicas}")
-    if args.fabric is not None and args.no_cache:
-        parser.error(
-            "--fabric needs the result cache (it is the fabric's artifact "
-            "store and checkpoint); drop --no-cache"
-        )
-    if args.fabric is not None and args.profile:
-        parser.error("--profile is local-only; drop --fabric")
-    if args.campaign is not None:
-        if args.fabric is None:
-            parser.error("--campaign only makes sense with --fabric")
-        from ..fabric.manifest import safe_campaign_name
-
-        try:
-            safe_campaign_name(args.campaign)
-        except ValueError as exc:
-            parser.error(str(exc))
 
     if args.profile:
         # Serial and uncached so the profile reflects the simulation
@@ -191,33 +153,11 @@ def main(argv=None) -> int:
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     for name in names:
-        if args.fabric is not None:
-            from ..fabric import FabricRunner
-
-            # One campaign per experiment: rerunning the same command
-            # after a crash reloads the manifest and finishes it.
-            campaign = (
-                f"{args.campaign}-{name}" if args.campaign and len(names) > 1
-                else args.campaign
-            )
-            runner = FabricRunner(
-                listen=args.fabric,
-                cache=cache,
-                progress=stderr_progress(name) if args.progress else None,
-                campaign=campaign,
-            )
-            print(
-                f"[fabric] {name}: coordinator at "
-                f"{runner.address[0]}:{runner.address[1]}, campaign "
-                f"{runner.campaign.name!r}",
-                file=sys.stderr,
-            )
-        else:
-            runner = SweepRunner(
-                jobs=args.jobs,
-                cache=cache,
-                progress=stderr_progress(name) if args.progress else None,
-            )
+        runner = SweepRunner(
+            jobs=args.jobs,
+            cache=cache,
+            progress=stderr_progress(name) if args.progress else None,
+        )
         start = time.time()
         run = ALL_EXPERIMENTS[name].run
         parameters = inspect.signature(run).parameters

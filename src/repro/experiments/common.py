@@ -242,7 +242,7 @@ def latency_load_curve(
             refine is not None
             and refine >= 2
             and stop_after_saturation
-            and getattr(runner, "adaptive", False)
+            and runner.adaptive
         ):
             return _refined_curve(
                 make_simulator, loads, warmup, measure, drain_max,
@@ -327,7 +327,7 @@ def _refined_curve(
     n = len(loads)
     done: Dict[int, OpenLoopResult] = {}
     ub = n - 1  # lowest index known saturated (grid end if none yet)
-    workers = max(1, getattr(runner, "worker_budget", lambda: runner.jobs)())
+    workers = max(1, runner.worker_budget())
 
     def run_round(indices: List[int]) -> None:
         nonlocal ub
@@ -532,9 +532,8 @@ def _ci_tight(summary: Replicated, ci_target: float) -> bool:
 
 
 def _note_replicated(runner, summary, early_stopped: bool) -> None:
-    report = getattr(runner, "report", None) if runner is not None else None
-    if report is not None and hasattr(report, "note_replicated"):
-        report.note_replicated(summary, early_stopped)
+    if runner is not None:
+        runner.report.note_replicated(summary, early_stopped)
 
 
 def _early_stop_waves(

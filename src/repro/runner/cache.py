@@ -56,7 +56,7 @@ CACHE_VERSION = "repro-results-v7"
 COUNTERS_FILENAME = "counters.json"
 
 #: Lock file serializing read-modify-write updates of the counters
-#: sidecar across processes (fabric workers, parallel sweeps, CLI).
+#: sidecar across processes (parallel sweeps sharing a cache, CLI).
 COUNTERS_LOCK_FILENAME = "counters.lock"
 
 #: A counters lock older than this is considered abandoned (its holder
@@ -172,71 +172,28 @@ class ResultCache:
         return True, value
 
     def put(self, job, value) -> None:
-        self.put_payload(
-            self.key(job),
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
-            overwrite=True,
-        )
+        """Store ``value`` under ``job``'s key.
 
-    # ------------------------------------------------------------------
-    # Payload-level API (multi-writer safe)
-    # ------------------------------------------------------------------
-    # The fabric moves *serialized* results between hosts: a worker
-    # pickles a result once, ships the bytes, and both ends land them
-    # under the job's content address.  Writes are temp-file + atomic
-    # rename, so concurrent writers can never produce a torn entry;
-    # ``overwrite=False`` additionally makes the first completed writer
-    # win (duplicate completions of a stolen lease leave exactly the
-    # payload that arrived first).
-
-    def has(self, key: str) -> bool:
-        """Whether an entry for ``key`` is present on disk."""
-        return os.path.exists(self._path(key))
-
-    def put_payload(self, key: str, data: bytes,
-                    overwrite: bool = False) -> bool:
-        """Store already-pickled ``data`` under ``key``; returns whether
-        this call wrote the entry (``False`` when ``overwrite`` is off
-        and another writer got there first)."""
-        if not overwrite and self.has(key):
-            return False
+        The entry is written to a temp file and renamed into place:
+        concurrent sweep processes may share one cache directory, and
+        the atomic rename means a reader (or a run killed mid-write)
+        never sees a torn entry.  When two writers store the same key,
+        the last rename wins; both wrote the same deterministic result.
+        """
+        path = self._path(self.key(job))
+        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         os.makedirs(self.directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
-            if not overwrite and self.has(key):
-                os.unlink(tmp)
-                return False
-            os.replace(tmp, self._path(key))
-            return True
+            os.replace(tmp, path)
         except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             raise
-
-    def read_payload(self, key: str) -> Optional[bytes]:
-        """The raw pickled bytes stored under ``key`` (``None`` when
-        absent)."""
-        try:
-            with open(self._path(key), "rb") as handle:
-                return handle.read()
-        except FileNotFoundError:
-            return None
-
-    def get_by_key(self, key: str) -> Tuple[bool, object]:
-        """Like :meth:`get` but addressed by a precomputed key.  Does
-        not touch the hit/miss counters — fabric coordinators account
-        for hits at job-admission time, not on payload reads."""
-        data = self.read_payload(key)
-        if data is None:
-            return False, None
-        try:
-            return True, pickle.loads(data)
-        except (EOFError, pickle.UnpicklingError):
-            return False, None
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entries())
@@ -361,8 +318,8 @@ class ResultCache:
         sidecar file.
 
         The read-modify-rename runs under a cross-process lock file, so
-        concurrent flushers (fabric workers, parallel sweeps on one
-        cache directory) serialize instead of clobbering each other's
+        concurrent flushers (sweep processes sharing one cache
+        directory) serialize instead of clobbering each other's
         increments.  If the lock cannot be acquired within the timeout
         the flush is skipped — the delta stays unflushed and rides
         along with the next flush, so counts are delayed, never lost.

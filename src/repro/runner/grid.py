@@ -5,10 +5,10 @@ batch-kernel :class:`~repro.runner.jobs.SimSpec` into **one** lockstep
 array program (:class:`~repro.runner.jobs.BatchGridJob`) while keeping
 the cache granularity at the per-point
 :class:`~repro.runner.jobs.BatchOpenLoopJob` the rest of the stack
-(report counters, fabric manifests, ``replicate_jobs``) already
-consumes: each load point is probed against its per-point key first,
-only the misses enter the grid, and every fresh per-load result is
-stored back under its per-point key.  Per-run purity of the batch
+(report counters, ``replicate_jobs``) already consumes: each load
+point is probed against its per-point key first, only the misses
+enter the grid, and every fresh per-load result is stored back under
+its per-point key.  Per-run purity of the batch
 backend makes grid results bit-identical to pointwise execution, so
 cache entries written either way are interchangeable — and the cache
 version stays unchanged.

@@ -201,8 +201,7 @@ class CostModel:
     cost signal) and predicts relative cost for unseen jobs: the exact
     observation when one exists, the nearest observed signal scaled by
     saturation proximity otherwise, and the raw signal before any
-    observation.  Shared by :class:`SweepRunner` (process pool) and the
-    fabric coordinator (multi-host lease queue)."""
+    observation."""
 
     def __init__(self) -> None:
         # job type name -> {cost signal -> observed simulated cycles}.
@@ -396,7 +395,7 @@ class SweepRunner:
             for i in pending:
                 results[i] = execute_job(jobs[i])
                 self._store(jobs[i], results[i], cacheable[i])
-                self._observe_cost(jobs[i], results[i])
+                self._cost_model.observe(jobs[i], results[i])
                 done += 1
                 self._tick(done, len(jobs), jobs[i])
         self.report.note_builds(_diff_counters(before,
@@ -423,8 +422,8 @@ class SweepRunner:
                 # Longest-expected-first: saturated / high-load points
                 # start immediately, so the pool never finishes its
                 # short jobs first and then waits on one straggler.
-                remote.sort(key=lambda i: self._expected_cost(jobs[i]),
-                            reverse=True)
+                expected = self._cost_model.expected
+                remote.sort(key=lambda i: expected(jobs[i]), reverse=True)
             chunk = self._chunk_size(len(remote))
             chunks = [remote[o:o + chunk]
                       for o in range(0, len(remote), chunk)]
@@ -442,9 +441,8 @@ class SweepRunner:
         sweep, the broken pool is replaced and only the chunks whose
         results never arrived are resubmitted (completed chunks keep
         their results; re-running a lost chunk is safe because jobs are
-        deterministic).  This is the single-box degenerate case of the
-        fabric's lease re-issue.  ``pool_rebuilds`` bounds the retries
-        so a job that reliably kills its worker still surfaces as
+        deterministic).  ``pool_rebuilds`` bounds the retries so a job
+        that reliably kills its worker still surfaces as
         ``BrokenProcessPool`` instead of looping forever.
         """
         remaining = [list(group) for group in chunks]
@@ -481,7 +479,7 @@ class SweepRunner:
                         for i, value in zip(group, values):
                             results[i] = value
                             self._store(jobs[i], value, cacheable[i])
-                            self._observe_cost(jobs[i], value)
+                            self._cost_model.observe(jobs[i], value)
                             done += 1
                             self._tick(done, len(jobs), jobs[i])
                         remaining.remove(group)
@@ -514,14 +512,6 @@ class SweepRunner:
         # Aim for several chunks per worker so dynamic scheduling can
         # still balance, but never more than 8 jobs per submission.
         return max(1, min(8, n // (self.worker_budget() * 4)))
-
-    def _expected_cost(self, job) -> float:
-        """Best-effort relative cost of ``job`` (see
-        :class:`CostModel`)."""
-        return self._cost_model.expected(job)
-
-    def _observe_cost(self, job, value) -> None:
-        self._cost_model.observe(job, value)
 
     def _note_worker(self, counters: Dict[str, int]) -> None:
         pid = counters.get("pid", 0)

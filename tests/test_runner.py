@@ -5,6 +5,9 @@ import functools
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -35,6 +38,10 @@ from repro.runner import (
     sim_build_count,
 )
 from repro.traffic import UniformRandom, adversarial
+
+from tests._sweep_driver import KILLED_STATUS, curve_jobs, payload_bytes
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_fb(k, algorithm_cls, pattern_factory, seed=1, buffer_per_port=32):
@@ -444,7 +451,7 @@ class TestDeriveSeed:
 
 
 # ----------------------------------------------------------------------
-# Multi-writer cache hardening (payload API + locked counters)
+# Multi-writer cache hardening (atomic puts + locked counters)
 # ----------------------------------------------------------------------
 def _flush_counter_deltas(cache_dir, rounds, per_round):
     """Worker body for the concurrent-flush test: accumulate hit/miss
@@ -461,22 +468,14 @@ def _flush_counter_deltas(cache_dir, rounds, per_round):
 
 
 class TestCacheMultiWriter:
-    def test_payload_first_writer_wins(self, tmp_path):
+    def test_repeated_put_leaves_one_entry(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        assert not cache.has("key1")
-        assert cache.read_payload("key1") is None
-        assert cache.put_payload("key1", pickle.dumps("first"))
-        assert cache.has("key1")
-        # second writer loses silently; the stored bytes stay intact
-        assert not cache.put_payload("key1", pickle.dumps("second"))
-        assert pickle.loads(cache.read_payload("key1")) == "first"
-        # explicit overwrite is still available (used by put())
-        assert cache.put_payload("key1", pickle.dumps("third"), overwrite=True)
-        hit, value = cache.get_by_key("key1")
-        assert (hit, value) == (True, "third")
-        assert cache.get_by_key("missing") == (False, None)
-        # the payload API never touches the hit/miss counters
-        assert (cache.hits, cache.misses) == (0, 0)
+        job = CallableJob.of(_return_value, 3)
+        cache.put(job, "first")
+        cache.put(job, "second")
+        assert len(cache) == 1
+        assert cache.get(job) == (True, "second")
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_concurrent_counter_flushes_lose_nothing(self, tmp_path):
         cache_dir = str(tmp_path)
@@ -560,3 +559,65 @@ class TestBrokenPoolRecovery:
     def test_pool_rebuilds_validated(self):
         with pytest.raises(ValueError):
             SweepRunner(jobs=2, pool_rebuilds=-1)
+
+
+# ----------------------------------------------------------------------
+# Kill-and-resume: the result cache is the sweep's checkpoint
+# ----------------------------------------------------------------------
+class TestKillAndResume:
+    DIE_AFTER = 2
+
+    def _run_killed_sweep(self, cache_dir):
+        """Run ``tests._sweep_driver`` (a ``jobs=2`` sweep that
+        ``os._exit``s after ``DIE_AFTER`` results) and return its exit
+        status.  The driver gets its own session so that any pool
+        worker outliving it is killed with it."""
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                [os.path.join(REPO_ROOT, "src"), REPO_ROOT]
+            ),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "from tests._sweep_driver import main; raise SystemExit(main())",
+             cache_dir, str(self.DIE_AFTER)],
+            cwd=REPO_ROOT, env=env, start_new_session=True,
+        )
+        try:
+            return proc.wait(timeout=180)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+
+    def test_killed_sweep_reruns_only_cache_misses(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        assert self._run_killed_sweep(cache_dir) == KILLED_STATUS
+        jobs = curve_jobs()
+        # Each result is stored before its progress tick, so exactly
+        # the results that arrived before the kill survive, untorn.
+        left = len(ResultCache(cache_dir))
+        assert left == self.DIE_AFTER < len(jobs)
+        assert not list((tmp_path / "cache").glob("*.tmp"))
+
+        with SweepRunner(jobs=1, cache=ResultCache(cache_dir)) as runner:
+            resumed = runner.map(jobs)
+        report = runner.report
+        assert report.cache_hits == left
+        assert report.executed == len(jobs) - report.cache_hits
+        assert report.sim_builds == report.executed
+        assert ResultCache(cache_dir).persisted_counters() == {
+            "hits": left, "misses": report.executed,
+        }
+        serial = SweepRunner(jobs=1).map(jobs)
+        assert payload_bytes(resumed) == payload_bytes(serial)
+
+        # A second rerun is a pure cache replay.
+        with SweepRunner(jobs=1, cache=ResultCache(cache_dir)) as replay:
+            replayed = replay.map(jobs)
+        assert (replay.report.cache_hits, replay.report.executed) == (
+            len(jobs), 0)
+        assert payload_bytes(replayed) == payload_bytes(serial)
