@@ -41,6 +41,7 @@ from repro.network import (
 )
 from repro.network.batch import (
     _KEY_MAJOR_BOUND,
+    INJECTION_CHUNK,
     BatchBackend,
     BatchRunResult,
     batch_seeds,
@@ -569,6 +570,10 @@ PIN_MATRIX = [
     ("val-fb", lambda: FlattenedButterfly(4, 2), Valiant, 0.2),
 ]
 
+#: These rows also run past two injection chunks: every combination of
+#: the non-minimal and adaptive per-packet columns, and the waves.
+MULTICHUNK_CASES = ("dor-fb", "clos-ad", "ugal-fb", "ugal-s-fb", "val-fb")
+
 
 def _pin_sim(make_topo, algorithm_cls):
     return Simulator(
@@ -630,6 +635,24 @@ def _pinned_cases():
 
     cases["saturation/ugal-fb"] = saturation
     cases["drain-cutoff/ugal-fb"] = drain_cutoff
+
+    # Long windows: the packets in flight at each INJECTION_CHUNK
+    # boundary keep reading their per-packet draws after the next chunk
+    # is drawn.
+    multichunk = dict(window, warmup=300, measure=300, drain_max=3000)
+    assert multichunk["warmup"] + multichunk["measure"] > 2 * INJECTION_CHUNK
+    for name, make_topo, algorithm_cls, load in PIN_MATRIX:
+        if name not in MULTICHUNK_CASES:
+            continue
+
+        def long_run(make_topo=make_topo, cls=algorithm_cls, load=load):
+            return _batch_fingerprint(
+                _pin_sim(make_topo, cls).run_open_loop_batch(
+                    load, **multichunk
+                )
+            )
+
+        cases[f"multichunk/{name}"] = long_run
     return cases
 
 
