@@ -9,9 +9,16 @@ ejection port of the exact simulator is a rate-1-flit-per-``period``
 FIFO server, so a flit arriving at cycle ``t`` departs at ``max(t,
 next_free[q]) + rank * period`` and the queue's whole state is the
 scalar ``next_free[q]``.  Flits themselves live in a cycle-indexed
-event calendar whose entries are numpy arrays over ``(run, router,
-dst, ...)``; per-cycle work is one vector program over every arrival
-of that cycle across every run.
+event calendar whose entries are numpy arrays over ``(id, router,
+born, hops, mode)``: only what changes per hop.  ``id`` is the
+packet's row in the chunk's pre-drawn packet table
+(:class:`_ChunkDraws`), which holds its constants: run, destination,
+Valiant intermediate and per-hop uniforms.  Each cycle gathers from
+that table only the constants the program reads; per-cycle work is one
+vector program over every arrival of that cycle across every run.
+When the next chunk is drawn, the rows of the packets still in flight
+move to the head of its table and the calendar's ids are remapped to
+them.
 
 The model reproduces the exact kernel's timing rules (verified against
 ``repro.network.router``): with single-flit packets and sufficient
@@ -36,17 +43,17 @@ Deliberate, mean-preserving approximations (documented in
   which is why validation is statistical and below the knee).
 
 Non-minimal routing (VAL, UGAL, UGAL-S) is vectorized by giving every
-in-flight packet two extra columns: a pre-drawn **intermediate router**
-``imd`` and a **mode** (:data:`MODE_TABLE` minimal/oblivious table
-routing, :data:`MODE_VAL0` dimension order toward the intermediate,
-:data:`MODE_VAL1` dimension order toward the destination,
-:data:`MODE_UNDEC` awaiting UGAL's source-router decision).  Each
-cycle first flips ``VAL0 -> VAL1`` at the intermediate, then ejects
-(phase-0 packets pass *through* their destination, mirroring
-``inline_eject = False``), then resolves every undecided UGAL packet
-with one vectorized ``q_min * h_min <= q_val * h_val + threshold``
-compare over the occupancy estimate, then routes each mode through the
-dense DOR / minimal-candidate exports of
+packet two extra columns: a pre-drawn **intermediate router** ``imd``
+in the packet table and a calendar **mode** (:data:`MODE_TABLE`
+minimal/oblivious table routing, :data:`MODE_VAL0` dimension order
+toward the intermediate, :data:`MODE_VAL1` dimension order toward the
+destination, :data:`MODE_UNDEC` awaiting UGAL's source-router
+decision).  Each cycle first flips ``VAL0 -> VAL1`` at the
+intermediate, then ejects (phase-0 packets pass *through* their
+destination, mirroring ``inline_eject = False``), then resolves every
+undecided UGAL packet with one vectorized ``q_min * h_min <= q_val *
+h_val + threshold`` compare over the occupancy estimate, then routes
+each mode through the dense DOR / minimal-candidate exports of
 :meth:`repro.core.routing.table.RouteTable.as_arrays`.  UGAL-S runs
 the decision *and* the routing inside the wave-ranked sequential
 emulation, so same-cycle decisions at one router see each other's
@@ -583,24 +590,35 @@ def _build_program(topology, algorithm, table) -> _Program:
 
 @dataclass
 class _ChunkDraws:
-    """Every live run's pre-drawn injections of one chunk ``[c0, c1)``.
+    """The packet table of one chunk ``[c0, c1)``: one row per packet,
+    its per-packet constants in parallel columns.
 
-    Parallel columns in ``(cycle, run, terminal)`` order, the order the
-    cycle loop consumes them in, with ``offsets[t - c0] : offsets[t -
-    c0 + 1]`` slicing out cycle ``t``'s packets.  The predraw pass
-    writes each run's draws straight to their rows, so the chunk is
-    held once and never sorted or gathered.  All randomness (gaps,
-    destinations, tie-break uniforms, Valiant intermediates) is drawn
-    there in the canonical per-run stream order, so the cycle step
-    never touches a generator: it only *interprets* these columns.
+    The calendar files each in-flight packet by its row here (its
+    *id*) and carries only what changes per hop; the step reads the
+    constants through the id.  Rows ``[0, offsets[0])`` are the
+    packets still in flight when the chunk was drawn, carried over from
+    the previous chunk (:meth:`BatchBackend._carry_in_flight`).  The
+    rest are every live run's pre-drawn injections in ``(cycle, run,
+    terminal)`` order, the order the cycle loop consumes them in, with
+    ``offsets[t - c0] : offsets[t - c0 + 1]`` slicing out cycle ``t``'s
+    packets.  The predraw pass writes each run's draws straight to
+    their rows, so the chunk is held once and never sorted or gathered.
+    All randomness (gaps, destinations, tie-break uniforms, Valiant
+    intermediates) is drawn there in the canonical per-run stream
+    order, so the cycle step never touches a generator: it only
+    *interprets* these columns.  Columns a program never reads are
+    ``None``.
     """
+
+    #: The columns read by id after injection, so carried over.
+    CONSTANTS = ("run", "dst", "imd", "u_route", "u_rank")
 
     offsets: List[int]  # [c1 - c0 + 1] per-cycle row bounds
     run: "np.ndarray"  # [N] int32
-    router: "np.ndarray"  # [N] int32 injection router
+    router: "np.ndarray"  # [N] int32 injection router (injections only)
     dst: "np.ndarray"  # [N] int32 destination terminal
-    imd: "np.ndarray"  # [N] int32 Valiant intermediate
-    u_route: "np.ndarray"  # [N, ucols] float32 adaptive tie-breaks
+    imd: Optional["np.ndarray"]  # [N] int32 Valiant intermediate
+    u_route: Optional["np.ndarray"]  # [N, ucols] f32 adaptive tie-breaks
     u_rank: "np.ndarray"  # [N, ucols] float32 FIFO/wave ranks
 
 
@@ -611,11 +629,10 @@ class _Scratch:
     counters are surfaced through ``BatchRunResult.stats`` so the
     benchmark can assert the allocation pass actually holds."""
 
-    __slots__ = ("_bufs", "_arange", "allocs", "reuses")
+    __slots__ = ("_bufs", "allocs", "reuses")
 
     def __init__(self) -> None:
         self._bufs: Dict[str, "np.ndarray"] = {}
-        self._arange: Optional["np.ndarray"] = None
         self.allocs = 0
         self.reuses = 0
 
@@ -630,16 +647,6 @@ class _Scratch:
         else:
             self.reuses += 1
         return buf[:n]
-
-    def arange(self, n: int) -> "np.ndarray":
-        a = self._arange
-        if a is None or a.size < n:
-            cap = max(64, n, 0 if a is None else 2 * a.size)
-            self._arange = a = np.arange(cap, dtype=np.int64)
-            self.allocs += 1
-        else:
-            self.reuses += 1
-        return a[:n]
 
 
 class _RunState:
@@ -678,7 +685,9 @@ class _RunState:
         for b, gen in enumerate(self.gens):
             self.next_inj[b] = -1 + gen.geometric(self.rates[b], size=T)
 
-        # In-flight event calendar: cycle -> list of array blocks.
+        # In-flight event calendar: cycle -> list of ``(id, router,
+        # born, hops, mode)`` array blocks, ``id`` a row of the chunk's
+        # draws.
         self.cal: Dict[int, list] = {}
         self.scratch = _Scratch()
 
@@ -924,15 +933,22 @@ class BatchBackend:
         # chunk, never per cycle.
         predraw_s = step_s = 0.0
         t = 0
+        draws = None
         while not state.done.all():
             mark = time.perf_counter()
-            draws = self._predraw_chunk(state, t, t + INJECTION_CHUNK)
+            carry = self._carry_in_flight(state.cal, draws)
+            # Free this chunk's draws before the next chunk is drawn.
+            del draws
+            draws = self._predraw_chunk(
+                state, t, t + INJECTION_CHUNK, carry
+            )
+            del carry
             split = time.perf_counter()
             t = self._step_until(state, draws, t, t + INJECTION_CHUNK)
             predraw_s += split - mark
             step_s += time.perf_counter() - split
-            # Free this chunk's draws before the next chunk is drawn.
-            del draws
+        # Finalize reads no draws.
+        del draws
 
         mark = time.perf_counter()
         wall = mark - started
@@ -964,12 +980,19 @@ class BatchBackend:
         prog = self.program
         cfg = self.config
         B, C, Q = state.B, state.C, state.Q
+        ucols = state.ucols
         warmup, end = state.warmup, state.end
         next_free = state.next_free
         period_flat = state.period_flat
         occ_grace = state.occ_grace
         done = state.done
         nonmin = prog.kind != "table"
+        # Flat views: a packet's hop-``h`` uniform is cell ``id * ucols
+        # + h`` (``hops`` never exceeds ``hmax = ucols - 1``).
+        u_rank_cells = draws.u_rank.reshape(-1)
+        u_route_cells = (
+            draws.u_route.reshape(-1) if prog.adaptive else None
+        )
 
         t = c0
         while t < c1:
@@ -980,51 +1003,44 @@ class BatchBackend:
 
             if blocks:
                 if len(blocks) == 1:
-                    (run, router, dst, born, hops, imd, mode, u_route,
-                     u_rank) = blocks[0]
-                    m = run.size
+                    ids, router, born, hops, mode = blocks[0]
+                    m = ids.size
                 else:
                     m = sum(blk[0].size for blk in blocks)
-                    run = np.concatenate(
+                    ids = np.concatenate(
                         [blk[0] for blk in blocks],
-                        out=scratch.get("run", m, np.int32),
+                        out=scratch.get("ids", m, np.int64),
                     )
                     router = np.concatenate(
                         [blk[1] for blk in blocks],
                         out=scratch.get("router", m, np.int32),
                     )
-                    dst = np.concatenate(
-                        [blk[2] for blk in blocks],
-                        out=scratch.get("dst", m, np.int32),
-                    )
                     born = np.concatenate(
-                        [blk[3] for blk in blocks],
+                        [blk[2] for blk in blocks],
                         out=scratch.get("born", m, np.int64),
                     )
                     hops = np.concatenate(
-                        [blk[4] for blk in blocks],
+                        [blk[3] for blk in blocks],
                         out=scratch.get("hops", m, np.int16),
                     )
-                    imd = np.concatenate(
-                        [blk[5] for blk in blocks],
-                        out=scratch.get("imd", m, np.int32),
-                    )
                     mode = np.concatenate(
-                        [blk[6] for blk in blocks],
+                        [blk[4] for blk in blocks],
                         out=scratch.get("mode", m, np.int8),
                     )
-                    u_route = np.concatenate(
-                        [blk[7] for blk in blocks],
-                        out=scratch.get(
-                            "u_route", m, np.float32, cols=state.ucols
-                        ),
-                    )
-                    u_rank = np.concatenate(
-                        [blk[8] for blk in blocks],
-                        out=scratch.get(
-                            "u_rank", m, np.float32, cols=state.ucols
-                        ),
-                    )
+                # Only the constants this program reads, each gathered
+                # once: a packet's uniforms at its current hop count.
+                run = draws.run[ids]
+                dst = draws.dst[ids]
+                imd = draws.imd[ids] if nonmin else None
+                cell = np.multiply(
+                    ids, ucols, out=scratch.get("cell", m, np.int64)
+                )
+                cell += hops
+                u_rank = u_rank_cells[cell]
+                u_route = (
+                    u_route_cells[cell] if u_route_cells is not None
+                    else None
+                )
                 state.n_events += np.bincount(run, minlength=B)
 
                 ej = prog.ej_router[dst] == router
@@ -1045,15 +1061,15 @@ class BatchBackend:
                 q[ej] = run[ej].astype(np.int64) * Q + C + dst[ej]
                 if fwd.size:
                     chan = self._route(
-                        run, router, dst, hops, imd, mode, u_route,
-                        u_rank, fwd, next_free, Q, t, occ_grace,
+                        run, router, dst, imd, mode, u_route, u_rank, fwd,
+                        next_free, Q, t, occ_grace,
                     )
                     state.n_routes += np.bincount(run[fwd], minlength=B)
                     q[fwd] = run[fwd].astype(np.int64) * Q + chan
 
                 dep = _serve_fifo(
-                    q, u_rank[scratch.arange(m), hops], t, next_free,
-                    period_flat, scratch.get("dep", m, np.int64),
+                    q, u_rank, t, next_free, period_flat,
+                    scratch.get("dep", m, np.int64),
                 )
 
                 if ej.size:
@@ -1070,9 +1086,8 @@ class BatchBackend:
                     next_hops += 1
                     self._push(
                         state.cal, dep[src] + cfg.channel_latency, (
-                            run[src], prog.channel_dst[chan[by_arrival]],
-                            dst[src], born[src], next_hops, imd[src],
-                            mode[src], u_route[src], u_rank[src],
+                            ids[src], prog.channel_dst[chan[by_arrival]],
+                            born[src], next_hops, mode[src],
                         ),
                     )
 
@@ -1107,35 +1122,28 @@ class BatchBackend:
 
     def _injections(self, state: _RunState, draws: _ChunkDraws, k: int,
                     t: int):
-        """Cycle ``t``'s injection block: rows ``offsets[k] :
-        offsets[k + 1]`` of ``draws``, less the runs already done,
-        born at ``t`` with 0 hops in the program's birth mode; ``None``
-        when no live run injects.  Counts the packets created."""
+        """Cycle ``t``'s injection block: the ids ``offsets[k] :
+        offsets[k + 1]`` of ``draws``, less the runs already done, at
+        their injection routers, born at ``t`` with 0 hops in the
+        program's birth mode; ``None`` when no live run injects.  Counts
+        the packets created."""
         lo = draws.offsets[k]
         hi = draws.offsets[k + 1]
         if hi == lo:
             return None
         runs = draws.run[lo:hi]
+        ids = np.arange(lo, hi)
+        router = draws.router[lo:hi]
         dmask = state.done[runs]
-        if not dmask.any():
-            run = runs
-            router = draws.router[lo:hi]
-            dst = draws.dst[lo:hi]
-            imd = draws.imd[lo:hi]
-            u_route = draws.u_route[lo:hi]
-            u_rank = draws.u_rank[lo:hi]
-        else:
+        if dmask.any():
             keep = ~dmask
-            run = runs[keep]
-            router = draws.router[lo:hi][keep]
-            dst = draws.dst[lo:hi][keep]
-            imd = draws.imd[lo:hi][keep]
-            u_route = draws.u_route[lo:hi][keep]
-            u_rank = draws.u_rank[lo:hi][keep]
-        n = run.size
+            runs = runs[keep]
+            ids = ids[keep]
+            router = router[keep]
+        n = ids.size
         if not n:
             return None
-        counts = np.bincount(run, minlength=state.B)
+        counts = np.bincount(runs, minlength=state.B)
         state.created += counts
         if state.warmup <= t < state.end:
             state.labeled_created += counts
@@ -1148,15 +1156,37 @@ class BatchBackend:
         # fresh fill every cycle.
         mode = scratch.get("i_mode", n, np.int8)
         mode[:] = self.program.mode0
-        return run, router, dst, born, hops, imd, mode, u_route, u_rank
+        return ids, router, born, hops, mode
+
+    @staticmethod
+    def _carry_in_flight(cal, draws: Optional[_ChunkDraws]):
+        """The per-packet constants of every packet still in flight
+        at the end of the chunk ``draws``, as ``{column: rows}`` in id
+        order (``None`` before the first chunk or with nothing in
+        flight).  Remaps the calendar's ids in place to those rows'
+        positions, which become the head rows of the next chunk's
+        draws."""
+        blocks = [blk for filed in cal.values() for blk in filed]
+        if not blocks:
+            return None
+        kept = np.unique(np.concatenate([blk[0] for blk in blocks]))
+        for blk in blocks:
+            blk[0][:] = np.searchsorted(kept, blk[0])
+        carry = {}
+        for name in _ChunkDraws.CONSTANTS:
+            column = getattr(draws, name)
+            if column is not None:
+                carry[name] = column[kept]
+        return carry
 
     # ------------------------------------------------------------------
     # The predraw pass (all randomness lives here)
     # ------------------------------------------------------------------
-    def _predraw_chunk(self, state: _RunState, c0: int,
-                       c1: int) -> _ChunkDraws:
+    def _predraw_chunk(self, state: _RunState, c0: int, c1: int,
+                       carry) -> _ChunkDraws:
         """Draw every live run's injections with cycle in ``[c0, c1)``
-        into one :class:`_ChunkDraws`.
+        into one :class:`_ChunkDraws`, after the head rows ``carry``
+        (see :meth:`_carry_in_flight`; ``None`` for no head).
 
         Every run's gaps are drawn first: their per-cycle counts fix
         the rows each run's packets take in ``(cycle, run, terminal)``
@@ -1181,31 +1211,42 @@ class BatchBackend:
         per_cycle = np.array(
             [counts for _, counts, _ in timed], dtype=np.int64
         ).reshape(len(timed), span)
-        offsets = np.zeros(span + 1, dtype=np.int64)
+        head = 0 if carry is None else carry["run"].size
+        offsets = np.empty(span + 1, dtype=np.int64)
+        offsets[0] = head
         np.cumsum(per_cycle.sum(axis=0), out=offsets[1:])
+        offsets[1:] += head
         # Each run's first row in each cycle: the cycle's first row plus
         # the packets of the runs before it.
         first = offsets[:-1] + (np.cumsum(per_cycle, axis=0) - per_cycle)
         n = int(offsets[-1])
         ucols = state.ucols
-        runs = np.array([b for b, _, _ in timed], dtype=np.int32)
+        prog = self.program
         draws = _ChunkDraws(
             offsets=offsets.tolist(),
-            # Each cycle lists the drawing runs in order, each once per
-            # packet.
-            run=np.repeat(np.tile(runs, span), per_cycle.T.ravel()),
+            run=np.empty(n, dtype=np.int32),
             router=np.empty(n, dtype=np.int32),
             dst=np.empty(n, dtype=np.int32),
-            imd=np.zeros(n, dtype=np.int32),
-            u_route=np.zeros((n, ucols), dtype=np.float32),
+            imd=(
+                np.empty(n, dtype=np.int32) if prog.kind != "table"
+                else None
+            ),
+            u_route=(
+                np.empty((n, ucols), dtype=np.float32) if prog.adaptive
+                else None
+            ),
             u_rank=np.empty((n, ucols), dtype=np.float32),
         )
+        if carry is not None:
+            for name, rows in carry.items():
+                getattr(draws, name)[:head] = rows
         for i, (b, counts, terminals) in enumerate(timed):
             # The run's packets are in (cycle, terminal) order: the
             # p-th of cycle c0 + k goes to row first[i, k] + p.
             rows = np.repeat(first[i] - (np.cumsum(counts) - counts), counts)
             rows += np.arange(terminals.size)
-            draws.router[rows] = self.program.inj_router[terminals]
+            draws.run[rows] = b
+            draws.router[rows] = prog.inj_router[terminals]
             self._draw_run_values(state.gens[b], terminals, draws, rows)
         return draws
 
@@ -1259,9 +1300,8 @@ class BatchBackend:
         """Draw the per-packet values of one run's injections from
         ``terminals`` into ``rows`` of ``draws``, from the run's own
         generator in this order: destinations, adaptive tie-break
-        uniforms (adaptive algorithms; zeros otherwise), FIFO/wave rank
-        uniforms, Valiant intermediates (non-minimal algorithms; zeros
-        otherwise)."""
+        uniforms (adaptive algorithms only), FIFO/wave rank uniforms,
+        Valiant intermediates (non-minimal algorithms only)."""
         prog = self.program
         n = terminals.size
         ucols = draws.u_rank.shape[1]
@@ -1278,21 +1318,24 @@ class BatchBackend:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _route(self, run, router, dst, hops, imd, mode, u_route, u_rank,
-               fwd, next_free, Q, t, occ_grace):
-        """Channel choice for the forwarded events ``fwd``."""
+    def _route(self, run, router, dst, imd, mode, u_route, u_rank, fwd,
+               next_free, Q, t, occ_grace):
+        """Channel choice for the forwarded events ``fwd``.  Every
+        argument before ``fwd`` is one value per event of the cycle;
+        ``u_route``/``u_rank`` hold each event's uniforms at its
+        current hop count."""
         if self.program.kind == "table":
             return self._route_table(
-                run, router, dst, hops, u_route, u_rank, fwd, next_free,
-                Q, t, occ_grace,
+                run, router, dst, u_route, u_rank, fwd, next_free, Q, t,
+                occ_grace,
             )
         return self._route_nonminimal(
-            run, router, dst, hops, imd, mode, u_route, u_rank, fwd,
-            next_free, Q, t, occ_grace,
+            run, router, dst, imd, mode, u_route, u_rank, fwd, next_free,
+            Q, t, occ_grace,
         )
 
-    def _pick_table(self, run, router, dst, hops, u_route, sel, next_free,
-                    Q, t, occ_grace, debit_arr):
+    def _pick_table(self, run, router, dst, u_route, sel, next_free, Q, t,
+                    occ_grace, debit_arr):
         """Table-candidate channel choice for the events ``sel``: the
         single candidate, or (adaptive) a uniform draw among the
         minimum-occupancy candidates — the vectorized twin of
@@ -1312,7 +1355,7 @@ class BatchBackend:
         if debit_arr is not None:
             occ += np.where(valid, debit_arr[qidx], 0)
         occ[~valid] = _OCC_INF
-        u = u_route[sel, hops[sel]]
+        u = u_route[sel]
         mn = occ.min(axis=1, keepdims=True)
         tied = occ == mn
         ties = tied.sum(axis=1)
@@ -1321,15 +1364,15 @@ class BatchBackend:
         choice = (tied & (pos == j[:, None])).argmax(axis=1)
         return cands[np.arange(sel.size), choice].astype(np.int64)
 
-    def _waves(self, run, router, hops, u_rank, fwd):
+    def _waves(self, run, router, u_rank, fwd):
         """Rank the events ``fwd`` within their ``(run, router)`` group
         by their pre-drawn per-run uniform: the wave number emulates the
         order a sequential allocator would serve same-cycle decisions
         in, randomly yet batch-composition independently."""
         group = run[fwd].astype(np.int64) * self.program.R + router[fwd]
-        return _segment_ranks(group, u_rank[fwd, hops[fwd]])[0]
+        return _segment_ranks(group, u_rank[fwd])[0]
 
-    def _route_table(self, run, router, dst, hops, u_route, u_rank, fwd,
+    def _route_table(self, run, router, dst, u_route, u_rank, fwd,
                      next_free, Q, t, occ_grace):
         """Table-program routing (DOR / dest-tag / MIN AD /
         clos-adaptive).
@@ -1350,14 +1393,14 @@ class BatchBackend:
             or prog.cand.shape[2] == 1
         ):
             return self._pick_table(
-                run, router, dst, hops, u_route, fwd, next_free, Q, t,
+                run, router, dst, u_route, fwd, next_free, Q, t,
                 occ_grace, None,
             )
-        wave_of = self._waves(run, router, hops, u_rank, fwd)
+        wave_of = self._waves(run, router, u_rank, fwd)
         wmax = int(wave_of.max())
         if wmax == 0:
             return self._pick_table(
-                run, router, dst, hops, u_route, fwd, next_free, Q, t,
+                run, router, dst, u_route, fwd, next_free, Q, t,
                 occ_grace, None,
             )
         chan = np.empty(fwd.size, dtype=np.int64)
@@ -1367,8 +1410,8 @@ class BatchBackend:
         for w in range(wmax + 1):
             sel_local = np.flatnonzero(wave_of == w)
             picked = self._pick_table(
-                run, router, dst, hops, u_route, fwd[sel_local],
-                next_free, Q, t, occ_grace, debit_arr,
+                run, router, dst, u_route, fwd[sel_local], next_free, Q,
+                t, occ_grace, debit_arr,
             )
             chan[sel_local] = picked
             debit_arr[runs64[sel_local] * Q + picked] += period
@@ -1417,8 +1460,8 @@ class BatchBackend:
         minimal = degen | (q_min * h_min <= q_val * h_val + prog.threshold)
         mode[sel] = np.where(minimal, MODE_TABLE, MODE_VAL0).astype(np.int8)
 
-    def _modal_channels(self, run, router, dst, hops, imd, mode, u_route,
-                        sel, next_free, Q, t, occ_grace, debit_arr):
+    def _modal_channels(self, run, router, dst, imd, mode, u_route, sel,
+                        next_free, Q, t, occ_grace, debit_arr):
         """Channel choice for the (decided) events ``sel`` by mode:
         phase-0 packets take the DOR hop toward their intermediate,
         phase-1 packets the DOR hop toward their destination, and
@@ -1437,14 +1480,13 @@ class BatchBackend:
         tb = md == MODE_TABLE
         if tb.any():
             chan[tb] = self._pick_table(
-                run, router, dst, hops, u_route, sel[tb], next_free, Q,
-                t, occ_grace, debit_arr,
+                run, router, dst, u_route, sel[tb], next_free, Q, t,
+                occ_grace, debit_arr,
             )
         return chan
 
-    def _route_nonminimal(self, run, router, dst, hops, imd, mode,
-                          u_route, u_rank, fwd, next_free, Q, t,
-                          occ_grace):
+    def _route_nonminimal(self, run, router, dst, imd, mode, u_route,
+                          u_rank, fwd, next_free, Q, t, occ_grace):
         """VAL / UGAL routing: decide the undecided, then route by mode.
 
         UGAL-S wraps both steps in the wave-ranked sequential emulation
@@ -1460,10 +1502,10 @@ class BatchBackend:
                     self._decide(run, router, dst, imd, mode, und,
                                  next_free, Q, t, occ_grace, None)
             return self._modal_channels(
-                run, router, dst, hops, imd, mode, u_route, fwd,
-                next_free, Q, t, occ_grace, None,
+                run, router, dst, imd, mode, u_route, fwd, next_free, Q,
+                t, occ_grace, None,
             )
-        wave_of = self._waves(run, router, hops, u_rank, fwd)
+        wave_of = self._waves(run, router, u_rank, fwd)
         wmax = int(wave_of.max())
         if wmax == 0:
             und = fwd[mode[fwd] == MODE_UNDEC]
@@ -1471,8 +1513,8 @@ class BatchBackend:
                 self._decide(run, router, dst, imd, mode, und, next_free,
                              Q, t, occ_grace, None)
             return self._modal_channels(
-                run, router, dst, hops, imd, mode, u_route, fwd,
-                next_free, Q, t, occ_grace, None,
+                run, router, dst, imd, mode, u_route, fwd, next_free, Q,
+                t, occ_grace, None,
             )
         chan = np.empty(fwd.size, dtype=np.int64)
         debit_arr = np.zeros(next_free.size, dtype=np.int64)
@@ -1486,8 +1528,8 @@ class BatchBackend:
                 self._decide(run, router, dst, imd, mode, und, next_free,
                              Q, t, occ_grace, debit_arr)
             picked = self._modal_channels(
-                run, router, dst, hops, imd, mode, u_route, sel,
-                next_free, Q, t, occ_grace, debit_arr,
+                run, router, dst, imd, mode, u_route, sel, next_free, Q,
+                t, occ_grace, debit_arr,
             )
             chan[sel_local] = picked
             debit_arr[runs64[sel_local] * Q + picked] += period

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -110,12 +111,31 @@ def clear_warm_cache() -> None:
     _warm_topologies.clear()
 
 
-def init_worker(warm: Optional[bool]) -> None:
+#: Seconds between a pool worker's checks that its parent still lives.
+_ORPHAN_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    """Exit the worker once it is reparented, i.e. once the sweep
+    process that owns its pool has died without shutting it down
+    (SIGKILL, ``os._exit``, the OOM killer)."""
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
+
+def init_worker(warm: Optional[bool], parent_pid: int) -> None:
     """Pool initializer: pin warm mode and zero the construction
     counters so every worker reports totals since its own start
-    (forked workers otherwise inherit the parent's counts)."""
+    (forked workers otherwise inherit the parent's counts).  A daemon
+    thread ends the worker if ``parent_pid``, the pool's owner, dies:
+    a pool worker never outlives the sweep it serves."""
     global _warm_override, _sim_builds_value, _topology_builds_value
     global _warm_hits_value
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent_pid,), daemon=True,
+        name="orphan-watch",
+    ).start()
     _warm_override = warm if warm is None else bool(warm)
     with _counter_lock:
         _sim_builds_value = 0

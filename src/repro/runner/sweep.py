@@ -294,7 +294,7 @@ class SweepRunner:
         return ProcessPoolExecutor(
             max_workers=workers,
             initializer=init_worker,
-            initargs=(self.warm,),
+            initargs=(self.warm, os.getpid()),
         )
 
     def worker_budget(self) -> int:

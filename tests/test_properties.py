@@ -547,9 +547,30 @@ def _reference_draws(backend, state, c0, c1):
     return [col[order] for col in cols], next_inj
 
 
+def _assert_columns_match(backend, draws, rows, dst, imd, u_route, u_rank):
+    """``draws`` at ``rows`` equals the reference columns, and the
+    columns the program never reads are not allocated."""
+    import numpy as np
+
+    prog = backend.program
+    refs = {"dst": dst, "u_rank": u_rank}
+    if prog.kind != "table":
+        refs["imd"] = imd
+    else:
+        assert draws.imd is None
+    if prog.adaptive:
+        refs["u_route"] = u_route
+    else:
+        assert draws.u_route is None
+    for name, ref in refs.items():
+        assert np.array_equal(getattr(draws, name)[rows], ref), name
+
+
 @settings(max_examples=20, deadline=None)
 @given(
-    algorithm_cls=st.sampled_from([MinimalAdaptive, UGAL]),
+    algorithm_cls=st.sampled_from(
+        [MinimalAdaptive, UGAL, DimensionOrder, Valiant]
+    ),
     runs=st.integers(min_value=1, max_value=4),
     rate=st.sampled_from([0.02, 0.3, 1.0]),
     blocky=st.booleans(),
@@ -560,7 +581,8 @@ def test_predraw_layout_matches_lexsort(algorithm_cls, runs, rate, blocky,
     """Two predraw chunks, each run's values drawn straight into its
     rows, equal the same draws laid out by ``lexsort((terminal, run,
     cycle))``, multi-block draws included: so each run's rows hold its
-    draws in ``lexsort((terminal, cycle))`` order."""
+    draws in ``lexsort((terminal, cycle))`` order.  Only the columns
+    the program reads exist."""
     np = pytest.importorskip("numpy")
     from repro.network import batch as batch_module
 
@@ -577,7 +599,7 @@ def test_predraw_layout_matches_lexsort(algorithm_cls, runs, rate, blocky,
         c1 = c0 + INJECTION_CHUNK
         want, next_inj = _reference_draws(backend, state, c0, c1)
         b_all, t_all, j_all, dst, imd, u_route, u_rank = want
-        draws = backend._predraw_chunk(state, c0, c1)
+        draws = backend._predraw_chunk(state, c0, c1, None)
         assert np.array_equal(state.next_inj, next_inj)
         assert draws.offsets == np.searchsorted(
             t_all, np.arange(c0, c1 + 1)
@@ -586,9 +608,9 @@ def test_predraw_layout_matches_lexsort(algorithm_cls, runs, rate, blocky,
         assert np.array_equal(
             draws.router, backend.program.inj_router[j_all]
         )
-        for got, ref in ((draws.dst, dst), (draws.imd, imd),
-                         (draws.u_route, u_route), (draws.u_rank, u_rank)):
-            assert np.array_equal(got, ref)
+        _assert_columns_match(
+            backend, draws, slice(None), dst, imd, u_route, u_rank
+        )
 
 
 @pytest.mark.parametrize("algorithm_cls", [MinimalAdaptive, UGAL])
@@ -596,7 +618,8 @@ def test_step_injections_match_merged_layout(algorithm_cls):
     """Each cycle's injection block, as the step files it, equals that
     cycle's slice of the chunk merged by ``lexsort((terminal, run,
     cycle))``, minus the runs already done; runs at different loads
-    finish at different cycles inside the chunk."""
+    finish at different cycles inside the chunk.  The block files each
+    packet's id, and the draws' row at that id holds its constants."""
     np = pytest.importorskip("numpy")
     from repro.network import batch as batch_module
 
@@ -622,7 +645,7 @@ def test_step_injections_match_merged_layout(algorithm_cls):
         return block
 
     backend._injections = spy
-    draws = backend._predraw_chunk(state, c0, c1)
+    draws = backend._predraw_chunk(state, c0, c1, None)
     stop = backend._step_until(state, draws, c0, c1)
     assert state.done.all() and stop < c1
     assert sorted(filed) == list(range(c0, stop))
@@ -635,18 +658,64 @@ def test_step_injections_match_merged_layout(algorithm_cls):
         if not keep.any():
             assert got is None
             continue
-        run, router, g_dst, born, hops, g_imd, mode, g_ur, g_uk = got
-        assert np.array_equal(run, b_all[keep])
+        ids, router, born, hops, mode = got
+        assert np.array_equal(draws.run[ids], b_all[keep])
         assert np.array_equal(
             router, backend.program.inj_router[j_all[keep]]
         )
-        for g, ref in ((g_dst, dst), (g_imd, imd), (g_ur, u_route),
-                       (g_uk, u_rank)):
-            assert np.array_equal(g, ref[keep])
+        _assert_columns_match(
+            backend, draws, ids, dst[keep], imd[keep], u_route[keep],
+            u_rank[keep],
+        )
         assert (born == t).all() and (hops == 0).all()
         assert (mode == backend.program.mode0).all()
     # Some run finished while others still ran, with draws left over.
     assert dropped > 0
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    algorithm_cls=st.sampled_from(
+        [MinimalAdaptive, UGAL, DimensionOrder, Valiant]
+    ),
+    rate=st.sampled_from([0.3, 0.7, 1.0]),
+    seed=st.integers(min_value=0, max_value=99),
+)
+def test_chunk_carry_keeps_in_flight_constants(algorithm_cls, rate, seed):
+    """At a chunk boundary the packets still in flight move to the head
+    of the next chunk's draws: after the calendar's ids are remapped,
+    each one reads the same constants as before, and the head holds
+    exactly the rows the calendar still references."""
+    np = pytest.importorskip("numpy")
+    from repro.network import batch as batch_module
+
+    backend = batch_module.BatchBackend(
+        FlattenedButterfly(4, 2), algorithm_cls(), UniformRandom()
+    )
+    state = batch_module._RunState(
+        backend, np.full(3, rate), [seed, seed + 1, seed + 2],
+        warmup=300, measure=300, drain_max=3000, drain=True,
+    )
+    c0, c1 = 0, INJECTION_CHUNK
+    draws = backend._predraw_chunk(state, c0, c1, None)
+    assert backend._step_until(state, draws, c0, c1) == c1
+    blocks = [blk for filed in state.cal.values() for blk in filed]
+    assert blocks and min(state.cal) >= c1
+    names = [name for name in batch_module._ChunkDraws.CONSTANTS
+             if getattr(draws, name) is not None]
+    before = [{name: getattr(draws, name)[blk[0]] for name in names}
+              for blk in blocks]
+
+    carry = backend._carry_in_flight(state.cal, draws)
+    assert list(carry) == names
+    head = carry["run"].size
+    nxt = backend._predraw_chunk(state, c1, c1 + INJECTION_CHUNK, carry)
+    assert nxt.offsets[0] == head
+    referenced = np.concatenate([blk[0] for blk in blocks])
+    assert np.array_equal(np.unique(referenced), np.arange(head))
+    for blk, want in zip(blocks, before):
+        for name in names:
+            assert np.array_equal(getattr(nxt, name)[blk[0]], want[name])
 
 
 def _summary_fields(summary):

@@ -564,14 +564,25 @@ class TestBrokenPoolRecovery:
 # ----------------------------------------------------------------------
 # Kill-and-resume: the result cache is the sweep's checkpoint
 # ----------------------------------------------------------------------
+def _group_alive(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestKillAndResume:
     DIE_AFTER = 2
+    #: Seconds the driver's pool workers get to notice it died.
+    ORPHAN_GRACE_S = 10.0
 
     def _run_killed_sweep(self, cache_dir):
         """Run ``tests._sweep_driver`` (a ``jobs=2`` sweep that
         ``os._exit``s after ``DIE_AFTER`` results) and return its exit
-        status.  The driver gets its own session so that any pool
-        worker outliving it is killed with it."""
+        status and whether any process of its session outlived it by
+        ``ORPHAN_GRACE_S``.  The driver gets its own session, so a
+        leftover pool worker is found, and then killed with it."""
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join(
@@ -585,7 +596,11 @@ class TestKillAndResume:
             cwd=REPO_ROOT, env=env, start_new_session=True,
         )
         try:
-            return proc.wait(timeout=180)
+            status = proc.wait(timeout=180)
+            deadline = time.monotonic() + self.ORPHAN_GRACE_S
+            while _group_alive(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            return status, _group_alive(proc.pid)
         finally:
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
@@ -595,7 +610,10 @@ class TestKillAndResume:
 
     def test_killed_sweep_reruns_only_cache_misses(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        assert self._run_killed_sweep(cache_dir) == KILLED_STATUS
+        status, orphans_left = self._run_killed_sweep(cache_dir)
+        assert status == KILLED_STATUS
+        # The pool workers exit once their sweep process is gone.
+        assert not orphans_left
         jobs = curve_jobs()
         # Each result is stored before its progress tick, so exactly
         # the results that arrived before the kill survive, untorn.
