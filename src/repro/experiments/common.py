@@ -228,9 +228,7 @@ def latency_load_curve(
     the returned list stays bit-identical to the serial sweep; only
     points *past* the knee (which both modes discard) are avoided.
     Ignored when ``stop_after_saturation`` is off (every point is
-    needed then, so the full grid is already optimal) and when the
-    runner has adaptive scheduling disabled (``adaptive=False``
-    restores the PR-4 full speculative grid).
+    needed then, so the full grid is already optimal).
     """
     if (
         isinstance(make_simulator, SimSpec)
@@ -238,12 +236,7 @@ def latency_load_curve(
         and runner.jobs > 1
         and len(loads) > 1
     ):
-        if (
-            refine is not None
-            and refine >= 2
-            and stop_after_saturation
-            and runner.adaptive
-        ):
+        if refine is not None and refine >= 2 and stop_after_saturation:
             return _refined_curve(
                 make_simulator, loads, warmup, measure, drain_max,
                 runner, refine,

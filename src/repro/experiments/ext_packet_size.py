@@ -14,13 +14,24 @@ from __future__ import annotations
 from ..core import ClosAD, MinimalAdaptive
 from ..core.flattened_butterfly import FlattenedButterfly
 from ..network import SimulationConfig, Simulator
+from ..runner import SaturationJob, SimSpec, execute_job
 from ..traffic import UniformRandom, adversarial
 from .common import ExperimentResult, Table, resolve_scale
 
 PACKET_SIZES = (1, 2, 4)
 
 
-def run(scale=None) -> ExperimentResult:
+def _make(topology, algorithm_cls, pattern_factory,
+          packet_size: int) -> Simulator:
+    return Simulator(
+        topology,
+        algorithm_cls(),
+        pattern_factory(),
+        SimulationConfig(seed=1, packet_size=packet_size),
+    )
+
+
+def run(scale=None, runner=None) -> ExperimentResult:
     scale = resolve_scale(scale)
     k = scale.fb_k
     table = Table(
@@ -30,19 +41,25 @@ def run(scale=None) -> ExperimentResult:
             "MIN AD, WC", "CLOS AD, WC", "WC advantage",
         ],
     )
+    jobs = [
+        SaturationJob(
+            SimSpec.of(
+                _make, algorithm_cls, pattern_factory, size
+            ).with_topology(FlattenedButterfly, k, 2),
+            scale.warmup,
+            scale.measure,
+        )
+        for size in PACKET_SIZES
+        for pattern_factory in (UniformRandom, adversarial)
+        for algorithm_cls in (MinimalAdaptive, ClosAD)
+    ]
+    if runner is not None:
+        outcomes = runner.map(jobs)
+    else:
+        outcomes = [execute_job(job) for job in jobs]
+    point = iter(outcomes)
     for size in PACKET_SIZES:
-        row = [size]
-        for pattern_factory in (UniformRandom, adversarial):
-            for algorithm_cls in (MinimalAdaptive, ClosAD):
-                sim = Simulator(
-                    FlattenedButterfly(k, 2),
-                    algorithm_cls(),
-                    pattern_factory(),
-                    SimulationConfig(seed=1, packet_size=size),
-                )
-                row.append(
-                    sim.measure_saturation_throughput(scale.warmup, scale.measure)
-                )
+        row = [size] + [next(point) for _ in range(4)]
         advantage = row[4] / row[3] if row[3] else float("inf")
         table.add(row[0], row[1], row[2], row[3], row[4], f"{advantage:.1f}x")
     result = ExperimentResult(

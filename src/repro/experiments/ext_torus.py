@@ -13,6 +13,7 @@ from ..core import ClosAD
 from ..core.flattened_butterfly import FlattenedButterfly
 from ..cost import flattened_butterfly_census, price_census, torus_census
 from ..network import SimulationConfig, Simulator
+from ..runner import OpenLoopJob, SaturationJob, SimSpec, execute_job
 from ..topologies import Torus, TorusDOR
 from ..traffic import UniformRandom
 from .common import ExperimentResult, Table, resolve_scale
@@ -20,39 +21,43 @@ from .common import ExperimentResult, Table, resolve_scale
 TORUS_DIMS = {4: (4, 4), 8: (4, 4, 4), 32: (16, 8, 8)}
 
 
-def run(scale=None) -> ExperimentResult:
+def _make(topology, algorithm_cls) -> Simulator:
+    return Simulator(
+        topology, algorithm_cls(), UniformRandom(), SimulationConfig(seed=3)
+    )
+
+
+def run(scale=None, runner=None) -> ExperimentResult:
     scale = resolve_scale(scale)
     n = scale.fb_k**2
     torus_dims = TORUS_DIMS.get(scale.fb_k)
     if torus_dims is None:
         raise ValueError(f"no torus shape configured for k={scale.fb_k}")
     systems = [
-        ("torus", Torus(torus_dims), TorusDOR),
-        ("flattened butterfly", FlattenedButterfly(scale.fb_k, 2), ClosAD),
+        ("torus", Torus, (torus_dims,), TorusDOR),
+        ("flattened butterfly", FlattenedButterfly, (scale.fb_k, 2), ClosAD),
     ]
 
     perf = Table(
         title="performance (uniform random)",
         headers=["network", "radix", "diameter", "latency @0.1", "saturation"],
     )
-    for name, topology, algorithm_cls in systems:
-        low = Simulator(
-            type(topology)(torus_dims) if name == "torus"
-            else FlattenedButterfly(scale.fb_k, 2),
-            algorithm_cls(),
-            UniformRandom(),
-            SimulationConfig(seed=3),
-        ).run_open_loop(
-            0.1, warmup=scale.warmup, measure=scale.measure,
-            drain_max=scale.drain_max,
+    jobs = []
+    for _name, topology_cls, args, algorithm_cls in systems:
+        spec = SimSpec.of(_make, algorithm_cls).with_topology(
+            topology_cls, *args
         )
-        sat = Simulator(
-            type(topology)(torus_dims) if name == "torus"
-            else FlattenedButterfly(scale.fb_k, 2),
-            algorithm_cls(),
-            UniformRandom(),
-            SimulationConfig(seed=3),
-        ).measure_saturation_throughput(scale.warmup, scale.measure)
+        jobs.append(OpenLoopJob(spec, 0.1, scale.warmup, scale.measure,
+                                scale.drain_max))
+        jobs.append(SaturationJob(spec, scale.warmup, scale.measure))
+    if runner is not None:
+        outcomes = runner.map(jobs)
+    else:
+        outcomes = [execute_job(job) for job in jobs]
+    point = iter(outcomes)
+    for name, topology_cls, args, _algorithm_cls in systems:
+        low, sat = next(point), next(point)
+        topology = topology_cls(*args)
         perf.add(name, topology.router_radix, topology.diameter(),
                  low.latency.mean, sat)
 

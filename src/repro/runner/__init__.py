@@ -40,9 +40,7 @@ from .jobs import (
     init_worker,
     sim_build_count,
     topology_build_count,
-    warm_enabled,
     warm_hit_count,
-    warm_override,
 )
 from .sweep import SweepReport, SweepRunner, resolve_jobs, stderr_progress
 
@@ -72,7 +70,5 @@ __all__ = [
     "sim_build_count",
     "stderr_progress",
     "topology_build_count",
-    "warm_enabled",
     "warm_hit_count",
-    "warm_override",
 ]

@@ -31,15 +31,10 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..network import Simulator
-
-#: Environment toggle for the per-process warm topology cache: set to
-#: ``"0"`` to rebuild the topology for every job (PR-4 behavior).
-WARM_ENV = "REPRO_WARM"
 
 # Per-process construction counters.  Tests and the sweep report use
 # them to prove that a cache hit builds nothing and that warm workers
@@ -53,10 +48,6 @@ _warm_hits_value = 0
 # Holding the topology alive also keeps its shared RouteTable alive in
 # repro.core.routing.table's WeakKeyDictionary.
 _warm_topologies: Dict[str, object] = {}
-
-# Tri-state override installed by the pool initializer (and by the
-# runner around in-process execution): None defers to $REPRO_WARM.
-_warm_override: Optional[bool] = None
 
 
 def _record_build() -> None:
@@ -83,31 +74,10 @@ def warm_hit_count() -> int:
     return _warm_hits_value
 
 
-def warm_enabled() -> bool:
-    """Whether the per-process topology cache is active (override from
-    the pool initializer wins, else ``$REPRO_WARM``, default on)."""
-    if _warm_override is not None:
-        return _warm_override
-    return os.environ.get(WARM_ENV, "1") != "0"
-
-
-@contextmanager
-def warm_override(enabled: Optional[bool]):
-    """Temporarily force warm mode on/off (``None`` is a no-op).  The
-    runner wraps in-process job execution with this so a cold runner
-    stays cold even when the environment default is warm."""
-    global _warm_override
-    previous = _warm_override
-    _warm_override = enabled if enabled is None else bool(enabled)
-    try:
-        yield
-    finally:
-        _warm_override = previous
-
-
 def clear_warm_cache() -> None:
-    """Drop every cached topology (test hook; never required for
-    correctness)."""
+    """Drop every cached topology, so the next job of each topology
+    builds it afresh (used to time or check cold builds; never required
+    for correctness)."""
     _warm_topologies.clear()
 
 
@@ -124,19 +94,17 @@ def _exit_when_orphaned(parent_pid: int) -> None:
     os._exit(1)
 
 
-def init_worker(warm: Optional[bool], parent_pid: int) -> None:
-    """Pool initializer: pin warm mode and zero the construction
-    counters so every worker reports totals since its own start
-    (forked workers otherwise inherit the parent's counts).  A daemon
-    thread ends the worker if ``parent_pid``, the pool's owner, dies:
-    a pool worker never outlives the sweep it serves."""
-    global _warm_override, _sim_builds_value, _topology_builds_value
-    global _warm_hits_value
+def init_worker(parent_pid: int) -> None:
+    """Pool initializer: zero the construction counters and empty the
+    topology cache, so every worker reports totals since its own start
+    (forked workers otherwise inherit the parent's counts and cache).
+    A daemon thread ends the worker if ``parent_pid``, the pool's
+    owner, dies: a pool worker never outlives the sweep it serves."""
+    global _sim_builds_value, _topology_builds_value, _warm_hits_value
     threading.Thread(
         target=_exit_when_orphaned, args=(parent_pid,), daemon=True,
         name="orphan-watch",
     ).start()
-    _warm_override = warm if warm is None else bool(warm)
     with _counter_lock:
         _sim_builds_value = 0
         _topology_builds_value = 0
@@ -165,7 +133,7 @@ def _build_topology(topo_spec: "SimSpec"):
     ``topo_spec``."""
     global _topology_builds_value, _warm_hits_value
     key = topo_spec.describe_key()
-    if key is not None and warm_enabled():
+    if key is not None:
         topology = _warm_topologies.get(key)
         if topology is not None:
             with _counter_lock:
@@ -174,7 +142,7 @@ def _build_topology(topo_spec: "SimSpec"):
     topology = topo_spec.factory(*topo_spec.args, **dict(topo_spec.kwargs))
     with _counter_lock:
         _topology_builds_value += 1
-    if key is not None and warm_enabled():
+    if key is not None:
         _warm_topologies[key] = topology
     return topology
 

@@ -9,10 +9,10 @@ Three sweep-scale mechanisms live here (all results-neutral — they
 change *when and where* a job runs, never what it computes):
 
 * **Warm workers.**  The worker pool is created once per runner and
-  reused across every ``map`` call, with an initializer that arms the
-  per-worker topology cache (see :mod:`repro.runner.jobs`): all jobs
-  whose specs share a topology sub-spec reuse one topology instance —
-  and therefore one bound
+  reused across every ``map`` call, and each worker keeps a topology
+  cache (see :mod:`repro.runner.jobs`): all jobs whose specs share a
+  topology sub-spec reuse one topology instance — and therefore one
+  bound
   :class:`~repro.core.routing.table.RouteTable` — inside each worker.
   The report's build counters prove it (``topology_builds`` stays at
   or below workers x distinct topologies).
@@ -41,10 +41,15 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from . import jobs as _jobs_module
 from .cache import ResultCache
-from .jobs import execute_chunk, execute_job, init_worker, warm_override
+from .jobs import execute_chunk, execute_job, init_worker
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
+
+#: How many times one ``map`` call may rebuild a pool that broke (a
+#: worker process was killed or died) and resubmit the lost chunks
+#: before giving up and raising ``BrokenProcessPool``.
+POOL_REBUILDS = 2
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -115,19 +120,16 @@ class SweepReport:
         self.batches += 1
 
     def note_kernel(self, stats) -> None:
-        """Fold one result's :class:`KernelStats` into the totals.
-
-        Tolerates stats records predating a field (older cached
-        results) by treating them as zero."""
+        """Fold one result's :class:`KernelStats` into the totals."""
         self.sim_cycles += stats.cycles
         self.idle_cycles_skipped += stats.idle_cycles_skipped
         self.router_phase_calls += stats.router_phase_calls
         self.events_dispatched += stats.events_dispatched
         self.sim_wall_seconds += stats.wall_seconds
-        self.route_calls += getattr(stats, "route_calls", 0)
-        self.flits_allocated += getattr(stats, "flits_allocated", 0)
-        self.flits_reused += getattr(stats, "flits_reused", 0)
-        phases = getattr(stats, "phase_seconds", None)
+        self.route_calls += stats.route_calls
+        self.flits_allocated += stats.flits_allocated
+        self.flits_reused += stats.flits_reused
+        phases = stats.phase_seconds
         if phases:
             from ..profiling import merge_phase_seconds
 
@@ -231,6 +233,12 @@ class SweepRunner:
     """Executes independent simulation jobs, optionally in parallel
     and optionally through a :class:`ResultCache`.
 
+    The worker pool persists across ``map`` calls (``close()`` or the
+    context manager shuts it down), workers reuse topologies across
+    jobs, and pending jobs are dispatched longest-expected-first in
+    chunks sized from the batch (1 for small maps, up to 8 for
+    paper-scale replica sweeps).
+
     Args:
         jobs: worker processes; ``None`` reads ``$REPRO_JOBS``
             (default 1 — fully serial, no subprocesses), ``0`` means
@@ -238,24 +246,6 @@ class SweepRunner:
         cache: a :class:`ResultCache`, or ``None`` to always execute.
         progress: optional callback ``progress(done, total, job)``
             invoked after every completed point (cache hits included).
-        warm: per-worker topology reuse (see
-            :mod:`repro.runner.jobs`); ``None`` reads ``$REPRO_WARM``
-            (default on).  ``warm=False`` rebuilds the topology for
-            every job — bit-identical results, PR-4 cost.
-        persistent: keep one worker pool alive across ``map`` calls
-            (default).  ``False`` restores the spawn-a-pool-per-map
-            behavior, which also empties each worker's topology cache
-            between maps.
-        adaptive: dispatch pending jobs longest-expected-first in small
-            chunks (default).  ``False`` submits one future per job in
-            input order.
-        chunk: jobs per worker submission under adaptive dispatch
-            (``None`` — size chosen from the batch: 1 for small maps,
-            up to 8 for paper-scale replica sweeps).
-        pool_rebuilds: how many times one ``map`` call may rebuild a
-            pool that broke (a worker process was killed or died) and
-            resubmit the lost chunks before giving up and raising
-            ``BrokenProcessPool``.
     """
 
     def __init__(
@@ -263,24 +253,10 @@ class SweepRunner:
         jobs: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         progress: Optional[Callable[[int, int, object], None]] = None,
-        warm: Optional[bool] = None,
-        persistent: bool = True,
-        adaptive: bool = True,
-        chunk: Optional[int] = None,
-        pool_rebuilds: int = 2,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.progress = progress
-        self.warm = _jobs_module.warm_enabled() if warm is None else bool(warm)
-        self.persistent = persistent
-        self.adaptive = adaptive
-        if chunk is not None and chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        self.chunk = chunk
-        if pool_rebuilds < 0:
-            raise ValueError(f"pool_rebuilds must be >= 0, got {pool_rebuilds}")
-        self.pool_rebuilds = pool_rebuilds
         self.report = SweepReport()
         self._pool: Optional[ProcessPoolExecutor] = None
         # pid -> last reported construction totals for that worker.
@@ -290,27 +266,21 @@ class SweepRunner:
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
-    def _make_pool(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=init_worker,
-            initargs=(self.warm, os.getpid()),
-        )
-
     def worker_budget(self) -> int:
-        """Worker processes the pool actually gets.  Under adaptive
-        scheduling this is capped at the machine's CPU count: the jobs
-        are pure CPU work, so extra workers only add context-switch
-        and cache-thrash overhead (``jobs`` beyond the core count made
-        a measurable sweep *slower*).  ``adaptive=False`` honors the
-        requested count verbatim, as the PR-4 runner did."""
-        if not self.adaptive:
-            return self.jobs
+        """Worker processes the pool actually gets: ``jobs`` capped at
+        the machine's CPU count.  The jobs are pure CPU work, so extra
+        workers only add context-switch and cache-thrash overhead
+        (``jobs`` beyond the core count made a measurable sweep
+        *slower*)."""
         return min(self.jobs, os.cpu_count() or self.jobs)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = self._make_pool(self.worker_budget())
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.worker_budget(),
+                initializer=init_worker,
+                initargs=(os.getpid(),),
+            )
         return self._pool
 
     def close(self) -> None:
@@ -391,13 +361,12 @@ class SweepRunner:
     def _run_local(self, jobs, pending, results, done, cacheable) -> int:
         """Execute ``pending`` in this process (serial path)."""
         before = _jobs_module.build_counters()
-        with warm_override(self.warm):
-            for i in pending:
-                results[i] = execute_job(jobs[i])
-                self._store(jobs[i], results[i], cacheable[i])
-                self._cost_model.observe(jobs[i], results[i])
-                done += 1
-                self._tick(done, len(jobs), jobs[i])
+        for i in pending:
+            results[i] = execute_job(jobs[i])
+            self._store(jobs[i], results[i], cacheable[i])
+            self._cost_model.observe(jobs[i], results[i])
+            done += 1
+            self._tick(done, len(jobs), jobs[i])
         self.report.note_builds(_diff_counters(before,
                                                _jobs_module.build_counters()))
         return done
@@ -418,12 +387,11 @@ class SweepRunner:
             local, remote = sorted(local + remote), []
 
         if remote:
-            if self.adaptive:
-                # Longest-expected-first: saturated / high-load points
-                # start immediately, so the pool never finishes its
-                # short jobs first and then waits on one straggler.
-                expected = self._cost_model.expected
-                remote.sort(key=lambda i: expected(jobs[i]), reverse=True)
+            # Longest-expected-first: saturated / high-load points
+            # start immediately, so the pool never finishes its short
+            # jobs first and then waits on one straggler.
+            expected = self._cost_model.expected
+            remote.sort(key=lambda i: expected(jobs[i]), reverse=True)
             chunk = self._chunk_size(len(remote))
             chunks = [remote[o:o + chunk]
                       for o in range(0, len(remote), chunk)]
@@ -441,62 +409,54 @@ class SweepRunner:
         sweep, the broken pool is replaced and only the chunks whose
         results never arrived are resubmitted (completed chunks keep
         their results; re-running a lost chunk is safe because jobs are
-        deterministic).  ``pool_rebuilds`` bounds the retries so a job
+        deterministic).  ``POOL_REBUILDS`` bounds the retries so a job
         that reliably kills its worker still surfaces as
         ``BrokenProcessPool`` instead of looping forever.
         """
         remaining = [list(group) for group in chunks]
         rebuilds = 0
         while remaining:
-            pool = (self._ensure_pool() if self.persistent
-                    else self._make_pool(
-                        min(self.worker_budget(),
-                            sum(len(g) for g in remaining))))
+            pool = self._ensure_pool()
             broken = False
             try:
-                try:
-                    futures = {
-                        pool.submit(execute_chunk,
-                                    [jobs[i] for i in group]): group
-                        for group in remaining
-                    }
-                except BrokenProcessPool:
-                    futures = {}
-                    broken = True
-                outstanding = set(futures)
-                while outstanding:
-                    finished, outstanding = wait(
-                        outstanding, return_when=FIRST_COMPLETED
-                    )
-                    for future in finished:
-                        try:
-                            values, counters = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            continue
-                        self._note_worker(counters)
-                        group = futures[future]
-                        for i, value in zip(group, values):
-                            results[i] = value
-                            self._store(jobs[i], value, cacheable[i])
-                            self._cost_model.observe(jobs[i], value)
-                            done += 1
-                            self._tick(done, len(jobs), jobs[i])
-                        remaining.remove(group)
-            finally:
-                if not self.persistent:
-                    pool.shutdown(wait=True)
+                futures = {
+                    pool.submit(execute_chunk,
+                                [jobs[i] for i in group]): group
+                    for group in remaining
+                }
+            except BrokenProcessPool:
+                futures = {}
+                broken = True
+            outstanding = set(futures)
+            while outstanding:
+                finished, outstanding = wait(
+                    outstanding, return_when=FIRST_COMPLETED
+                )
+                for future in finished:
+                    try:
+                        values, counters = future.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        continue
+                    self._note_worker(counters)
+                    group = futures[future]
+                    for i, value in zip(group, values):
+                        results[i] = value
+                        self._store(jobs[i], value, cacheable[i])
+                        self._cost_model.observe(jobs[i], value)
+                        done += 1
+                        self._tick(done, len(jobs), jobs[i])
+                    remaining.remove(group)
             if not broken:
                 break
             # The dead workers' counter totals are gone with their
             # pids; drop the bookkeeping so fresh workers (re)count
             # from zero, then retry the unfinished chunks.
             pool.shutdown(wait=False)
-            if self.persistent:
-                self._pool = None
+            self._pool = None
             self._worker_totals.clear()
             rebuilds += 1
-            if rebuilds > self.pool_rebuilds:
+            if rebuilds > POOL_REBUILDS:
                 raise BrokenProcessPool(
                     f"worker pool died {rebuilds} times; giving up on "
                     f"{sum(len(g) for g in remaining)} unfinished job(s)"
@@ -505,10 +465,6 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     def _chunk_size(self, n: int) -> int:
-        if self.chunk is not None:
-            return self.chunk
-        if not self.adaptive:
-            return 1
         # Aim for several chunks per worker so dynamic scheduling can
         # still balance, but never more than 8 jobs per submission.
         return max(1, min(8, n // (self.worker_budget() * 4)))

@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, resolve_scale
 from repro.experiments.common import Scale, Table
+from repro.runner import ResultCache, SweepRunner
 from repro.experiments import (
     fig02_scalability,
     fig03_ghc,
@@ -252,6 +253,17 @@ class TestSimulationExperiments:
                 1 / k, abs=0.04
             )
             assert row[headers.index("CLOS AD, WC")] > 0.4
+
+    @pytest.mark.parametrize("name", ["ext_packet_size", "ext_torus"])
+    def test_rerun_replays_from_cache(self, name, tmp_path):
+        run = ALL_EXPERIMENTS[name].run
+        runner = SweepRunner(jobs=1, cache=ResultCache(str(tmp_path)))
+        first = run(TINY, runner=runner)
+        executed = runner.report.executed
+        second = run(TINY, runner=runner)
+        assert executed > 0
+        assert runner.report.executed == executed  # the rerun ran nothing
+        assert second.tables == first.tables
 
     def test_fig12_val_constant_throughput(self):
         result = fig12_design.run(TINY)

@@ -550,15 +550,14 @@ class TestBrokenPoolRecovery:
         assert first == ["survived", 0, 1, 2, 3]
         assert second == [0, 1, 2, 3]
 
-    def test_rebuild_budget_exhausted_raises(self):
+    def test_rebuild_budget_exhausted_raises(self, monkeypatch):
+        from repro.runner import sweep
+
+        monkeypatch.setattr(sweep, "POOL_REBUILDS", 1)
         jobs = [CallableJob.of(_always_die) for _ in range(2)]
-        with SweepRunner(jobs=2, cache=None, pool_rebuilds=1) as runner:
+        with SweepRunner(jobs=2, cache=None) as runner:
             with pytest.raises(BrokenProcessPool, match="giving up"):
                 runner.map(jobs)
-
-    def test_pool_rebuilds_validated(self):
-        with pytest.raises(ValueError):
-            SweepRunner(jobs=2, pool_rebuilds=-1)
 
 
 # ----------------------------------------------------------------------
