@@ -51,12 +51,6 @@ class RoutingAlgorithm(abc.ABC):
     #: and no packet mutation.  Algorithms that may *pass through* the
     #: destination router (Valiant-phase traffic) set this False.
     inline_eject: bool = True
-    #: Whether the algorithm participates in the shared, topology-keyed
-    #: route-table layer (``repro.core.routing.table``).  The table only
-    #: memoizes pure functions of the topology, so it never changes a
-    #: decision; set False (or ``REPRO_ROUTE_TABLE=0``) to force the
-    #: uncached reference paths.
-    use_route_table: bool = True
 
     def attach(self, simulator: "Simulator") -> None:
         """Bind the algorithm to a simulator (topology, RNG).
@@ -99,13 +93,13 @@ class RoutingAlgorithm(abc.ABC):
         route-and-switch phase.
 
         Defaults to :meth:`route`.  Algorithms may override with a
-        faster implementation (e.g. memoized minimal-route candidate
-        sets or shared route-table rows), but it must be
-        *bit-identical* to :meth:`route` — the same port and VC, the
-        same packet state, and the same number and order of draws from
-        the shared route RNG.  :meth:`route` is the reference: runs
-        with the route table off take it, and the decision-level
-        property tests and ``TestRouteTableParity`` compare the two.
+        faster implementation served from the shared route table
+        (``repro.core.routing.table``), but it must be *bit-identical*
+        to :meth:`route` — the same port and VC, the same packet
+        state, and the same number and order of draws from the shared
+        route RNG.  :meth:`route` is the reference and reads no table:
+        the decision-level property tests and ``TestRouteTableParity``
+        compare the two.
         """
         return self.route(engine, packet)
 

@@ -43,7 +43,7 @@ from typing import Tuple
 from ...topologies.hyperx import HyperX
 from .base import RoutingAlgorithm
 from .min_adaptive import pick_min_cost
-from .table import maybe_route_table
+from .table import shared_route_table
 
 PHASE_ASCENT = 0
 PHASE_DESCENT = 1
@@ -73,7 +73,7 @@ class ClosAD(RoutingAlgorithm):
         super().attach(simulator)
         if not isinstance(self.topology, HyperX):
             raise TypeError(f"{self.name} requires a HyperX-family topology")
-        self._route_table = maybe_route_table(self, self.topology)
+        self._route_table = shared_route_table(self.topology)
 
     def on_packet_created(self, packet) -> None:
         packet.phase = PHASE_ASCENT
@@ -150,8 +150,6 @@ class ClosAD(RoutingAlgorithm):
         ``pick_min_cost`` call, with the same reservoir draws on exact
         ties, so the shared route RNG advances identically."""
         table = self._route_table
-        if table is None:
-            return self.route(engine, packet)
         current = engine.router_id
         dst = packet.dst_router
         if current == dst:

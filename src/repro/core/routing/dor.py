@@ -59,9 +59,9 @@ class DimensionOrder(RoutingAlgorithm):
         super().attach(simulator)
         if not isinstance(self.topology, HyperX):
             raise TypeError(f"{self.name} requires a HyperX-family topology")
-        from .table import maybe_route_table
+        from .table import shared_route_table
 
-        self._route_table = maybe_route_table(self, self.topology)
+        self._route_table = shared_route_table(self.topology)
 
     def route(self, engine, packet):
         current = engine.router_id
@@ -73,10 +73,7 @@ class DimensionOrder(RoutingAlgorithm):
     def route_event(self, engine, packet):
         """:meth:`route` with the unique DOR hop looked up in the
         shared route table (oblivious — no draws to preserve)."""
-        table = self._route_table
-        if table is None:
-            return self.route(engine, packet)
         current = engine.router_id
         if current == packet.dst_router:
             return engine.ejection_port(packet.dst), 0
-        return table.dor_next(current, packet.dst_router)[0], 0
+        return self._route_table.dor_next(current, packet.dst_router)[0], 0

@@ -17,7 +17,7 @@ from typing import List, Tuple
 from ...topologies.hyperx import HyperX
 from ...topologies.base import Channel
 from .base import RoutingAlgorithm
-from .table import maybe_route_table
+from .table import shared_route_table
 
 
 def pick_min_cost(candidates, rng: random.Random):
@@ -58,14 +58,10 @@ class MinimalAdaptive(RoutingAlgorithm):
             raise TypeError(f"{self.name} requires a HyperX-family topology")
         self.num_vcs = self.topology.num_dims
         # Minimal-route candidates and hop counts are pure functions of
-        # the topology, so they are computed once per router pair; only
-        # the occupancy comparison (and its RNG tie-breaks) runs per
-        # routing decision.  The entries normally live in the shared
-        # per-topology RouteTable; with the table layer disabled they
-        # fall back to a private cache of the same shape.
-        self._route_table = maybe_route_table(self, self.topology)
-        # (current, dst_router) -> (vc, ((out_port, channel), ...)).
-        self._minimal_cache = {}
+        # the topology, so they are computed once per router pair in the
+        # shared per-topology RouteTable; only the occupancy comparison
+        # (and its RNG tie-breaks) runs per routing decision.
+        self._route_table = shared_route_table(self.topology)
 
     def productive_channels(self, current: int, dst_router: int) -> List[Channel]:
         """All channels that are part of a minimal route from
@@ -76,26 +72,6 @@ class MinimalAdaptive(RoutingAlgorithm):
             nbr = topo.neighbor(current, d, topo.coord_digit(dst_router, d))
             channels.extend(topo.channels_between(current, nbr))
         return channels
-
-    def _minimal_candidates(self, engine, current: int, dst_router: int):
-        """Cached ``(vc, ((out_port, channel), ...))`` for a minimal
-        hop out of ``current`` toward ``dst_router``."""
-        table = self._route_table
-        if table is not None:
-            return table.minimal(current, dst_router)
-        key = (current, dst_router)
-        entry = self._minimal_cache.get(key)
-        if entry is None:
-            hops_remaining = self.topology.min_router_hops(current, dst_router)
-            entry = (
-                hops_remaining - 1,
-                tuple(
-                    (engine.port_for_channel(ch), ch)
-                    for ch in self.productive_channels(current, dst_router)
-                ),
-            )
-            self._minimal_cache[key] = entry
-        return entry
 
     def route(self, engine, packet) -> Tuple[int, int]:
         current = engine.router_id
@@ -114,7 +90,7 @@ class MinimalAdaptive(RoutingAlgorithm):
 
     def route_event(self, engine, packet) -> Tuple[int, int]:
         """Same decision as :meth:`route`, with the per-pair candidate
-        set memoized.
+        set read from the shared route table.
 
         The costs compared, their order, and the tie-break draws from
         the shared route RNG are identical to :meth:`route`
@@ -123,7 +99,7 @@ class MinimalAdaptive(RoutingAlgorithm):
         current = engine.router_id
         if current == packet.dst_router:
             return engine.ejection_port(packet.dst), 0
-        vc, candidates = self._minimal_candidates(engine, current, packet.dst_router)
+        vc, candidates = self._route_table.minimal(current, packet.dst_router)
         if len(candidates) == 1:
             return candidates[0][0], vc
         # Inline of pick_min_cost over (occ, 0, port) triples: the

@@ -25,23 +25,20 @@ against that map (:meth:`RouteTable.bind`), failing loudly rather than
 ever returning a port that means something different to the engine
 asking.
 
-The layer can be disabled globally with ``REPRO_ROUTE_TABLE=0`` (the
-equivalence tests run both settings and assert bit-identical results)
-or per algorithm class via ``RoutingAlgorithm.use_route_table``.
+Every table-served algorithm attaches to the shared table; there is
+no untabled event path.  Each algorithm's ``route()`` stays as the
+reference that reads no table, and the decision-level property tests
+and the committed ``route_table/*`` fingerprints hold the table-served
+``route_event()`` to it.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .dor import dor_next_channel
-
-#: Environment toggle: set to ``"0"`` to disable shared route tables
-#: (every algorithm falls back to its uncached reference path).
-ROUTE_TABLE_ENV = "REPRO_ROUTE_TABLE"
 
 #: One table per live topology object; entries die with the topology.
 _SHARED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -66,12 +63,6 @@ def reset_build_count() -> None:
     _builds = 0
 
 
-def route_tables_enabled() -> bool:
-    """Whether the shared route-table layer is switched on (checked at
-    algorithm attach time, so tests can toggle per simulator)."""
-    return os.environ.get(ROUTE_TABLE_ENV, "1") != "0"
-
-
 def shared_route_table(topology) -> "RouteTable":
     """The process-wide :class:`RouteTable` for ``topology`` (created
     on first request)."""
@@ -88,8 +79,8 @@ class RouteTable:
 
     All entries are pure functions of the topology (and, for ports, of
     the deterministic engine construction), so sharing them cannot
-    change any routing decision: the table returns exactly what the
-    uncached code would recompute, in the same candidate order.
+    change any routing decision: the table returns exactly what each
+    algorithm's ``route()`` recomputes, in the same candidate order.
     """
 
     __slots__ = (
@@ -419,11 +410,3 @@ class RouteArrays:
     dtag_port: Optional[object] = None  # [R, positions]
     dtag_channel: Optional[object] = None  # [R, positions]
 
-
-def maybe_route_table(algorithm, topology) -> Optional[RouteTable]:
-    """The shared table for ``topology``, or None when the layer is
-    disabled globally (``REPRO_ROUTE_TABLE=0``) or for this algorithm
-    class (``use_route_table = False``)."""
-    if not algorithm.use_route_table or not route_tables_enabled():
-        return None
-    return shared_route_table(topology)

@@ -27,7 +27,7 @@ from ...topologies.hyperx import HyperX
 from .base import RoutingAlgorithm
 from .dor import dor_next_channel
 from .min_adaptive import MinimalAdaptive, pick_min_cost
-from .table import maybe_route_table
+from .table import shared_route_table
 
 PHASE_TO_INTERMEDIATE = 0
 PHASE_TO_DESTINATION = 1
@@ -63,7 +63,7 @@ class UGAL(RoutingAlgorithm):
         self.num_vcs = self.topology.num_dims + 1
         self._minimal = MinimalAdaptive()
         self._minimal.attach(simulator)
-        self._route_table = maybe_route_table(self, self.topology)
+        self._route_table = shared_route_table(self.topology)
 
     # ------------------------------------------------------------------
     def _decide(self, engine, packet) -> None:
@@ -134,8 +134,6 @@ class UGAL(RoutingAlgorithm):
         intermediate (``_randbelow`` is exactly ``randrange``'s draw).
         Later hops use MIN AD's event path or the table's DOR hops."""
         table = self._route_table
-        if table is None:
-            return self.route(engine, packet)
         current = engine.router_id
         minimal = packet.minimal
         if minimal is None:

@@ -24,7 +24,7 @@ from typing import Tuple
 from ...topologies.hyperx import HyperX
 from .base import RoutingAlgorithm
 from .dor import dor_next_channel
-from .table import maybe_route_table
+from .table import shared_route_table
 
 PHASE_TO_INTERMEDIATE = 0
 PHASE_TO_DESTINATION = 1
@@ -45,7 +45,7 @@ class Valiant(RoutingAlgorithm):
         super().attach(simulator)
         if not isinstance(self.topology, HyperX):
             raise TypeError(f"{self.name} requires a HyperX-family topology")
-        self._route_table = maybe_route_table(self, self.topology)
+        self._route_table = shared_route_table(self.topology)
 
     def on_packet_created(self, packet) -> None:
         packet.intermediate = self.rng.randrange(self.topology.num_routers)
@@ -71,8 +71,6 @@ class Valiant(RoutingAlgorithm):
         looked up in the shared route table (DOR is oblivious: no draws,
         no cost reads, so the table hit is trivially bit-identical)."""
         table = self._route_table
-        if table is None:
-            return self.route(engine, packet)
         current = engine.router_id
         if packet.phase == PHASE_TO_INTERMEDIATE and current == packet.intermediate:
             packet.phase = PHASE_TO_DESTINATION

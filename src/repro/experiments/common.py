@@ -512,50 +512,15 @@ def _summarize(samples: Tuple[float, ...]) -> Replicated:
     )
 
 
-def _ci_tight(summary: Replicated, ci_target: float) -> bool:
-    """Whether the relative 95% CI half-width is within ``ci_target``.
-
-    The width is measured relative to ``|mean|``; a zero mean with any
-    spread is never tight (and a zero mean with zero spread is)."""
-    if summary.count < 2:
-        return False
-    if summary.mean == 0.0:
-        return summary.ci95 == 0.0
-    return summary.ci95 <= ci_target * abs(summary.mean)
-
-
-def _note_replicated(runner, summary, early_stopped: bool) -> None:
+def _note_replicated(runner, summary) -> None:
     if runner is not None:
-        runner.report.note_replicated(summary, early_stopped)
-
-
-def _early_stop_waves(
-    items: Sequence,
-    run_wave: Callable[[Sequence], Tuple[float, ...]],
-    wave_size: int,
-    min_replicas: int,
-    ci_target: float,
-) -> Tuple[Replicated, bool]:
-    """Consume ``items`` in waves until the CI is tight or they run
-    out; returns ``(summary, stopped_early)``."""
-    samples: Tuple[float, ...] = ()
-    offset = 0
-    while offset < len(items):
-        wave = items[offset:offset + max(1, wave_size)]
-        offset += len(wave)
-        samples = samples + run_wave(wave)
-        if len(samples) >= min_replicas and _ci_tight(_summarize(samples), ci_target):
-            return _summarize(samples), offset < len(items)
-    return _summarize(samples), False
+        runner.report.note_replicated(summary)
 
 
 def replicate(
     metric: Callable[[int], float],
     seeds: Sequence[int],
     runner: Optional[SweepRunner] = None,
-    *,
-    ci_target: Optional[float] = None,
-    min_replicas: int = 2,
 ) -> Replicated:
     """Run ``metric(seed)`` over ``seeds`` and summarize.
 
@@ -572,14 +537,7 @@ def replicate(
     With a parallel ``runner`` and a picklable ``metric`` (a
     module-level function or ``functools.partial``), seeds run
     concurrently; a lambda metric silently falls back to the serial
-    path.
-
-    ``ci_target`` opts into sequential early stopping: seeds run in
-    waves (one wave per pool width) and the sweep stops once at least
-    ``min_replicas`` samples are in and the relative 95% CI half-width
-    on the mean is at or below ``ci_target``.  Off by default because
-    the sample *count* then depends on which seeds ran — byte-stable
-    outputs need the full fixed seed list.
+    path.  Every seed runs, so the summary is byte-stable.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -591,67 +549,34 @@ def replicate(
         except Exception:
             parallel = False  # unpicklable metric: run serially below
 
-    if ci_target is not None:
-        if parallel:
-            summary, stopped = _early_stop_waves(
-                seeds,
-                lambda wave: tuple(
-                    float(s)
-                    for s in runner.map([CallableJob.of(metric, s) for s in wave])
-                ),
-                runner.jobs, min_replicas, ci_target,
-            )
-        else:
-            summary, stopped = _early_stop_waves(
-                seeds,
-                lambda wave: tuple(float(metric(s)) for s in wave),
-                1, min_replicas, ci_target,
-            )
-        _note_replicated(runner, summary, stopped)
-        return summary
-
     if parallel:
         jobs = [CallableJob.of(metric, seed) for seed in seeds]
         summary = _summarize(tuple(float(s) for s in runner.map(jobs)))
     else:
         summary = _summarize(tuple(float(metric(seed)) for seed in seeds))
-    _note_replicated(runner, summary, False)
+    _note_replicated(runner, summary)
     return summary
 
 
 def replicate_jobs(
     jobs: Sequence,
     runner: Optional[SweepRunner] = None,
-    *,
-    ci_target: Optional[float] = None,
-    min_replicas: int = 2,
 ) -> Replicated:
     """Summarize a set of scalar-producing runner jobs (typically one
     :class:`~repro.runner.SaturationJob` per seed) as a
-    :class:`Replicated`.
-
-    ``ci_target`` enables the same opt-in sequential early stop as
-    :func:`replicate`: jobs run in pool-width waves and stop once
-    ``min_replicas`` samples give a relative 95% CI half-width at or
-    below the target.  Leave it off (the default) whenever outputs
-    must be byte-stable — the consumed-job count depends on the data.
+    :class:`Replicated`.  Every job runs, through ``runner`` when
+    given.
     """
     if not jobs:
         raise ValueError("need at least one job")
     jobs = list(jobs)
-
-    def run_wave(wave) -> Tuple[float, ...]:
-        if runner is not None:
-            return tuple(float(s) for s in runner.map(list(wave)))
-        return tuple(float(execute_job(job)) for job in wave)
-
-    if ci_target is not None:
-        wave_size = runner.jobs if runner is not None else 1
-        summary, stopped = _early_stop_waves(
-            jobs, run_wave, wave_size, min_replicas, ci_target
-        )
-        _note_replicated(runner, summary, stopped)
-        return summary
+    if runner is not None:
+        samples = runner.map(jobs)
+    else:
+        samples = [execute_job(job) for job in jobs]
+    summary = _summarize(tuple(float(s) for s in samples))
+    _note_replicated(runner, summary)
+    return summary
 
     summary = _summarize(run_wave(jobs))
     _note_replicated(runner, summary, False)

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.routing.base import RoutingAlgorithm
 from ..core.routing.dor import first_differing_dim
 from ..core.routing.min_adaptive import MinimalAdaptive, pick_min_cost
+from ..core.routing.table import shared_route_table
 from ..core.routing.ugal import (
     PHASE_TO_DESTINATION,
     PHASE_TO_INTERMEDIATE,
@@ -224,24 +225,14 @@ class FaultAwareMinimalAdaptive(MinimalAdaptive):
         failed = self._faults.failed_channels
         return [
             ch
-            for ch in super().productive_channels(current, dst_router)
+            for ch in self.productive_channels(current, dst_router)
             if ch.index not in failed
-        ]
-
-    def productive_channels(self, current: int, dst_router: int) -> List[Channel]:
-        """Surviving productive channels that do not dead-end."""
-        if self._faults is None:
-            return super().productive_channels(current, dst_router)
-        return [
-            ch
-            for ch in self._surviving_productive(current, dst_router)
-            if self.minimally_reachable(ch.dst, dst_router)
         ]
 
     def _masked_minimal(self, current: int, dst_router: int):
         """``(vc, ((port, channel), ...))``: the shared table's minimal
-        entry masked by the permanent faults, in the same candidate
-        order as :meth:`productive_channels`."""
+        entry masked by the permanent faults — the surviving candidates
+        that do not dead-end, in the table's order."""
         key = (current, dst_router)
         entry = self._masked_cache.get(key)
         if entry is None:
@@ -263,40 +254,20 @@ class FaultAwareMinimalAdaptive(MinimalAdaptive):
         current = engine.router_id
         if current == packet.dst_router:
             return engine.ejection_port(packet.dst), 0
-        coster = self._coster
-        rng = self.rng
-        if self._route_table is not None:
-            # Masked-table path: identical candidates in identical
-            # order, so the cost sequence seen by pick_min_cost (and
-            # therefore every tie-break draw) matches the uncached path
-            # below.
-            vc, pairs = self._masked_minimal(current, packet.dst_router)
-            if not pairs:
-                raise AssertionError(
-                    f"router {current}: no surviving minimal route to "
-                    f"{packet.dst_router}; packet {packet.pid} should have "
-                    f"been accounted undeliverable at creation"
-                )
-            cost = coster.cost
-            return (
-                pick_min_cost(
-                    ((cost(engine, ch), 0, port) for port, ch in pairs), rng
-                ),
-                vc,
-            )
-        candidates = self.productive_channels(current, packet.dst_router)
-        if not candidates:
+        vc, pairs = self._masked_minimal(current, packet.dst_router)
+        if not pairs:
             raise AssertionError(
                 f"router {current}: no surviving minimal route to "
                 f"{packet.dst_router}; packet {packet.pid} should have been "
                 f"accounted undeliverable at creation"
             )
-        vc = self.topology.min_router_hops(current, packet.dst_router) - 1
-        channel = pick_min_cost(
-            ((coster.cost(engine, ch), 0, ch) for ch in candidates),
-            rng,
+        cost = self._coster.cost
+        return (
+            pick_min_cost(
+                ((cost(engine, ch), 0, port) for port, ch in pairs), self.rng
+            ),
+            vc,
         )
-        return engine.port_for_channel(channel), vc
 
     def route_event(self, engine, packet) -> Tuple[int, int]:
         # The memoized fault-free fast path is invalid once transient
@@ -364,11 +335,7 @@ class FaultAwareValiant(Valiant, _DorFaultHelper):
             target, vc = packet.intermediate, 1
         else:
             target, vc = packet.dst_router, 0
-        if self._route_table is not None:
-            # Masked-DOR cache: same unique surviving hop, memoized.
-            channel, _ = self._dor_hop(current, target)
-        else:
-            channel, _ = self._dor_next_alive(current, target)
+        channel, _ = self._dor_hop(current, target)
         if channel is None:
             raise AssertionError(
                 f"router {current}: DOR hop toward {target} has no surviving "
@@ -423,9 +390,7 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         self._minimal.attach(simulator)
         self._faults = _fault_state(simulator)
         self._coster = _ChannelCoster(self._faults)
-        from ..core.routing.table import maybe_route_table
-
-        self._route_table = maybe_route_table(self, self.topology)
+        self._route_table = shared_route_table(self.topology)
         if self._faults is not None:
             self._dor_init(self.topology, self._faults)
             # (current, dst) -> feasible intermediates minus the
@@ -456,12 +421,9 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         current = engine.router_id
         dst = packet.dst_router
         coster = self._coster
-        if self._route_table is not None:
-            min_candidates = [
-                ch for _port, ch in self._minimal._masked_minimal(current, dst)[1]
-            ]
-        else:
-            min_candidates = self._minimal.productive_channels(current, dst)
+        min_candidates = [
+            ch for _port, ch in self._minimal._masked_minimal(current, dst)[1]
+        ]
         feasible = self._feasible_proper(current, dst)
         if not min_candidates and not feasible:
             raise AssertionError(
@@ -490,20 +452,13 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         h_val = topo.min_router_hops(current, intermediate) + topo.min_router_hops(
             intermediate, dst
         )
-        val_channel, _ = self._masked_dor(current, intermediate)
+        val_channel, _ = self._dor_hop(current, intermediate)
         q_val = coster.cost(engine, val_channel)
         if q_min * h_min <= q_val * h_val + self.threshold:
             packet.minimal = True
         else:
             packet.minimal = False
             packet.intermediate = intermediate
-
-    def _masked_dor(self, current: int, target: int):
-        """The surviving DOR hop — memoized via the mask cache when the
-        route-table layer is on, recomputed otherwise (same value)."""
-        if self._route_table is not None:
-            return self._dor_hop(current, target)
-        return self._dor_next_alive(current, target)
 
     def route(self, engine, packet) -> Tuple[int, int]:
         if self._faults is None:
@@ -521,14 +476,14 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         if packet.phase == PHASE_TO_DESTINATION and current == packet.dst_router:
             return engine.ejection_port(packet.dst), 0
         if packet.phase == PHASE_TO_INTERMEDIATE:
-            channel, _ = self._masked_dor(current, packet.intermediate)
+            channel, _ = self._dor_hop(current, packet.intermediate)
             if channel is None:
                 raise AssertionError(
                     f"router {current}: severed DOR hop toward intermediate "
                     f"{packet.intermediate}"
                 )
             return engine.port_for_channel(channel), topo.num_dims
-        channel, remaining = self._masked_dor(current, packet.dst_router)
+        channel, remaining = self._dor_hop(current, packet.dst_router)
         if channel is None:
             raise AssertionError(
                 f"router {current}: severed DOR hop toward destination "

@@ -6,7 +6,7 @@ from .batch import BatchBackend, BatchRunResult
 from .config import SimulationConfig, derive_seed, replica_seeds
 from .injection import BatchInjection, BernoulliInjection, InjectionProcess
 from .packet import Flit, Packet
-from .simulator import KERNEL_ENV, KERNELS, Simulator, resolve_kernel
+from .simulator import KERNELS, Simulator, resolve_kernel
 from .stats import (
     BatchResult,
     ClassStats,
@@ -48,7 +48,6 @@ __all__ = [
     "Flit",
     "Packet",
     "Simulator",
-    "KERNEL_ENV",
     "KERNELS",
     "resolve_kernel",
     "BatchResult",

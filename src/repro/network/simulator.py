@@ -29,7 +29,6 @@ backend in :mod:`repro.network.batch`.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from collections import deque
@@ -54,9 +53,6 @@ from .stats import (
 )
 from .workload import UnsupportedWorkloadError, Workload
 
-#: Environment variable selecting the simulation kernel.
-KERNEL_ENV = "REPRO_KERNEL"
-
 #: Recognized kernel names: the exact event kernel, and ``"batch"``,
 #: the vectorized structure-of-arrays backend
 #: (:mod:`repro.network.batch`), which is validated statistically
@@ -66,10 +62,12 @@ KERNELS = ("event", "batch")
 
 
 def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Kernel name: explicit argument, else ``$REPRO_KERNEL``, else
-    the event kernel."""
+    """Kernel name: the explicit argument, else the event kernel.
+
+    No environment variable selects a kernel, so a job spec built
+    without ``kernel=`` runs, and is cached as, the event kernel."""
     if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV) or "event"
+        return "event"
     if kernel not in KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; pick one of {', '.join(KERNELS)}"
@@ -102,6 +100,19 @@ class _NullInjection(InjectionProcess):
 _NULL_PROCESS = _NullInjection()
 
 
+def _window_end(warmup: int, measure: int, drain_max: int) -> int:
+    """End of the measurement window, after checking that the drain cap
+    ``drain_max`` lies beyond it."""
+    end = warmup + measure
+    if drain_max <= end:
+        raise ValueError(
+            f"drain_max={drain_max} must exceed warmup+measure={end}: the "
+            f"run would be cut off before the measurement window ends and "
+            f"its labeled packets could never all be observed draining"
+        )
+    return end
+
+
 class Simulator:
     """A single simulation instance.
 
@@ -117,11 +128,10 @@ class Simulator:
     case pass ``None``) — driven by :meth:`run_workload`.
 
     Args:
-        kernel: ``"event"`` or ``"batch"``; ``None`` (default) reads
-            ``$REPRO_KERNEL`` and falls back to the event kernel.  A
-            batch simulator builds no event-kernel routers, ports or
-            pipes, and refuses the methods that drive or inspect them
-            (:meth:`step`, :meth:`attach_tracer`,
+        kernel: ``"event"`` or ``"batch"``; ``None`` (default) is the
+            event kernel.  A batch simulator builds no event-kernel
+            routers, ports or pipes, and refuses the methods that drive
+            or inspect them (:meth:`step`, :meth:`attach_tracer`,
             :meth:`flits_accounted`, :meth:`quiescent`,
             :meth:`check_activation_invariants`).
         profile: enable per-phase wall timers (see
@@ -925,13 +935,7 @@ class Simulator:
                 ``warmup + measure`` or labeling could never complete.
         """
         self._require_pattern("run_open_loop")
-        end = warmup + measure
-        if drain_max <= end:
-            raise ValueError(
-                f"drain_max={drain_max} must exceed warmup+measure={end}: the "
-                f"run would be cut off before the measurement window ends and "
-                f"its labeled packets could never all be observed draining"
-            )
+        end = _window_end(warmup, measure, drain_max)
         if self.kernel == "batch":
             batched = self.run_open_loop_batch(
                 load, seeds=(self.config.seed,), warmup=warmup,
@@ -944,20 +948,60 @@ class Simulator:
         process.start(
             self.topology.num_terminals, self.config.packet_size, self.injection_rng
         )
-        window = MeasurementWindow(warmup, end)
+        return self._drive(
+            started, MeasurementWindow(warmup, end), drain_max, load, process
+        )
+
+    def _drive(
+        self,
+        started: float,
+        window: MeasurementWindow,
+        drain_max: int,
+        offered_load: float,
+        process: InjectionProcess,
+        workload: Optional[Workload] = None,
+    ) -> OpenLoopResult:
+        """The drive loop of :meth:`run_open_loop` and
+        :meth:`run_workload`: step until the window's labeled packets
+        have drained (or ``drain_max``, which marks the run
+        saturated), jump quiescent stretches, and assemble the result.
+
+        Packets are created either by ``process`` in the inject phase
+        (open loop) or, with a ``workload``, by enqueuing its messages
+        before each step (``process`` is then the null process).  A
+        workload run also ends once the workload is exhausted and the
+        network empty.  The idle skip asks the creating side for its
+        next cycle.
+        """
         self._window = window
+        end = window.end
+        if workload is None:
+            next_cycle = process.next_injection_cycle
+        else:
+            next_cycle = workload.next_message_cycle
         saturated = False
         skip_ok = self._skip_ok()
         step = self.step
         while True:
+            if workload is not None:
+                self._enqueue_messages(workload, self.now)
             step(process)
             if self.now >= end and window.drained():
+                break
+            if workload is not None and self.in_flight == 0 and workload.exhausted():
+                # Finite workload fully delivered before the window
+                # closed (every labeled packet is out: drained()).
                 break
             if self.now >= drain_max:
                 saturated = not window.drained()
                 break
             if skip_ok and self.in_flight == 0 and not self._active_sources:
-                nxt = process.next_injection_cycle(self.now)
+                # Quiescent network: with nothing in flight there is no
+                # pending delivery, so no on_delivered callback can
+                # schedule anything a workload's own calendars don't
+                # already know about — next_cycle bounds every future
+                # packet even for closed loops.
+                nxt = next_cycle(self.now)
                 bound = end if self.now < end else drain_max
                 target = bound if nxt is None else min(nxt, bound)
                 if target > self.now:
@@ -968,9 +1012,10 @@ class Simulator:
                         saturated = not window.drained()
                         break
         stats = self._finish_stats(started)
+        num_terminals = self.topology.num_terminals
         return OpenLoopResult(
-            offered_load=load,
-            accepted_throughput=window.throughput(self.topology.num_terminals),
+            offered_load=offered_load,
+            accepted_throughput=window.throughput(num_terminals),
             latency=LatencySummary.from_samples(window.latencies),
             network_latency=LatencySummary.from_samples(window.network_latencies),
             saturated=saturated,
@@ -982,6 +1027,7 @@ class Simulator:
             ),
             packets_undeliverable=self.packets_undeliverable,
             kernel=stats,
+            per_class=window.per_class_stats(num_terminals),
         )
 
     def _require_pattern(self, method: str) -> None:
@@ -1030,13 +1076,7 @@ class Simulator:
                 "run_workload() needs a Workload (pass one in place of the "
                 "pattern, or set config.workload)"
             )
-        end = warmup + measure
-        if drain_max <= end:
-            raise ValueError(
-                f"drain_max={drain_max} must exceed warmup+measure={end}: the "
-                f"run would be cut off before the measurement window ends and "
-                f"its labeled packets could never all be observed draining"
-            )
+        end = _window_end(warmup, measure, drain_max)
         if self.kernel == "batch":
             delegate = wl.batch_delegate()
             if delegate is None:
@@ -1072,56 +1112,8 @@ class Simulator:
         if type(wl).on_delivered is not Workload.on_delivered:
             self._on_delivered = wl.on_delivered
         window = MeasurementWindow(warmup, end, num_classes=wl.num_classes)
-        self._window = window
-        saturated = False
-        skip_ok = self._skip_ok()
-        step = self.step
-        process = _NULL_PROCESS
-        while True:
-            self._enqueue_messages(wl, self.now)
-            step(process)
-            if self.now >= end and window.drained():
-                break
-            if self.in_flight == 0 and wl.exhausted():
-                # Finite workload fully delivered before the window
-                # closed (every labeled packet is out: drained()).
-                break
-            if self.now >= drain_max:
-                saturated = not window.drained()
-                break
-            if skip_ok and self.in_flight == 0 and not self._active_sources:
-                # Quiescent network: with nothing in flight there is no
-                # pending delivery, so no on_delivered callback can
-                # schedule anything the workload's own calendars don't
-                # already know about — next_message_cycle bounds every
-                # future message even for closed loops.
-                nxt = wl.next_message_cycle(self.now)
-                bound = end if self.now < end else drain_max
-                target = bound if nxt is None else min(nxt, bound)
-                if target > self.now:
-                    self._skip_idle_to(target)
-                    if self.now >= end and window.drained():
-                        break
-                    if self.now >= drain_max:
-                        saturated = not window.drained()
-                        break
-        stats = self._finish_stats(started)
-        num_terminals = self.topology.num_terminals
-        return OpenLoopResult(
-            offered_load=wl.offered_load,
-            accepted_throughput=window.throughput(num_terminals),
-            latency=LatencySummary.from_samples(window.latencies),
-            network_latency=LatencySummary.from_samples(window.network_latencies),
-            saturated=saturated,
-            cycles=self.now,
-            packets_labeled=window.labeled_total,
-            packets_delivered=self.packets_delivered,
-            mean_hops=(
-                sum(window.hops) / len(window.hops) if window.hops else float("nan")
-            ),
-            packets_undeliverable=self.packets_undeliverable,
-            kernel=stats,
-            per_class=window.per_class_stats(num_terminals),
+        return self._drive(
+            started, window, drain_max, wl.offered_load, _NULL_PROCESS, wl
         )
 
     def run_batch(self, batch_size: int, max_cycles: int = 1_000_000) -> BatchResult:

@@ -15,8 +15,10 @@ lets a worker process recognise that consecutive jobs share a topology
 and because the shared :class:`~repro.core.routing.table.RouteTable` is
 keyed on the topology *object*, reusing the object also reuses every
 precomputed routing entry.  Reuse cannot change results: a topology is
-immutable once constructed, and the route-table layer is pinned
-bit-identical on/off by the kernel-equivalence tests.
+immutable once constructed, and the route table only memoizes pure
+functions of the topology (its table-served decisions are held to
+each algorithm's table-free ``route()`` by the property tests and the
+committed ``route_table/*`` fingerprints).
 
 :func:`execute_job` is the single per-job worker entry point;
 :func:`execute_chunk` runs a batch of jobs and reports the worker's

@@ -25,7 +25,7 @@ change *when and where* a job runs, never what it computes):
   purely a wall-clock optimization.
 * **Replica statistics.**  ``SweepReport`` aggregates the replica
   summaries produced by :func:`repro.experiments.common.replicate` /
-  ``replicate_jobs`` (sample counts, early stops) next to the kernel
+  ``replicate_jobs`` (metric and sample counts) next to the kernel
   stats.
 """
 
@@ -110,7 +110,6 @@ class SweepReport:
     # Replica statistics (note_replicated).
     replicated_metrics: int = 0
     replica_samples: int = 0
-    replica_early_stops: int = 0
 
     def note(self, total: int, hits: int, executed: int, elapsed: float) -> None:
         self.total += total
@@ -145,12 +144,10 @@ class SweepReport:
         self.route_table_builds += delta.get("route_table_builds", 0)
         self.warm_topology_hits += delta.get("warm_topology_hits", 0)
 
-    def note_replicated(self, replicated, early_stopped: bool = False) -> None:
+    def note_replicated(self, replicated) -> None:
         """Record one replicate() / replicate_jobs() summary."""
         self.replicated_metrics += 1
         self.replica_samples += replicated.count
-        if early_stopped:
-            self.replica_early_stops += 1
 
     def summary(self) -> str:
         text = (
@@ -177,8 +174,6 @@ class SweepReport:
                 f"; {self.replicated_metrics} replicated metrics over "
                 f"{self.replica_samples} samples"
             )
-            if self.replica_early_stops:
-                text += f" ({self.replica_early_stops} early-stopped)"
         return text
 
 

@@ -15,7 +15,7 @@ from typing import Tuple
 
 from ..core.routing.base import RoutingAlgorithm
 from ..core.routing.min_adaptive import pick_min_cost
-from ..core.routing.table import maybe_route_table
+from ..core.routing.table import shared_route_table
 from .butterfly import Butterfly
 from .folded_clos import FoldedClos
 from .hypercube import Hypercube
@@ -32,7 +32,7 @@ class DestinationTag(RoutingAlgorithm):
         super().attach(simulator)
         if not isinstance(self.topology, Butterfly):
             raise TypeError(f"{self.name} requires a Butterfly")
-        self._route_table = maybe_route_table(self, self.topology)
+        self._route_table = shared_route_table(self.topology)
 
     def route(self, engine, packet) -> Tuple[int, int]:
         topo = self.topology
@@ -49,8 +49,6 @@ class DestinationTag(RoutingAlgorithm):
         alternative path to mask, undeliverable pairs are dropped at
         creation)."""
         table = self._route_table
-        if table is None:
-            return self.route(engine, packet)
         topo = self.topology
         current = engine.router_id
         if topo.stage_of(current) == topo.n - 1:

@@ -421,10 +421,9 @@ class TestKernelSelection:
     def test_batch_in_kernels(self):
         assert "batch" in KERNELS
 
-    def test_resolve(self, monkeypatch):
+    def test_resolve(self):
         assert resolve_kernel("batch") == "batch"
-        monkeypatch.setenv("REPRO_KERNEL", "batch")
-        assert resolve_kernel(None) == "batch"
+        assert resolve_kernel(None) == "event"
 
     def test_single_seed_dispatch(self):
         """``run_open_loop`` on a batch-kernel simulator is the B=1

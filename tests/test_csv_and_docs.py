@@ -96,3 +96,53 @@ class TestAPIDocGenerator:
                         "repro.traffic", "repro.cost", "repro.power",
                         "repro.analysis"):
             assert package in text
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Every environment variable the package reads.  A new one needs a
+#: caller that sets it and a line in README.md or docs/*.md.
+ENVIRONMENT_VARIABLES = {
+    "REPRO_CACHE_DIR",
+    "REPRO_FULL",
+    "REPRO_JOBS",
+    "REPRO_PROFILE_PHASES",
+}
+
+
+def _repro_names_in_string_literals():
+    """``REPRO_*`` names in any string literal (docstrings included)
+    under ``src/repro``."""
+    import ast
+    import re
+
+    pattern = re.compile(r"REPRO_[A-Z_]+")
+    names = set()
+    for dirpath, _dirs, files in os.walk(os.path.join(REPO_ROOT, "src", "repro")):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(dirpath, name)) as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.update(pattern.findall(node.value))
+    return names
+
+
+class TestEnvironmentInventory:
+    def test_package_reads_only_the_listed_variables(self):
+        assert _repro_names_in_string_literals() == ENVIRONMENT_VARIABLES
+
+    def test_each_variable_is_documented(self):
+        import glob
+
+        paths = [os.path.join(REPO_ROOT, "README.md")] + sorted(
+            glob.glob(os.path.join(REPO_ROOT, "docs", "*.md"))
+        )
+        text = ""
+        for path in paths:
+            with open(path) as handle:
+                text += handle.read()
+        for variable in sorted(ENVIRONMENT_VARIABLES):
+            assert variable in text, f"{variable} is not documented"

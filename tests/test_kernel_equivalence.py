@@ -11,7 +11,7 @@ so it also carries that oracle forward.  The checks are exact — not
 statistically close, byte-for-byte equal — plus consistent
 activation-set bookkeeping after every run.
 
-Also covered here: kernel selection (argument / environment), the
+Also covered here: kernel selection (the ``kernel`` argument), the
 idle-cycle skip, the ``rng_streams`` seed-derivation modes, the
 ``drain_max`` validation, and the credit-starved wire-port behavior.
 Regenerate the file (only after an intentional change to simulated
@@ -31,11 +31,7 @@ from repro.core import (
     Valiant,
 )
 from repro.core.flattened_butterfly import FlattenedButterfly
-from repro.core.routing.table import (
-    ROUTE_TABLE_ENV,
-    route_tables_enabled,
-    shared_route_table,
-)
+from repro.core.routing.table import shared_route_table
 from repro.faults import (
     FaultAwareDestinationTag,
     FaultAwareFoldedClosAdaptive,
@@ -46,7 +42,6 @@ from repro.faults import (
     TransientFault,
 )
 from repro.network import (
-    KERNEL_ENV,
     KERNELS,
     QueueTrace,
     SimulationConfig,
@@ -220,22 +215,12 @@ def _assert_pinned(name):
 
 
 class TestKernelSelection:
-    def test_default_is_event(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
+    def test_default_is_event(self):
         assert resolve_kernel() == "event"
         sim = Simulator(
             FlattenedButterfly(2, 2), MinimalAdaptive(), UniformRandom()
         )
         assert sim.kernel == "event"
-
-    def test_environment_polling_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "polling")
-        with pytest.raises(ValueError, match="pick one of event, batch"):
-            resolve_kernel()
-        with pytest.raises(ValueError, match="pick one of event, batch"):
-            Simulator(
-                FlattenedButterfly(2, 2), MinimalAdaptive(), UniformRandom()
-            )
 
     def test_polling_argument_rejected(self):
         with pytest.raises(ValueError, match="pick one of event, batch"):
@@ -253,10 +238,6 @@ class TestKernelSelection:
             main(["fig05", "--kernel", "polling"])
         assert info.value.code == 2
         assert "invalid choice: 'polling'" in capsys.readouterr().err
-
-    def test_argument_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "batch")
-        assert resolve_kernel("event") == "event"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -674,15 +655,19 @@ def _run_route_table(topo_factory, algo_cls, faults):
 
 
 class TestRouteTableParity:
-    """The shared precomputed route table is a pure lookup cache: runs
-    with it enabled (default) and disabled (``REPRO_ROUTE_TABLE=0``)
-    must be bit-identical — per-cycle ejection series, results, and
-    final RNG states — for every table-consuming algorithm, healthy
-    and under faults."""
+    """The shared route table is a pure lookup cache.  Runs whose
+    decisions are served from it (``route_event``, the default) and runs
+    whose every decision goes through the algorithm's reference
+    ``route()`` must be bit-identical — per-cycle ejection series,
+    results, and final RNG states — for every table-consuming
+    algorithm, healthy and under faults.  The event kernel has no
+    switch for this: the reference run rebinds ``route_event`` to
+    ``route`` on its algorithm instance."""
 
-    def _run_once(self, monkeypatch, enabled, topo_factory, algo_cls, faults):
-        monkeypatch.setenv(ROUTE_TABLE_ENV, "1" if enabled else "0")
+    def _run_once(self, served, topo_factory, algo_cls, faults):
         algorithm = algo_cls()
+        if not served:
+            algorithm.route_event = algorithm.route
         sim = Simulator(
             topo_factory(),
             algorithm,
@@ -690,17 +675,12 @@ class TestRouteTableParity:
             SimulationConfig(seed=23, faults=faults),
             kernel="event",
         )
-        # Guard against the parity comparison degenerating: the toggle
-        # must actually have taken effect at attach time.
-        table = getattr(algorithm, "_route_table", None)
-        if enabled:
-            assert table is not None
-        else:
-            assert table is None
+        assert algorithm._route_table is not None
         trace = ThroughputTrace(interval=1)
         sim.attach_tracer(trace)
         result = sim.run_open_loop(0.3, warmup=50, measure=80, drain_max=1500)
         sim.check_activation_invariants()
+        assert sim._route_calls > 0
         return sim, trace.series, result
 
     @pytest.mark.parametrize(
@@ -708,14 +688,12 @@ class TestRouteTableParity:
         [c[1:] for c in ROUTE_TABLE_CONFIGS],
         ids=[c[0] for c in ROUTE_TABLE_CONFIGS],
     )
-    def test_table_on_off_identical(
-        self, monkeypatch, topo_factory, algo_cls, faults
-    ):
+    def test_table_on_off_identical(self, topo_factory, algo_cls, faults):
         sim_on, series_on, res_on = self._run_once(
-            monkeypatch, True, topo_factory, algo_cls, faults
+            True, topo_factory, algo_cls, faults
         )
         sim_off, series_off, res_off = self._run_once(
-            monkeypatch, False, topo_factory, algo_cls, faults
+            False, topo_factory, algo_cls, faults
         )
         assert series_on == series_off
         assert res_on == res_off
@@ -725,18 +703,16 @@ class TestRouteTableParity:
         assert sim_on.traffic_rng.getstate() == sim_off.traffic_rng.getstate()
 
     @pytest.mark.parametrize("case_id", [c[0] for c in ROUTE_TABLE_CONFIGS])
-    def test_table_matches_polling_kernel(self, monkeypatch, case_id):
-        """With tables on, the event kernel reproduces the fingerprint
-        the polling kernel recorded while it routed every decision
-        through the un-tabled ``route()`` path — a cross-check that the
-        table and the original code compute the same function."""
-        monkeypatch.setenv(ROUTE_TABLE_ENV, "1")
+    def test_table_matches_polling_kernel(self, case_id):
+        """The event kernel reproduces the fingerprint the polling
+        kernel recorded while it routed every decision through the
+        un-tabled ``route()`` path — a cross-check that the table and
+        the original code compute the same function."""
         _assert_pinned(f"route_table/{case_id}")
 
-    def test_table_shared_across_simulators(self, monkeypatch):
+    def test_table_shared_across_simulators(self):
         """One topology object yields one table, reused by every
         simulator (and algorithm instance) built on it."""
-        monkeypatch.setenv(ROUTE_TABLE_ENV, "1")
         topo = FlattenedButterfly(4, 2)
         algorithms = [MinimalAdaptive(), UGAL(), Valiant()]
         tables = set()
@@ -745,18 +721,6 @@ class TestRouteTableParity:
             tables.add(id(algorithm._route_table))
         assert len(tables) == 1
         assert shared_route_table(topo) is algorithms[0]._route_table
-
-    def test_disabled_by_environment(self, monkeypatch):
-        monkeypatch.setenv(ROUTE_TABLE_ENV, "0")
-        assert not route_tables_enabled()
-        algorithm = MinimalAdaptive()
-        Simulator(
-            FlattenedButterfly(4, 2),
-            algorithm,
-            UniformRandom(),
-            SimulationConfig(seed=1),
-        )
-        assert algorithm._route_table is None
 
 
 def _starved_engine():

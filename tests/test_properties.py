@@ -40,7 +40,9 @@ from repro.network.buffers import CHANNEL_PORT, OutPort, vc_rotations
 from repro.network.packet import Packet
 from repro.network.router import RouterEngine, round_robin_order
 from repro.network.stats import LatencySummary
+from repro.topologies import Butterfly
 from repro.topologies.hyperx import HyperX
+from repro.topologies.routing import DestinationTag
 from repro.traffic import UniformRandom, adversarial
 
 ALGORITHMS = [
@@ -763,14 +765,26 @@ DECISION_TOPOLOGIES = {
 
 def _packet_state(algorithm_cls, topo, data):
     """Routing state of a packet somewhere along its route: CLOS AD in
-    ascent (from any next dimension) or descent; UGAL undecided, on
-    its minimal route, or in either Valiant phase."""
+    ascent (from any next dimension) or descent; VAL in either phase;
+    UGAL undecided, on its minimal route, or in either Valiant phase.
+    MIN AD, DOR and dest-tag keep no per-packet state."""
     if algorithm_cls is ClosAD:
         phase = data.draw(
             st.sampled_from([PHASE_ASCENT, PHASE_ASCENT, PHASE_DESCENT])
         )
         next_dim = data.draw(st.integers(1, topo.num_dims + 1))
         return {"phase": phase, "scratch": {"next_dim": next_dim}}
+
+    def valiant():
+        return {
+            "phase": data.draw(st.integers(0, 1)),
+            "intermediate": data.draw(st.integers(0, topo.num_routers - 1)),
+        }
+
+    if algorithm_cls is Valiant:
+        return valiant()
+    if not issubclass(algorithm_cls, UGAL):
+        return {}
     mode = data.draw(
         st.sampled_from(["undecided", "undecided", "minimal", "valiant"])
     )
@@ -778,11 +792,7 @@ def _packet_state(algorithm_cls, topo, data):
         return {}
     if mode == "minimal":
         return {"minimal": True}
-    return {
-        "minimal": False,
-        "phase": data.draw(st.integers(0, 1)),
-        "intermediate": data.draw(st.integers(0, topo.num_routers - 1)),
-    }
+    return {"minimal": False, **valiant()}
 
 
 def _decision_packet(topo, dst, state):
@@ -796,19 +806,20 @@ def _routing_fields(packet):
     return (packet.phase, packet.scratch, packet.minimal, packet.intermediate)
 
 
-def _check_route_event(algorithm_cls, topology, threshold, seed, data):
-    """``route_event`` (route table) equals ``route`` of an untabled
-    twin in ``(port, vc)``, in every packet routing field, and in the
-    route RNG's end state."""
-    topo = DECISION_TOPOLOGIES[topology]()
-    algorithm = algorithm_cls(threshold=threshold)
+def _check_route_event(make_algorithm, topo, seed, data):
+    """``route_event`` (route table) equals ``route`` of a twin whose
+    table is removed, in ``(port, vc)``, in every packet routing field,
+    and in the route RNG's end state.  The twin's ``route()`` would
+    raise if it read the table, so the reference stays table-free."""
+    algorithm = make_algorithm()
     sim = Simulator(topo, algorithm, UniformRandom(), SimulationConfig(seed=1))
     assert algorithm._route_table is not None
-    reference = algorithm_cls(threshold=threshold)
-    reference.use_route_table = False
+    reference = make_algorithm()
     reference.attach(sim)
+    reference._route_table = None
 
-    engine = sim.engines[data.draw(st.integers(0, topo.num_routers - 1))]
+    router = data.draw(st.integers(0, topo.num_routers - 1))
+    engine = sim.engines[router]
     # Either every channel ties, or occupancies come from a three-value
     # set: frequent ties exercise the reservoir draws, and the gap
     # between 0 or 1 and 6 flits sends CLOS AD to a middle stage and
@@ -822,8 +833,16 @@ def _check_route_event(algorithm_cls, topology, threshold, seed, data):
                 else level
             )
 
-    dst = data.draw(st.integers(0, topo.num_terminals - 1))
-    state = _packet_state(algorithm_cls, topo, data)
+    if isinstance(topo, Butterfly) and topo.stage_of(router) == topo.n - 1:
+        # A final-stage butterfly router only ejects, to its own
+        # terminals.
+        dst = data.draw(st.sampled_from([
+            t for t in range(topo.num_terminals)
+            if topo.ejection_router(t) == router
+        ]))
+    else:
+        dst = data.draw(st.integers(0, topo.num_terminals - 1))
+    state = _packet_state(type(algorithm), topo, data)
     rng = sim.route_rng
     rng.seed(seed)
     start = rng.getstate()
@@ -855,7 +874,10 @@ rng_seed_st = st.integers(min_value=0, max_value=2**32 - 1)
 def test_clos_ad_route_event_matches_route(topology, threshold, seed, data):
     """CLOS AD's table-served ascent and descent make the decision of
     its reference ``route``, over random occupancies with forced ties."""
-    _check_route_event(ClosAD, topology, threshold, seed, data)
+    _check_route_event(
+        lambda: ClosAD(threshold=threshold),
+        DECISION_TOPOLOGIES[topology](), seed, data,
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -871,7 +893,39 @@ def test_ugal_route_event_matches_route(
 ):
     """UGAL's and UGAL-S's one-pass table decision, and their later
     minimal and Valiant hops, match the reference ``route``."""
-    _check_route_event(algorithm_cls, topology, threshold, seed, data)
+    _check_route_event(
+        lambda: algorithm_cls(threshold=threshold),
+        DECISION_TOPOLOGIES[topology](), seed, data,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    algorithm_cls=st.sampled_from([MinimalAdaptive, Valiant, DimensionOrder]),
+    topology=decision_topology_st,
+    seed=rng_seed_st,
+    data=st.data(),
+)
+def test_flat_route_event_matches_route(algorithm_cls, topology, seed, data):
+    """MIN AD's table candidates (with their reservoir tie-breaks),
+    VAL's two-phase DOR hops and DOR's unique hop match the reference
+    ``route``."""
+    _check_route_event(
+        algorithm_cls, DECISION_TOPOLOGIES[topology](), seed, data
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 3), (3, 3), (4, 2), (2, 5)]),
+    seed=rng_seed_st,
+    data=st.data(),
+)
+def test_dest_tag_route_event_matches_route(shape, seed, data):
+    """Destination-tag routing on a conventional butterfly: the table's
+    hop, keyed by the destination's position address, is the
+    reference's hop at every stage."""
+    _check_route_event(DestinationTag, Butterfly(*shape), seed, data)
 
 
 # The WC pattern draws within a router's terminal group, so the

