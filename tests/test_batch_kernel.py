@@ -51,7 +51,7 @@ from repro.network.batch import (
 from repro.network.config import derive_seed
 from repro.topologies import Butterfly, FoldedClos
 from repro.topologies.routing import DestinationTag, FoldedClosAdaptive
-from repro.traffic import RandomPermutation, UniformRandom
+from repro.traffic import RandomPermutation, UniformRandom, adversarial
 
 from tests.statcheck import assert_statistically_equal
 
@@ -558,7 +558,10 @@ PIN_WARMUP, PIN_MEASURE, PIN_DRAIN = 60, 80, 1200
 PIN_SEEDS = replica_seeds(1234, 4)
 
 #: Every supported algorithm family on its home topology, at loads
-#: that keep the short windows below saturation.
+#: that keep the short windows below saturation, under uniform traffic
+#: unless a pattern is given.  On a k-ary 2-flat every minimal route
+#: has one candidate, so UGAL's minimal pick never reads its tie-break
+#: uniforms; the 3-flat rows have two-candidate rows and do.
 PIN_MATRIX = [
     ("dor-fb", lambda: FlattenedButterfly(4, 2), DimensionOrder, 0.4),
     ("minad-fb", lambda: FlattenedButterfly(4, 3), MinimalAdaptive, 0.3),
@@ -567,16 +570,23 @@ PIN_MATRIX = [
     ("ugal-fb", lambda: FlattenedButterfly(4, 2), UGAL, 0.45),
     ("ugal-s-fb", lambda: FlattenedButterfly(4, 2), UGALSequential, 0.3),
     ("val-fb", lambda: FlattenedButterfly(4, 2), Valiant, 0.2),
+    ("ugal-fb3", lambda: FlattenedButterfly(4, 3), UGAL, 0.4),
+    ("ugal-s-fb3", lambda: FlattenedButterfly(4, 3), UGALSequential, 0.3),
+    ("ugal-wc-fb3", lambda: FlattenedButterfly(4, 3), UGAL, 0.25,
+     adversarial),
 ]
 
 #: These rows also run past two injection chunks: every combination of
 #: the non-minimal and adaptive per-packet columns, and the waves.
-MULTICHUNK_CASES = ("dor-fb", "clos-ad", "ugal-fb", "ugal-s-fb", "val-fb")
+MULTICHUNK_CASES = (
+    "dor-fb", "clos-ad", "ugal-fb", "ugal-s-fb", "val-fb", "ugal-fb3",
+    "ugal-s-fb3", "ugal-wc-fb3",
+)
 
 
-def _pin_sim(make_topo, algorithm_cls):
+def _pin_sim(make_topo, algorithm_cls, make_pattern=UniformRandom):
     return Simulator(
-        make_topo(), algorithm_cls(), UniformRandom(),
+        make_topo(), algorithm_cls(), make_pattern(),
         SimulationConfig(seed=PIN_SEEDS[0]), kernel="batch",
     )
 
@@ -598,19 +608,22 @@ def _pinned_cases():
         drain_max=PIN_DRAIN,
     )
     cases = {}
-    for name, make_topo, algorithm_cls, load in PIN_MATRIX:
-        def pointwise(make_topo=make_topo, cls=algorithm_cls, load=load):
+    for name, *row in PIN_MATRIX:
+        def pointwise(row=row):
+            make_topo, cls, load, *pattern = row
             return _batch_fingerprint(
-                _pin_sim(make_topo, cls).run_open_loop_batch(load, **window)
+                _pin_sim(make_topo, cls, *pattern).run_open_loop_batch(
+                    load, **window
+                )
             )
 
-        def grid(make_topo=make_topo, cls=algorithm_cls, load=load):
+        def grid(row=row):
+            make_topo, cls, load, *pattern = row
             loads = [load / 3, 2 * load / 3, load]
             return [
                 _batch_fingerprint(batch)
-                for batch in _pin_sim(make_topo, cls).run_open_loop_grid(
-                    loads, **window
-                )
+                for batch in _pin_sim(make_topo, cls, *pattern)
+                .run_open_loop_grid(loads, **window)
             ]
 
         cases[f"pointwise/{name}"] = pointwise
@@ -640,13 +653,14 @@ def _pinned_cases():
     # is drawn.
     multichunk = dict(window, warmup=300, measure=300, drain_max=3000)
     assert multichunk["warmup"] + multichunk["measure"] > 2 * INJECTION_CHUNK
-    for name, make_topo, algorithm_cls, load in PIN_MATRIX:
+    for name, *row in PIN_MATRIX:
         if name not in MULTICHUNK_CASES:
             continue
 
-        def long_run(make_topo=make_topo, cls=algorithm_cls, load=load):
+        def long_run(row=row):
+            make_topo, cls, load, *pattern = row
             return _batch_fingerprint(
-                _pin_sim(make_topo, cls).run_open_loop_batch(
+                _pin_sim(make_topo, cls, *pattern).run_open_loop_batch(
                     load, **multichunk
                 )
             )
