@@ -22,7 +22,9 @@ Three measured points:
 
 Repeats are **interleaved** (event, batch, event, batch, ...) so both
 sides sample the same machine-noise regime; the headline per side is
-the best (minimum) wall time over the repeats.  One more, untimed grid
+the best (minimum) wall time over the repeats; the grid's ``layers``
+record splits its best run into the batch kernel's predraw, step and
+finalize seconds (``BatchRunResult.stats``).  One more, untimed grid
 run under ``tracemalloc`` records the grid's peak traced Python
 allocation as ``grid.peak_traced_mb``.  Emits ``BENCH_batch.json``,
 with a ``machine`` record (CPU count, CPU model, Python and numpy
@@ -43,7 +45,8 @@ Asserted (here and in the pytest CI smoke entry point):
 Checked against a committed report (``--check-against``): each
 speedup stays within ``--tolerance`` of the committed one, and the
 grid's ``peak_traced_mb`` grows at most :data:`MEMORY_TOLERANCE` over
-the committed peak.
+the committed peak.  The report is written and printed before any
+gate runs, so a failing run keeps its numbers.
 
 Usage::
 
@@ -233,6 +236,7 @@ def collect(repeat=3, quick=False):
     event_stats = batch_stats = None
     ugal_event_stats = ugal_batch_stats = None
     engine_stats = None
+    grid_layers = None
     grid_identical = True
     for _ in range(repeat):
         wall, results = _run_event(seeds, warmup, measure, drain_max)
@@ -257,6 +261,12 @@ def collect(repeat=3, quick=False):
         wall, lockstep = _run_lockstep_grid(
             GRID_LOADS, seeds, warmup, measure, drain_max, UGAL
         )
+        if not grid_walls or wall < min(grid_walls):
+            # The per-layer split of the grid run the headline reports.
+            grid_layers = {
+                key: lockstep[0].stats[key]
+                for key in ("predraw_s", "step_s", "finalize_s")
+            }
         grid_walls.append(wall)
         grid_identical = grid_identical and _grid_identical(
             pointwise, lockstep
@@ -297,6 +307,7 @@ def collect(repeat=3, quick=False):
             "runs": len(GRID_LOADS) * replicas,
             "pointwise_wall_seconds": min(point_walls),
             "grid_wall_seconds": min(grid_walls),
+            "layers": grid_layers,
             "speedup": min(point_walls) / min(grid_walls),
             "bit_identical": grid_identical,
             "peak_traced_mb": peak_traced_mb,
@@ -348,15 +359,14 @@ def check(report):
     )
 
 
-def check_against(report, baseline_path, tolerance=0.35):
+def check_against(report, baseline, baseline_path, tolerance=0.35):
     """Regression gate: fail when the measured speedup falls more than
-    ``tolerance`` below the committed baseline's.  Speedup is a ratio
-    of two walls from the same box, so unlike absolute rates it
-    transfers across machines; the tolerance absorbs scheduler noise
-    on shared runners.  Also fail when the grid's traced memory peak
-    grows more than :data:`MEMORY_TOLERANCE` over the baseline's."""
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
+    ``tolerance`` below the committed ``baseline`` report's (read from
+    ``baseline_path``).  Speedup is a ratio of two walls from the same
+    box, so unlike absolute rates it transfers across machines; the
+    tolerance absorbs scheduler noise on shared runners.  Also fail when
+    the grid's traced memory peak grows more than
+    :data:`MEMORY_TOLERANCE` over the baseline's."""
     if report["config"]["quick"] != baseline["config"]["quick"]:
         raise ValueError(
             f"cannot gate a quick={report['config']['quick']} run against "
@@ -416,6 +426,11 @@ def _print(report):
         f"({grid['speedup']:.2f}x, bit-identical: {grid['bit_identical']}); "
         f"traced peak {grid['peak_traced_mb']:.1f} MB"
     )
+    layers = grid["layers"]
+    print(
+        f"UGAL grid layers: predraw {layers['predraw_s']:.2f}s, "
+        f"step {layers['step_s']:.2f}s, finalize {layers['finalize_s']:.2f}s"
+    )
 
 
 def test_batch_benchmark():
@@ -455,14 +470,23 @@ def main(argv=None):
         "(default 0.35)",
     )
     args = parser.parse_args(argv)
-    report = collect(repeat=args.repeat, quick=args.quick)
-    check(report)
+    # Read before --out is written: the two may name the same file.
+    baseline = None
     if args.check_against:
-        check_against(report, args.check_against, tolerance=args.tolerance)
+        with open(args.check_against) as handle:
+            baseline = json.load(handle)
+    report = collect(repeat=args.repeat, quick=args.quick)
+    # Written and printed before the gates, so a failing run keeps its
+    # numbers.
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
     _print(report)
     print(f"wrote {args.out}")
+    check(report)
+    if baseline is not None:
+        check_against(
+            report, baseline, args.check_against, tolerance=args.tolerance
+        )
 
 
 if __name__ == "__main__":

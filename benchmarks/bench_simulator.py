@@ -27,6 +27,9 @@ Checked against a committed report (``--check-against``):
 * coarse: the best ``cycles_per_second`` stays within ``--tolerance``
   (default 25%) of the committed full-window value at every point.
 
+The report is written and printed before either gate runs, so a
+failing run keeps its numbers.
+
 Usage::
 
     python benchmarks/bench_simulator.py [--out BENCH_simulator.json]
@@ -303,10 +306,25 @@ def main(argv=None):
         "(default 0.25)",
     )
     args = parser.parse_args(argv)
-    report = collect(repeat=args.repeat, quick=args.quick)
+    # Read before --out is written: the two may name the same file.
+    baseline = None
     if args.check_against:
         with open(args.check_against) as handle:
             baseline = json.load(handle)
+    report = collect(repeat=args.repeat, quick=args.quick)
+    if not args.quick:
+        # The committed report also pins the quick windows' results,
+        # so the pytest smoke entry has a deterministic baseline.
+        report["quick_points"] = [
+            _deterministic(p) for p in collect(repeat=1, quick=True)["points"]
+        ]
+    # Written and printed before the gates, so a failing run keeps its
+    # numbers.
+    with open(args.out, "w") as handle:
+        json.dump(report, handle, indent=2)
+    _print(report)
+    print(f"wrote {args.out}")
+    if baseline is not None:
         check_deterministic(report, baseline)
         print(f"deterministic gate passed: matches {args.check_against}")
         if not args.quick:
@@ -315,16 +333,6 @@ def main(argv=None):
                 f"throughput gate passed: within {args.tolerance:.0%} of "
                 f"{args.check_against}"
             )
-    if not args.quick:
-        # The committed report also pins the quick windows' results,
-        # so the pytest smoke entry has a deterministic baseline.
-        report["quick_points"] = [
-            _deterministic(p) for p in collect(repeat=1, quick=True)["points"]
-        ]
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-    _print(report)
-    print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":

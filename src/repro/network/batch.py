@@ -133,12 +133,31 @@ def _require_numpy() -> None:
 
 def _packed_order(major, minor):
     """Stable order of events by ``(major, minor)`` — equal to
-    ``np.lexsort((minor, major))`` — as one argsort of the packed int64
-    key ``major << 32 | minor.view(uint32)``.  Requires ``0 <= major <
-    _KEY_MAJOR_BOUND`` and a non-negative float32 ``minor``, whose bit
-    patterns read as unsigned integers order exactly like its values."""
+    ``np.lexsort((minor, major))`` — from one sort of packed int64 keys.
+    Requires ``0 <= major < _KEY_MAJOR_BOUND`` and a non-negative float32
+    ``minor``, whose bit patterns read as unsigned integers order exactly
+    like its values.
+
+    When ``major``, the minor's bits and the event's position fit one
+    63-bit key, every key is distinct, so numpy's fastest value sort
+    (not stable, and not needing to be) orders them and the position
+    bits read off the order.  Otherwise the key ``major << 32 | minor``
+    is argsorted stably."""
+    n = major.size
+    if not n:
+        return np.zeros(0, dtype=np.intp)
+    bits = minor.view(np.uint32)
+    pos_bits = (n - 1).bit_length()
+    low = int(bits.max()).bit_length() + pos_bits
+    if int(major.max()).bit_length() + low <= 63:
+        key = major.astype(np.int64) << low
+        key |= bits.astype(np.int64) << pos_bits
+        key |= np.arange(n)
+        key.sort()
+        key &= (1 << pos_bits) - 1
+        return key
     key = major.astype(np.int64) << 32
-    key |= minor.view(np.uint32)
+    key |= bits
     return np.argsort(key, kind="stable")
 
 
@@ -185,19 +204,19 @@ def _segment_ranks(major, minor):
     sizes the groups; an event alone in its group has rank 0 without
     sorting, and only the contested events go through the packed
     sort."""
-    group_n = np.bincount(major)[major]
+    group_n = np.bincount(major).take(major)
     rank = np.zeros(major.size, dtype=np.int64)
     contested = np.flatnonzero(group_n > 1)
     if contested.size:
-        sub = major[contested]
-        order = _packed_order(sub, minor[contested])
-        sub = sub[order]
+        sub = major.take(contested)
+        order = _packed_order(sub, minor.take(contested))
+        sub = sub.take(order)
         starts = np.empty(sub.size, dtype=bool)
         starts[0] = True
         np.not_equal(sub[1:], sub[:-1], out=starts[1:])
         start_idx = np.flatnonzero(starts)
-        rank[contested[order]] = (
-            np.arange(sub.size) - start_idx[np.cumsum(starts) - 1]
+        rank[contested.take(order)] = (
+            np.arange(sub.size) - start_idx.take(np.cumsum(starts) - 1)
         )
     return rank, group_n
 
@@ -210,8 +229,8 @@ def _serve_fifo(q, minor, t, next_free, period_flat, dep):
     ``max(t, next_free[q]) + rank * period``.  Writes the departures
     into ``dep`` and advances ``next_free`` in place; returns ``dep``."""
     rank, queue_n = _segment_ranks(q, minor)
-    period = period_flat[q]
-    base = np.maximum(t, next_free[q])
+    period = period_flat.take(q)
+    base = np.maximum(next_free.take(q), t)
     np.multiply(rank, period, out=dep)
     dep += base
     # Every arrival at one queue shares its base, so this scatter writes
@@ -282,33 +301,49 @@ class BatchRunResult:
 
 @dataclass
 class _Program:
-    """Topology + algorithm compiled to dense routing arrays.
+    """Topology + algorithm compiled to flat, contiguous routing tables.
 
-    One table routing step reads ``cand[router, key_of_dst[dst]]`` — a
-    padded row of candidate channel indices (-1 pad, ``cand_n`` valid)
-    — or ejects when ``router == ej_router[dst]``.  Non-minimal kinds
-    (``"val"``, ``"ugal"``) additionally carry the dense DOR hop
-    ``dor_chan[a, b]`` and inter-router hop counts ``hops_rr[a, b]``
-    that the Valiant phases walk and UGAL's delay estimate multiplies.
+    Every table is indexed by one flat ``np.intp`` position, so each
+    lookup is a 1-D gather.  One table routing step reads row ``router
+    * K + key_of_dst[dst]`` of ``cand`` — the candidate channel ids of
+    that (router, destination key) pair, -1 padded — or ejects when
+    ``router == ej_router[dst]``.  Non-minimal kinds (``"val"``,
+    ``"ugal"``) additionally carry the DOR hop ``dor_chan[a * R + b]``
+    and the inter-router hop count ``hops_rr[a * R + b]`` that the
+    Valiant phases walk and UGAL's delay estimate multiplies; they key
+    ``cand`` by the destination router (``key_of_dst is ej_router``,
+    ``K == R``), so a candidate row and the DOR entry of the same router
+    pair share one index.
+
+    ``adaptive`` is part of the random-stream contract: the program
+    *draws* per-hop tie-break uniforms for every packet.  Whether it
+    ever *reads* them is :attr:`reads_u_route`: ``cand`` keeps only its
+    first column unless some row offers an adaptive program a choice.
     """
 
     T: int  # terminals
     R: int  # routers
     C: int  # channels
+    K: int  # destination keys per router
     hmax: int  # max channel hops on any used path
-    adaptive: bool
+    adaptive: bool  # draws the u_route tie-break uniforms
     sequential: bool  # same-cycle decisions see each other's debits
     kind: str  # "table" | "val" | "ugal"
     mode0: int  # mode every packet is born with
     threshold: int  # UGAL minimal-path bias (flits)
-    inj_router: "np.ndarray"  # [T]
-    ej_router: "np.ndarray"  # [T]
-    key_of_dst: "np.ndarray"  # [T]
-    cand: "np.ndarray"  # [R, K, W] channel ids
-    cand_n: "np.ndarray"  # [R, K]
-    channel_dst: "np.ndarray"  # [C]
-    dor_chan: Optional["np.ndarray"] = None  # [R, R] channel ids
-    hops_rr: Optional["np.ndarray"] = None  # [R, R] int64 router hops
+    inj_router: "np.ndarray"  # [T] int32
+    ej_router: "np.ndarray"  # [T] intp
+    key_of_dst: "np.ndarray"  # [T] intp
+    cand: "np.ndarray"  # [R * K, W] intp channel ids
+    channel_dst: "np.ndarray"  # [C] int32
+    dor_chan: Optional["np.ndarray"] = None  # [R * R] intp channel ids
+    hops_rr: Optional["np.ndarray"] = None  # [R * R] int64 router hops
+
+    @property
+    def reads_u_route(self) -> bool:
+        """Whether any candidate row offers a choice, so the minimal
+        pick reads the tie-break uniforms it draws."""
+        return self.cand.shape[1] > 1
 
 
 def _validate_config(config: SimulationConfig) -> None:
@@ -340,12 +375,10 @@ def _build_min_adaptive(topology, algorithm, table):
             f"{algorithm.name} on {type(topology).__name__} has no "
             f"minimal-candidate export"
         )
-    cand_n = arrays.minimal_count.astype(np.int16)
     return dict(
-        cand=arrays.minimal_channel.astype(np.int32),
-        cand_n=cand_n,
+        cand=arrays.minimal_channel,
         key_of_dst=None,  # ej_router
-        adaptive=int(cand_n.max()) > 1,
+        adaptive=int(arrays.minimal_count.max()) > 1,
         hmax=int(arrays.hops.max()),
     )
 
@@ -358,8 +391,7 @@ def _build_dor(topology, algorithm, table):
             f"DOR export"
         )
     return dict(
-        cand=arrays.dor_channel.astype(np.int32)[:, :, None],
-        cand_n=(arrays.dor_channel >= 0).astype(np.int16),
+        cand=arrays.dor_channel[:, :, None],
         key_of_dst=None,
         adaptive=False,
         hmax=int(arrays.hops.max()),
@@ -382,11 +414,8 @@ def _build_dtag(topology, algorithm, table):
         )
     T = topology.num_terminals
     return dict(
-        cand=arrays.dtag_channel.astype(np.int32)[:, :, None],
-        cand_n=(arrays.dtag_channel >= 0).astype(np.int16),
-        key_of_dst=(np.arange(T, dtype=np.int32) // topology.k).astype(
-            np.int32
-        ),
+        cand=arrays.dtag_channel[:, :, None],
+        key_of_dst=np.arange(T) // topology.k,
         adaptive=False,
         hmax=topology.n - 1,
     )
@@ -401,25 +430,19 @@ def _build_folded_clos(topology, algorithm, table):
     spines = topology.num_spines
     W = max(spines, 1)
     cand = np.full((R, leaves, W), -1, dtype=np.int32)
-    cand_n = np.zeros((R, leaves), dtype=np.int16)
     for leaf in range(leaves):
         ups = [ch.index for ch in topology.uplinks(leaf)]
         for key in range(leaves):
             if key == leaf:
                 continue  # at the destination leaf the packet ejects
             cand[leaf, key, : len(ups)] = ups
-            cand_n[leaf, key] = len(ups)
     for s in range(spines):
         spine = leaves + s
         for key in range(leaves):
             cand[spine, key, 0] = topology.downlink(spine, key).index
-            cand_n[spine, key] = 1
-    key_of_dst = np.array(
-        [topology.leaf_of_terminal(t) for t in range(T)], dtype=np.int32
-    )
+    key_of_dst = np.array([topology.leaf_of_terminal(t) for t in range(T)])
     return dict(
         cand=cand,
-        cand_n=cand_n,
         key_of_dst=key_of_dst,
         adaptive=spines > 1,
         hmax=2,
@@ -431,51 +454,45 @@ def _nonminimal_exports(topology, algorithm, table):
         raise TypeError(
             f"{algorithm.name} requires a HyperX-family topology"
         )
-    arrays = table.as_arrays()
-    return arrays, arrays.dor_channel.astype(np.int32), arrays.hops.astype(
-        np.int64
-    )
+    return table.as_arrays()
 
 
 def _build_valiant(topology, algorithm, table):
-    arrays, dor_chan, hops_rr = _nonminimal_exports(
-        topology, algorithm, table
-    )
+    arrays = _nonminimal_exports(topology, algorithm, table)
     return dict(
         # Valiant packets never route by table (both phases are DOR),
         # but a well-formed table keeps the program uniform.
-        cand=dor_chan[:, :, None],
-        cand_n=(dor_chan >= 0).astype(np.int16),
+        cand=arrays.dor_channel[:, :, None],
         key_of_dst=None,
         adaptive=False,  # oblivious: no tie-break draws
         hmax=2 * int(arrays.hops.max()),
         kind="val",
         mode0=MODE_VAL0,
-        dor_chan=dor_chan,
-        hops_rr=hops_rr,
+        dor_chan=arrays.dor_channel,
+        hops_rr=arrays.hops,
     )
 
 
 def _build_ugal(topology, algorithm, table):
-    arrays, dor_chan, hops_rr = _nonminimal_exports(
-        topology, algorithm, table
-    )
+    arrays = _nonminimal_exports(topology, algorithm, table)
     if arrays.minimal_channel is None:
         raise NotImplementedError(
             f"{algorithm.name} on {type(topology).__name__} has no "
             f"minimal-candidate export"
         )
     return dict(
-        cand=arrays.minimal_channel.astype(np.int32),
-        cand_n=arrays.minimal_count.astype(np.int16),
+        cand=arrays.minimal_channel,
         key_of_dst=None,
-        adaptive=True,  # minimal mode is MIN AD's tie-broken pick
+        # Minimal mode is MIN AD's tie-broken pick.  Drawn even where
+        # every minimal row has one candidate, so the stream is the same
+        # on every topology.
+        adaptive=True,
         hmax=2 * int(arrays.hops.max()),
         kind="ugal",
         mode0=MODE_UNDEC,
         threshold=int(algorithm.threshold),
-        dor_chan=dor_chan,
-        hops_rr=hops_rr,
+        dor_chan=arrays.dor_channel,
+        hops_rr=arrays.hops,
     )
 
 
@@ -557,7 +574,7 @@ def _build_program(topology, algorithm, table) -> _Program:
         [topology.injection_router(t) for t in range(T)], dtype=np.int32
     )
     ej_router = np.array(
-        [topology.ejection_router(t) for t in range(T)], dtype=np.int32
+        [topology.ejection_router(t) for t in range(T)], dtype=np.intp
     )
     channel_dst = np.array(
         [channel.dst for channel in topology.channels], dtype=np.int32
@@ -566,25 +583,42 @@ def _build_program(topology, algorithm, table) -> _Program:
     built = builder(topology, algorithm, table)
     key_of_dst = built["key_of_dst"]
     if key_of_dst is None:
-        key_of_dst = ej_router.astype(np.int32)
+        key_of_dst = ej_router
+    adaptive = bool(built["adaptive"])
+    cand = built["cand"]
+    K = cand.shape[1]
+    # The first column serves every row with at most one candidate, and
+    # an oblivious program always takes it.
+    if not adaptive or int((cand >= 0).sum(axis=2).max()) <= 1:
+        cand = cand[:, :, :1]
+    dor_chan = built.get("dor_chan")
+    hops_rr = built.get("hops_rr")
     return _Program(
         T=T,
         R=R,
         C=C,
+        K=K,
         hmax=max(int(built["hmax"]), 1),
-        adaptive=bool(built["adaptive"]),
+        adaptive=adaptive,
         sequential=bool(algorithm.sequential),
         kind=built.get("kind", "table"),
         mode0=int(built.get("mode0", MODE_TABLE)),
         threshold=int(built.get("threshold", 0)),
         inj_router=inj_router,
         ej_router=ej_router,
-        key_of_dst=key_of_dst,
-        cand=np.ascontiguousarray(built["cand"]),
-        cand_n=built["cand_n"],
+        key_of_dst=np.asarray(key_of_dst, dtype=np.intp),
+        cand=np.ascontiguousarray(
+            cand.reshape(R * K, cand.shape[2]), dtype=np.intp
+        ),
         channel_dst=channel_dst,
-        dor_chan=built.get("dor_chan"),
-        hops_rr=built.get("hops_rr"),
+        dor_chan=(
+            None if dor_chan is None
+            else np.ascontiguousarray(dor_chan.reshape(-1), dtype=np.intp)
+        ),
+        hops_rr=(
+            None if hops_rr is None
+            else np.ascontiguousarray(hops_rr.reshape(-1), dtype=np.int64)
+        ),
     )
 
 
@@ -607,7 +641,9 @@ class _ChunkDraws:
     intermediates) is drawn there in the canonical per-run stream
     order, so the cycle step never touches a generator: it only
     *interprets* these columns.  Columns a program never reads are
-    ``None``.
+    ``None``: ``imd`` for table programs, and ``u_route`` unless
+    :attr:`_Program.reads_u_route` (an adaptive program that never
+    reads it still draws it, into scratch, to keep its stream).
     """
 
     #: The columns read by id after injection, so carried over.
@@ -618,7 +654,7 @@ class _ChunkDraws:
     router: "np.ndarray"  # [N] int32 injection router (injections only)
     dst: "np.ndarray"  # [N] int32 destination terminal
     imd: Optional["np.ndarray"]  # [N] int32 Valiant intermediate
-    u_route: Optional["np.ndarray"]  # [N, ucols] f32 adaptive tie-breaks
+    u_route: Optional["np.ndarray"]  # [N, ucols] f32 tie-breaks, if read
     u_rank: "np.ndarray"  # [N, ucols] float32 FIFO/wave ranks
 
 
@@ -991,7 +1027,7 @@ class BatchBackend:
         # + h`` (``hops`` never exceeds ``hmax = ucols - 1``).
         u_rank_cells = draws.u_rank.reshape(-1)
         u_route_cells = (
-            draws.u_route.reshape(-1) if prog.adaptive else None
+            None if draws.u_route is None else draws.u_route.reshape(-1)
         )
 
         t = c0
@@ -1029,22 +1065,25 @@ class BatchBackend:
                     )
                 # Only the constants this program reads, each gathered
                 # once: a packet's uniforms at its current hop count.
-                run = draws.run[ids]
-                dst = draws.dst[ids]
-                imd = draws.imd[ids] if nonmin else None
+                # Gathers use take(), numpy's fast path for one flat
+                # index array.
+                run = draws.run.take(ids)
+                dst = draws.dst.take(ids)
                 cell = np.multiply(
                     ids, ucols, out=scratch.get("cell", m, np.int64)
                 )
                 cell += hops
-                u_rank = u_rank_cells[cell]
-                u_route = (
-                    u_route_cells[cell] if u_route_cells is not None
-                    else None
-                )
+                u_rank = u_rank_cells.take(cell)
                 state.n_events += np.bincount(run, minlength=B)
-
-                ej = prog.ej_router[dst] == router
+                # Each event's (run, queue) base and destination router.
+                runq = np.multiply(
+                    run, Q, out=scratch.get("runq", m, np.intp),
+                    dtype=np.intp,
+                )
+                dst_r = prog.ej_router.take(dst)
+                ej = dst_r == router
                 if nonmin:
+                    imd = draws.imd.take(ids)
                     # Event-kernel route() order: the VAL0 -> VAL1 flip
                     # at the intermediate happens *before* the ejection
                     # test, and phase-0 packets pass through their
@@ -1057,15 +1096,39 @@ class BatchBackend:
                 ej = np.flatnonzero(ej)
 
                 # Queue choice: ejection port of dst, or a routed channel.
-                q = scratch.get("q", m, np.int64)
-                q[ej] = run[ej].astype(np.int64) * Q + C + dst[ej]
+                q = scratch.get("q", m, np.intp)
+                q[ej] = runq.take(ej) + dst.take(ej) + C
                 if fwd.size:
-                    chan = self._route(
-                        run, router, dst, imd, mode, u_route, u_rank, fwd,
-                        next_free, Q, t, occ_grace,
+                    # The routed events' columns, gathered once.  The
+                    # routing writes UGAL's decisions into f_mode.
+                    f_runq = runq.take(fwd)
+                    f_router = router.take(fwd)
+                    f_dst_r = dst_r.take(fwd)
+                    f_mode = mode.take(fwd)
+                    f_u_route = (
+                        None if u_route_cells is None
+                        else u_route_cells.take(cell.take(fwd))
                     )
-                    state.n_routes += np.bincount(run[fwd], minlength=B)
-                    q[fwd] = run[fwd].astype(np.int64) * Q + chan
+                    f_u_rank = u_rank.take(fwd) if prog.sequential else None
+                    if nonmin:
+                        chan = self._route_nonminimal(
+                            f_runq, f_router, f_dst_r, imd.take(fwd),
+                            f_mode, f_u_route, f_u_rank, next_free, t,
+                            occ_grace,
+                        )
+                    else:
+                        key = (
+                            f_dst_r if prog.key_of_dst is prog.ej_router
+                            else prog.key_of_dst.take(dst.take(fwd))
+                        )
+                        chan = self._route_table(
+                            f_runq, f_router, f_router * prog.K + key,
+                            f_u_route, f_u_rank, next_free, t, occ_grace,
+                        )
+                    state.n_routes += np.bincount(
+                        run.take(fwd), minlength=B
+                    )
+                    q[fwd] = f_runq + chan
 
                 dep = _serve_fifo(
                     q, u_rank, t, next_free, period_flat,
@@ -1074,26 +1137,33 @@ class BatchBackend:
 
                 if ej.size:
                     self._record_ejections(
-                        run[ej], born[ej], dep[ej], hops[ej], warmup, end,
-                        B, state.win_ejects, state.eject_at,
+                        run.take(ej), born.take(ej), dep.take(ej),
+                        hops.take(ej), warmup, end, B, state.eject_at,
                         state.labeled_eject_at, state.rec_run,
                         state.rec_created, state.rec_dep, state.rec_hops,
                     )
                 if fwd.size:
-                    by_arrival = _offset_order(dep[fwd] - t)
-                    src = fwd[by_arrival]
-                    next_hops = hops[src]
+                    f_dep = dep.take(fwd)
+                    by_arrival = _offset_order(f_dep - t)
+                    src = fwd.take(by_arrival)
+                    next_hops = hops.take(src)
                     next_hops += 1
+                    arrival = f_dep.take(by_arrival)
+                    arrival += cfg.channel_latency
                     self._push(
-                        state.cal, dep[src] + cfg.channel_latency, (
-                            ids[src], prog.channel_dst[chan[by_arrival]],
-                            born[src], next_hops, mode[src],
+                        state.cal, arrival, (
+                            ids.take(src),
+                            prog.channel_dst.take(chan.take(by_arrival)),
+                            born.take(src), next_hops,
+                            f_mode.take(by_arrival),
                         ),
                     )
 
             arr = state.eject_at.pop(t, None)
             if arr is not None:
                 state.delivered += arr
+                if warmup <= t < end:
+                    state.win_ejects += arr
             arr = state.labeled_eject_at.pop(t, None)
             if arr is not None:
                 state.labeled_done += arr
@@ -1232,8 +1302,8 @@ class BatchBackend:
                 else None
             ),
             u_route=(
-                np.empty((n, ucols), dtype=np.float32) if prog.adaptive
-                else None
+                np.empty((n, ucols), dtype=np.float32)
+                if prog.reads_u_route else None
             ),
             u_rank=np.empty((n, ucols), dtype=np.float32),
         )
@@ -1247,7 +1317,9 @@ class BatchBackend:
             rows += np.arange(terminals.size)
             draws.run[rows] = b
             draws.router[rows] = prog.inj_router[terminals]
-            self._draw_run_values(state.gens[b], terminals, draws, rows)
+            self._draw_run_values(
+                state.gens[b], terminals, draws, rows, state.scratch
+            )
         return draws
 
     def _draw_run_times(self, gen, rate, c0, c1, nt):
@@ -1266,16 +1338,21 @@ class BatchBackend:
             span = int((c1 - nt[idx]).max())
             mean = span * rate
             m = max(4, int(mean + 6.0 * (mean + 1.0) ** 0.5))
-            gaps = gen.geometric(rate, size=(idx.size, m)).astype(np.int64)
-            times = np.concatenate(
-                [nt[idx, None], nt[idx, None] + np.cumsum(gaps, axis=1)],
-                axis=1,
+            # times[i] = the terminal's pending time, then its running
+            # sums of m fresh gaps, built in place.
+            start = nt[idx]
+            times = np.empty((idx.size, m + 1), dtype=np.int64)
+            times[:, 0] = start
+            np.cumsum(
+                gen.geometric(rate, size=(idx.size, m)), axis=1,
+                out=times[:, 1:],
             )
+            times[:, 1:] += start[:, None]
             valid = times < c1
-            rows, cols = np.nonzero(valid)
-            times_parts.append(times[rows, cols])
-            terms_parts.append(idx[rows].astype(np.int32))
             nvalid = valid.sum(axis=1)
+            # Row-major, so each terminal's times in ascending order.
+            times_parts.append(times[valid])
+            terms_parts.append(np.repeat(idx.astype(np.int32), nvalid))
             bounded = nvalid <= m
             rsel = np.flatnonzero(bounded)
             nt[idx[rsel]] = times[rsel, nvalid[rsel]]
@@ -1295,20 +1372,29 @@ class BatchBackend:
         )
         return t_all[order], j_all[order]
 
-    def _draw_run_values(self, gen, terminals, draws: _ChunkDraws,
-                         rows) -> None:
+    def _draw_run_values(self, gen, terminals, draws: _ChunkDraws, rows,
+                         scratch: _Scratch) -> None:
         """Draw the per-packet values of one run's injections from
         ``terminals`` into ``rows`` of ``draws``, from the run's own
         generator in this order: destinations, adaptive tie-break
         uniforms (adaptive algorithms only), FIFO/wave rank uniforms,
-        Valiant intermediates (non-minimal algorithms only)."""
+        Valiant intermediates (non-minimal algorithms only).  Uniforms
+        are drawn into ``scratch`` first; tie-breaks the program never
+        reads stay there."""
         prog = self.program
         n = terminals.size
         ucols = draws.u_rank.shape[1]
         draws.dst[rows] = self._draw_dsts(gen, terminals)
         if prog.adaptive:
-            draws.u_route[rows] = gen.random((n, ucols), dtype=np.float32)
-        draws.u_rank[rows] = gen.random((n, ucols), dtype=np.float32)
+            u_route = gen.random(
+                dtype=np.float32,
+                out=scratch.get("u_route", n, np.float32, ucols),
+            )
+            if draws.u_route is not None:
+                draws.u_route[rows] = u_route
+        draws.u_rank[rows] = gen.random(
+            dtype=np.float32, out=scratch.get("u_rank", n, np.float32, ucols)
+        )
         if prog.kind != "table":
             # Drawn *after* the destination/tie-break draws so
             # table-compiled algorithms consume exactly the streams
@@ -1318,64 +1404,57 @@ class BatchBackend:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _route(self, run, router, dst, imd, mode, u_route, u_rank, fwd,
-               next_free, Q, t, occ_grace):
-        """Channel choice for the forwarded events ``fwd``.  Every
-        argument before ``fwd`` is one value per event of the cycle;
-        ``u_route``/``u_rank`` hold each event's uniforms at its
-        current hop count."""
-        if self.program.kind == "table":
-            return self._route_table(
-                run, router, dst, u_route, u_rank, fwd, next_free, Q, t,
-                occ_grace,
-            )
-        return self._route_nonminimal(
-            run, router, dst, imd, mode, u_route, u_rank, fwd, next_free,
-            Q, t, occ_grace,
-        )
+    def _occupancy(self, qidx, next_free, t, occ_grace, debit_arr):
+        """The occupancy estimate of the flat ``(run, queue)`` indices
+        ``qidx``: the queue's backlog plus the credit-loop lag, clipped
+        at 0, plus the sequential allocator's same-cycle debits when
+        ``debit_arr`` is given."""
+        occ = next_free.take(qidx)
+        occ -= t - occ_grace
+        np.maximum(occ, 0, out=occ)
+        if debit_arr is not None:
+            occ += debit_arr.take(qidx)
+        return occ
 
-    def _pick_table(self, run, router, dst, u_route, sel, next_free, Q, t,
-                    occ_grace, debit_arr):
-        """Table-candidate channel choice for the events ``sel``: the
-        single candidate, or (adaptive) a uniform draw among the
+    def _pick_table(self, runq, row, u_route, next_free, t, occ_grace,
+                    debit_arr):
+        """Table-candidate channel choice for events with ``(run,
+        queue)`` bases ``runq`` at candidate rows ``row``: the single
+        candidate, or (adaptive) a uniform draw by ``u_route`` among the
         minimum-occupancy candidates — the vectorized twin of
         ``pick_min_cost`` over ``port_occupancy``, with the sequential
         allocator's same-cycle debits added in when ``debit_arr`` is
         given."""
-        prog = self.program
-        r = router[sel]
-        key = prog.key_of_dst[dst[sel]]
-        cands = prog.cand[r, key]  # (m, W)
-        if not prog.adaptive or cands.shape[1] == 1:
-            return cands[:, 0].astype(np.int64)
+        cand = self.program.cand
+        if cand.shape[1] == 1:
+            return cand.take(row)
+        cands = cand.take(row, axis=0)  # (m, W)
         valid = cands >= 0
-        qidx = run[sel, None].astype(np.int64) * Q + np.where(valid, cands, 0)
-        occ = next_free[qidx] - (t - occ_grace)
-        np.clip(occ, 0, None, out=occ)
-        if debit_arr is not None:
-            occ += np.where(valid, debit_arr[qidx], 0)
+        occ = self._occupancy(
+            runq[:, None] + np.maximum(cands, 0), next_free, t, occ_grace,
+            debit_arr,
+        )
         occ[~valid] = _OCC_INF
-        u = u_route[sel]
         mn = occ.min(axis=1, keepdims=True)
         tied = occ == mn
         ties = tied.sum(axis=1)
-        j = np.minimum((u * ties).astype(np.int64), ties - 1)
+        j = np.minimum((u_route * ties).astype(np.int64), ties - 1)
         pos = np.cumsum(tied, axis=1) - 1
         choice = (tied & (pos == j[:, None])).argmax(axis=1)
-        return cands[np.arange(sel.size), choice].astype(np.int64)
+        return cands[np.arange(row.size), choice]
 
-    def _waves(self, run, router, u_rank, fwd):
-        """Rank the events ``fwd`` within their ``(run, router)`` group
-        by their pre-drawn per-run uniform: the wave number emulates the
-        order a sequential allocator would serve same-cycle decisions
-        in, randomly yet batch-composition independently."""
-        group = run[fwd].astype(np.int64) * self.program.R + router[fwd]
-        return _segment_ranks(group, u_rank[fwd])[0]
+    def _waves(self, runq, router, u_rank):
+        """Rank events within their ``(run, router)`` group — keyed
+        ``runq + router``, as every router owns a queue — by their
+        pre-drawn per-run uniform ``u_rank``: the wave number emulates
+        the order a sequential allocator would serve same-cycle
+        decisions in, randomly yet batch-composition independently."""
+        return _segment_ranks(runq + router, u_rank)[0]
 
-    def _route_table(self, run, router, dst, u_route, u_rank, fwd,
-                     next_free, Q, t, occ_grace):
+    def _route_table(self, runq, router, row, u_route, u_rank, next_free,
+                     t, occ_grace):
         """Table-program routing (DOR / dest-tag / MIN AD /
-        clos-adaptive).
+        clos-adaptive) of events at candidate rows ``row``.
 
         For sequential-allocator algorithms (clos-adaptive), same-cycle
         decisions at one router must see each other's debits — each
@@ -1387,172 +1466,168 @@ class BatchBackend:
         conflict-free.
         """
         prog = self.program
-        if (
-            not prog.sequential
-            or not prog.adaptive
-            or prog.cand.shape[2] == 1
-        ):
+        if not prog.sequential or not prog.reads_u_route:
             return self._pick_table(
-                run, router, dst, u_route, fwd, next_free, Q, t,
-                occ_grace, None,
+                runq, row, u_route, next_free, t, occ_grace, None
             )
-        wave_of = self._waves(run, router, u_rank, fwd)
+        wave_of = self._waves(runq, router, u_rank)
         wmax = int(wave_of.max())
         if wmax == 0:
             return self._pick_table(
-                run, router, dst, u_route, fwd, next_free, Q, t,
-                occ_grace, None,
+                runq, row, u_route, next_free, t, occ_grace, None
             )
-        chan = np.empty(fwd.size, dtype=np.int64)
+        chan = np.empty(row.size, dtype=np.intp)
         debit_arr = np.zeros(next_free.size, dtype=np.int64)
         period = self.config.channel_period
-        runs64 = run[fwd].astype(np.int64)
         for w in range(wmax + 1):
-            sel_local = np.flatnonzero(wave_of == w)
+            sel = np.flatnonzero(wave_of == w)
+            s_runq = runq.take(sel)
             picked = self._pick_table(
-                run, router, dst, u_route, fwd[sel_local], next_free, Q,
-                t, occ_grace, debit_arr,
+                s_runq, row.take(sel), u_route.take(sel), next_free, t,
+                occ_grace, debit_arr,
             )
-            chan[sel_local] = picked
-            debit_arr[runs64[sel_local] * Q + picked] += period
+            chan[sel] = picked
+            debit_arr[s_runq + picked] += period
         return chan
 
-    def _decide(self, run, router, dst, imd, mode, sel, next_free, Q, t,
-                occ_grace, debit_arr):
-        """Resolve the undecided UGAL packets ``sel`` in one vectorized
-        compare — the twin of ``UGAL._decide`` at the source router.
+    def _decide(self, runq, router, dst_r, imd, next_free, t, occ_grace,
+                debit_arr):
+        """Whether each undecided UGAL packet routes minimally, in one
+        vectorized compare — the twin of ``UGAL._decide`` at the source
+        router ``router``, toward destination router ``dst_r`` via the
+        pre-drawn intermediate ``imd``.
 
         ``q_min`` is the best occupancy estimate over the minimal
         candidate set, ``h_min`` the minimal hop count; ``q_val`` is
-        the estimate of the DOR channel toward the pre-drawn
-        intermediate and ``h_val`` the two-phase hop count.  A
-        degenerate intermediate (source or destination router)
-        collapses onto the minimal path, exactly as in the event
-        kernel.  The packet routes minimally iff ``q_min * h_min <=
-        q_val * h_val + threshold``; the occupancies include the
-        sequential allocator's same-cycle debits when ``debit_arr`` is
-        given (UGAL-S)."""
+        the estimate of the DOR channel toward the intermediate and
+        ``h_val`` the two-phase hop count.  A degenerate intermediate
+        (source or destination router) collapses onto the minimal path,
+        exactly as in the event kernel.  The packet routes minimally
+        iff ``q_min * h_min <= q_val * h_val + threshold``; the
+        occupancies include the sequential allocator's same-cycle debits
+        when ``debit_arr`` is given (UGAL-S)."""
         prog = self.program
-        runs64 = run[sel].astype(np.int64)
-        r = router[sel].astype(np.int64)
-        dst_r = prog.ej_router[dst[sel]].astype(np.int64)
-        im = imd[sel].astype(np.int64)
+        R = prog.R
+        at = router * R
+        pair = at + dst_r  # also the minimal candidate row, as K == R
+        if prog.cand.shape[1] == 1:
+            q_min = self._occupancy(
+                runq + prog.cand.take(pair), next_free, t, occ_grace,
+                debit_arr,
+            )
+        else:
+            cands = prog.cand.take(pair, axis=0)
+            occ = self._occupancy(
+                runq[:, None] + np.maximum(cands, 0), next_free, t,
+                occ_grace, debit_arr,
+            )
+            occ[cands < 0] = _OCC_INF
+            q_min = occ.min(axis=1)
+        h_min = prog.hops_rr.take(pair)
 
-        cands = prog.cand[router[sel], prog.key_of_dst[dst[sel]]]
-        valid = cands >= 0
-        qidx = runs64[:, None] * Q + np.where(valid, cands, 0)
-        occ = next_free[qidx] - (t - occ_grace)
-        np.clip(occ, 0, None, out=occ)
-        if debit_arr is not None:
-            occ += np.where(valid, debit_arr[qidx], 0)
-        occ[~valid] = _OCC_INF
-        q_min = occ.min(axis=1)
-        h_min = prog.hops_rr[r, dst_r]
+        degen = (imd == router) | (imd == dst_r)
+        via = np.where(degen, dst_r, imd)
+        first = at + via
+        h_val = prog.hops_rr.take(first) + prog.hops_rr.take(via * R + dst_r)
+        q_val = self._occupancy(
+            runq + prog.dor_chan.take(first), next_free, t, occ_grace,
+            debit_arr,
+        )
+        return degen | (q_min * h_min <= q_val * h_val + prog.threshold)
 
-        degen = (im == r) | (im == dst_r)
-        safe_im = np.where(degen, dst_r, im)
-        h_val = prog.hops_rr[r, safe_im] + prog.hops_rr[safe_im, dst_r]
-        vq = runs64 * Q + prog.dor_chan[r, safe_im].astype(np.int64)
-        q_val = next_free[vq] - (t - occ_grace)
-        np.clip(q_val, 0, None, out=q_val)
-        if debit_arr is not None:
-            q_val += debit_arr[vq]
-        minimal = degen | (q_min * h_min <= q_val * h_val + prog.threshold)
-        mode[sel] = np.where(minimal, MODE_TABLE, MODE_VAL0).astype(np.int8)
-
-    def _modal_channels(self, run, router, dst, imd, mode, u_route, sel,
-                        next_free, Q, t, occ_grace, debit_arr):
-        """Channel choice for the (decided) events ``sel`` by mode:
-        phase-0 packets take the DOR hop toward their intermediate,
-        phase-1 packets the DOR hop toward their destination, and
-        minimal (``MODE_TABLE``) packets MIN AD's adaptive pick."""
+    def _modal_channels(self, runq, router, dst_r, imd, mode, u_route,
+                        next_free, t, occ_grace, debit_arr):
+        """Channel choice for decided events by mode: phase-0 packets
+        take the DOR hop toward their intermediate, phase-1 packets the
+        DOR hop toward their destination router, and minimal
+        (``MODE_TABLE``) packets MIN AD's adaptive pick from the
+        candidate row of that same router pair."""
         prog = self.program
-        chan = np.empty(sel.size, dtype=np.int64)
-        md = mode[sel]
-        r = router[sel]
-        v0 = md == MODE_VAL0
-        if v0.any():
-            chan[v0] = prog.dor_chan[r[v0], imd[sel[v0]]]
-        v1 = md == MODE_VAL1
-        if v1.any():
-            s1 = sel[v1]
-            chan[v1] = prog.dor_chan[r[v1], prog.ej_router[dst[s1]]]
-        tb = md == MODE_TABLE
-        if tb.any():
+        pair = router * prog.R + np.where(mode == MODE_VAL0, imd, dst_r)
+        chan = prog.dor_chan.take(pair)
+        tb = np.flatnonzero(mode == MODE_TABLE)
+        if tb.size:
             chan[tb] = self._pick_table(
-                run, router, dst, u_route, sel[tb], next_free, Q, t,
+                runq.take(tb), pair.take(tb),
+                None if u_route is None else u_route.take(tb), next_free, t,
                 occ_grace, debit_arr,
             )
         return chan
 
-    def _route_nonminimal(self, run, router, dst, imd, mode, u_route,
-                          u_rank, fwd, next_free, Q, t, occ_grace):
-        """VAL / UGAL routing: decide the undecided, then route by mode.
+    def _resolve(self, runq, router, dst_r, imd, mode, next_free, t,
+                 occ_grace, debit_arr) -> None:
+        """Decide every undecided UGAL event, writing its mode into
+        ``mode`` in place (see :meth:`_decide`)."""
+        if self.program.kind != "ugal":
+            return
+        und = np.flatnonzero(mode == MODE_UNDEC)
+        if und.size:
+            minimal = self._decide(
+                runq.take(und), router.take(und), dst_r.take(und),
+                imd.take(und), next_free, t, occ_grace, debit_arr,
+            )
+            mode[und] = np.where(minimal, MODE_TABLE, MODE_VAL0)
+
+    def _route_nonminimal(self, runq, router, dst_r, imd, mode, u_route,
+                          u_rank, next_free, t, occ_grace):
+        """VAL / UGAL routing of forwarded events: decide the undecided,
+        writing their modes into ``mode``, then route by mode.
 
         UGAL-S wraps both steps in the wave-ranked sequential emulation
         (every routed packet debits its channel, matching the event
         kernel's SequentialAllocator, which records oblivious hops
         too), so a later same-cycle decision at the same router sees
         the earlier packets' picks."""
-        prog = self.program
-        if not prog.sequential:
-            if prog.kind == "ugal":
-                und = fwd[mode[fwd] == MODE_UNDEC]
-                if und.size:
-                    self._decide(run, router, dst, imd, mode, und,
-                                 next_free, Q, t, occ_grace, None)
-            return self._modal_channels(
-                run, router, dst, imd, mode, u_route, fwd, next_free, Q,
-                t, occ_grace, None,
-            )
-        wave_of = self._waves(run, router, u_rank, fwd)
-        wmax = int(wave_of.max())
+        wmax = 0
+        if self.program.sequential:
+            wave_of = self._waves(runq, router, u_rank)
+            wmax = int(wave_of.max())
         if wmax == 0:
-            und = fwd[mode[fwd] == MODE_UNDEC]
-            if und.size:
-                self._decide(run, router, dst, imd, mode, und, next_free,
-                             Q, t, occ_grace, None)
+            self._resolve(runq, router, dst_r, imd, mode, next_free, t,
+                          occ_grace, None)
             return self._modal_channels(
-                run, router, dst, imd, mode, u_route, fwd, next_free, Q,
-                t, occ_grace, None,
+                runq, router, dst_r, imd, mode, u_route, next_free, t,
+                occ_grace, None,
             )
-        chan = np.empty(fwd.size, dtype=np.int64)
+        chan = np.empty(runq.size, dtype=np.intp)
         debit_arr = np.zeros(next_free.size, dtype=np.int64)
         period = self.config.channel_period
-        runs64 = run[fwd].astype(np.int64)
         for w in range(wmax + 1):
-            sel_local = np.flatnonzero(wave_of == w)
-            sel = fwd[sel_local]
-            und = sel[mode[sel] == MODE_UNDEC]
-            if und.size:
-                self._decide(run, router, dst, imd, mode, und, next_free,
-                             Q, t, occ_grace, debit_arr)
+            sel = np.flatnonzero(wave_of == w)
+            s_runq = runq.take(sel)
+            s_router = router.take(sel)
+            s_dst_r = dst_r.take(sel)
+            s_imd = imd.take(sel)
+            s_mode = mode.take(sel)
+            self._resolve(s_runq, s_router, s_dst_r, s_imd, s_mode,
+                          next_free, t, occ_grace, debit_arr)
+            mode[sel] = s_mode
             picked = self._modal_channels(
-                run, router, dst, imd, mode, u_route, sel, next_free, Q,
+                s_runq, s_router, s_dst_r, s_imd, s_mode,
+                None if u_route is None else u_route.take(sel), next_free,
                 t, occ_grace, debit_arr,
             )
-            chan[sel_local] = picked
-            debit_arr[runs64[sel_local] * Q + picked] += period
+            chan[sel] = picked
+            debit_arr[s_runq + picked] += period
         return chan
 
     @staticmethod
-    def _record_ejections(runs, born, dep, hops, warmup, end, B, win_ejects,
-                          eject_at, labeled_eject_at, rec_run, rec_created,
-                          rec_dep, rec_hops) -> None:
-        in_window = (dep >= warmup) & (dep < end)
-        if in_window.any():
-            win_ejects += np.bincount(runs[in_window], minlength=B)
+    def _record_ejections(runs, born, dep, hops, warmup, end, B, eject_at,
+                          labeled_eject_at, rec_run, rec_created, rec_dep,
+                          rec_hops) -> None:
+        """File one cycle's ejections: per-run counts by departure cycle
+        (all, and labeled), and the labeled packets' records."""
         BatchBackend._count_by_cycle(eject_at, runs, dep, B)
-        labeled = (born >= warmup) & (born < end)
-        if not labeled.any():
+        labeled = np.flatnonzero((born >= warmup) & (born < end))
+        if not labeled.size:
             return
-        lruns = runs[labeled]
-        ldep = dep[labeled]
+        lruns = runs.take(labeled)
+        ldep = dep.take(labeled)
         BatchBackend._count_by_cycle(labeled_eject_at, lruns, ldep, B)
         rec_run.append(lruns)
-        rec_created.append(born[labeled])
+        rec_created.append(born.take(labeled))
         rec_dep.append(ldep)
-        rec_hops.append(hops[labeled])
+        rec_hops.append(hops.take(labeled))
 
     @staticmethod
     def _count_by_cycle(slots, runs, dep, B) -> None:
@@ -1577,12 +1652,12 @@ class BatchBackend:
         cycle.  ``arrival`` is sorted and every column was gathered once
         in that same order, so each cycle's block is one contiguous
         slice of each column."""
-        cuts = np.flatnonzero(np.r_[True, arrival[1:] != arrival[:-1]])
-        bounds = np.append(cuts, arrival.size).tolist()
-        for i, cycle in enumerate(arrival[cuts].tolist()):
-            start, stop = bounds[i], bounds[i + 1]
+        stops = (np.flatnonzero(arrival[1:] != arrival[:-1]) + 1).tolist()
+        starts = [0, *stops]
+        stops.append(arrival.size)
+        for cycle, start, stop in zip(arrival[starts].tolist(), starts, stops):
             cal.setdefault(cycle, []).append(
-                tuple(col[start:stop] for col in columns)
+                tuple([col[start:stop] for col in columns])
             )
 
     # ------------------------------------------------------------------

@@ -560,7 +560,7 @@ def _assert_columns_match(backend, draws, rows, dst, imd, u_route, u_rank):
         refs["imd"] = imd
     else:
         assert draws.imd is None
-    if prog.adaptive:
+    if prog.reads_u_route:
         refs["u_route"] = u_route
     else:
         assert draws.u_route is None
@@ -568,29 +568,37 @@ def _assert_columns_match(backend, draws, rows, dst, imd, u_route, u_rank):
         assert np.array_equal(getattr(draws, name)[rows], ref), name
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     algorithm_cls=st.sampled_from(
         [MinimalAdaptive, UGAL, DimensionOrder, Valiant]
     ),
+    n=st.sampled_from([2, 3]),
     runs=st.integers(min_value=1, max_value=4),
     rate=st.sampled_from([0.02, 0.3, 1.0]),
     blocky=st.booleans(),
     seed=st.integers(min_value=0, max_value=99),
 )
-def test_predraw_layout_matches_lexsort(algorithm_cls, runs, rate, blocky,
-                                        seed):
+def test_predraw_layout_matches_lexsort(algorithm_cls, n, runs, rate,
+                                        blocky, seed):
     """Two predraw chunks, each run's values drawn straight into its
     rows, equal the same draws laid out by ``lexsort((terminal, run,
     cycle))``, multi-block draws included: so each run's rows hold its
     draws in ``lexsort((terminal, cycle))`` order.  Only the columns
-    the program reads exist."""
+    the program reads exist.  UGAL on a k-ary 2-flat draws tie-break
+    uniforms it never reads: they have no column, yet the ranks and
+    intermediates after them match the reference stream that draws
+    them."""
     np = pytest.importorskip("numpy")
     from repro.network import batch as batch_module
 
     backend = batch_module.BatchBackend(
-        FlattenedButterfly(4, 2), algorithm_cls(), UniformRandom()
+        FlattenedButterfly(4, n), algorithm_cls(), UniformRandom()
     )
+    prog = backend.program
+    if algorithm_cls is UGAL:
+        assert prog.adaptive
+        assert prog.reads_u_route == (n == 3)
     state = batch_module._RunState(
         backend, np.full(runs, rate), list(range(seed, seed + runs)),
         warmup=100, measure=100, drain_max=1000, drain=True,
@@ -613,6 +621,10 @@ def test_predraw_layout_matches_lexsort(algorithm_cls, runs, rate, blocky,
         _assert_columns_match(
             backend, draws, slice(None), dst, imd, u_route, u_rank
         )
+        if algorithm_cls is UGAL and n == 2:
+            assert draws.u_route is None
+            assert np.array_equal(draws.u_rank, u_rank)
+            assert np.array_equal(draws.imd, imd)
 
 
 @pytest.mark.parametrize("algorithm_cls", [MinimalAdaptive, UGAL])
@@ -718,6 +730,172 @@ def test_chunk_carry_keeps_in_flight_constants(algorithm_cls, rate, seed):
     for blk, want in zip(blocks, before):
         for name in names:
             assert np.array_equal(getattr(nxt, name)[blk[0]], want[name])
+
+
+def _reference_pick(arrays, runs, router, dst_r, u, next_free, Q, t,
+                    occ_grace, debit):
+    """MIN AD's pick over the 2-D ``minimal_channel[router, dst_r]``
+    rows: the uniform-``u`` draw among the minimum-occupancy
+    candidates."""
+    import numpy as np
+
+    cands = arrays.minimal_channel[router, dst_r].astype(np.int64)
+    valid = cands >= 0
+    qidx = runs[:, None] * Q + np.where(valid, cands, 0)
+    occ = np.clip(next_free[qidx] - (t - occ_grace), 0, None)
+    if debit is not None:
+        occ += np.where(valid, debit[qidx], 0)
+    occ[~valid] = 1 << 40
+    tied = occ == occ.min(axis=1, keepdims=True)
+    ties = tied.sum(axis=1)
+    j = np.minimum((u * ties).astype(np.int64), ties - 1)
+    pos = np.cumsum(tied, axis=1) - 1
+    choice = (tied & (pos == j[:, None])).argmax(axis=1)
+    return cands[np.arange(runs.size), choice]
+
+
+def _reference_decide(arrays, threshold, runs, router, dst_r, imd,
+                      next_free, Q, t, occ_grace, debit):
+    """UGAL's minimal-vs-Valiant compare over the 2-D exports."""
+    import numpy as np
+
+    hops = arrays.hops.astype(np.int64)
+    cands = arrays.minimal_channel[router, dst_r].astype(np.int64)
+    valid = cands >= 0
+    qidx = runs[:, None] * Q + np.where(valid, cands, 0)
+    occ = np.clip(next_free[qidx] - (t - occ_grace), 0, None)
+    if debit is not None:
+        occ += np.where(valid, debit[qidx], 0)
+    occ[~valid] = 1 << 40
+    q_min = occ.min(axis=1)
+    degen = (imd == router) | (imd == dst_r)
+    via = np.where(degen, dst_r, imd)
+    h_val = hops[router, via] + hops[via, dst_r]
+    vq = runs * Q + arrays.dor_channel[router, via]
+    q_val = np.clip(next_free[vq] - (t - occ_grace), 0, None)
+    if debit is not None:
+        q_val += debit[vq]
+    return degen | (
+        q_min * hops[router, dst_r] <= q_val * h_val + threshold
+    )
+
+
+def _reference_modal(arrays, runs, router, dst_r, imd, mode, u, next_free,
+                     Q, t, occ_grace, debit):
+    """Per-mode channels over the 2-D exports: DOR toward the
+    intermediate, DOR toward the destination, or MIN AD's pick."""
+    import numpy as np
+
+    from repro.network.batch import MODE_TABLE, MODE_VAL0, MODE_VAL1
+
+    chan = np.full(runs.size, -2, dtype=np.int64)
+    v0 = mode == MODE_VAL0
+    chan[v0] = arrays.dor_channel[router[v0], imd[v0]]
+    v1 = mode == MODE_VAL1
+    chan[v1] = arrays.dor_channel[router[v1], dst_r[v1]]
+    tb = mode == MODE_TABLE
+    chan[tb] = _reference_pick(
+        arrays, runs[tb], router[tb], dst_r[tb], u[tb], next_free, Q, t,
+        occ_grace, debit,
+    )
+    return chan
+
+
+_UGAL_BACKENDS = {}
+
+
+def _ugal_backend(n):
+    """A UGAL batch backend on the 4-ary n-flat (cached: building one
+    compiles the route table)."""
+    from repro.network.batch import BatchBackend
+
+    if n not in _UGAL_BACKENDS:
+        _UGAL_BACKENDS[n] = BatchBackend(
+            FlattenedButterfly(4, n), UGAL(), UniformRandom()
+        )
+    return _UGAL_BACKENDS[n]
+
+
+def _check_flat_decisions(backend, runs, m, debits, seed):
+    """The flat-table ``_pick_table``/``_decide``/``_modal_channels`` of
+    ``backend`` equal the 2-D references on ``m`` random forwarded
+    events: random routers, destinations, intermediates (degenerate
+    ones included), modes, queue states and same-cycle debits."""
+    import numpy as np
+
+    from repro.core.routing.table import shared_route_table
+    from repro.network.batch import MODE_TABLE, MODE_VAL0, MODE_VAL1
+
+    prog = backend.program
+    arrays = shared_route_table(backend.topology).as_arrays()
+    R, Q = arrays.num_routers, prog.C + prog.T
+    rng = np.random.default_rng(seed)
+    t, occ_grace = 20, 1
+    run = rng.integers(0, runs, m)
+    router = rng.integers(0, R, m).astype(np.int32)
+    # Forwarded events: never at their destination router.
+    dst_r = (router + rng.integers(1, R, m)) % R
+    imd = rng.integers(0, R, m).astype(np.int32)
+    mode = rng.choice(
+        np.array([MODE_TABLE, MODE_VAL0, MODE_VAL1], dtype=np.int8), m
+    )
+    # A phase-0 packet at its intermediate has already flipped.
+    at_imd = (mode == MODE_VAL0) & (imd == router)
+    imd[at_imd] = (router[at_imd] + 1) % R
+    u = rng.random(m, dtype=np.float32)
+    next_free = rng.integers(t - 4, t + 6, runs * Q)
+    debit = rng.integers(0, 3, runs * Q) if debits else None
+    runq = run * Q
+
+    ref = (next_free, Q, t, occ_grace, debit)
+    flat = (next_free, t, occ_grace, debit)
+    assert np.array_equal(
+        backend._pick_table(runq, router * prog.K + dst_r, u, *flat),
+        _reference_pick(arrays, run, router, dst_r, u, *ref),
+    )
+    assert np.array_equal(
+        backend._decide(runq, router, dst_r, imd, *flat),
+        _reference_decide(
+            arrays, prog.threshold, run, router, dst_r, imd, *ref
+        ),
+    )
+    assert np.array_equal(
+        backend._modal_channels(runq, router, dst_r, imd, mode, u, *flat),
+        _reference_modal(arrays, run, router, dst_r, imd, mode, u, *ref),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    runs=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=1, max_value=80),
+    debits=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_flat_decisions_match_2d_reference(n, runs, m, debits, seed):
+    """UGAL's flat-table minimal pick, minimal-vs-Valiant decision and
+    per-mode channel choice equal their 2-D references, on candidate
+    rows of width 1 (the 2-flat) and 2 (the 3-flat), with and without
+    the sequential allocator's debits."""
+    pytest.importorskip("numpy")
+    backend = _ugal_backend(n)
+    assert backend.program.cand.shape[1] == n - 1
+    _check_flat_decisions(backend, runs, m, debits, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flat_decisions_catch_a_wrong_stride(n):
+    """The reference check fails a program whose router-pair tables are
+    read with a wrong flat stride."""
+    pytest.importorskip("numpy")
+    backend = _ugal_backend(n)
+    mutant = copy.copy(backend)
+    mutant.program = dataclasses.replace(
+        backend.program, R=backend.program.R - 1
+    )
+    with pytest.raises(AssertionError):
+        _check_flat_decisions(mutant, runs=2, m=200, debits=True, seed=0)
 
 
 def _summary_fields(summary):
