@@ -53,8 +53,9 @@ intermediate, then ejects (phase-0 packets pass *through* their
 destination, mirroring ``inline_eject = False``), then resolves every
 undecided UGAL packet with one vectorized ``q_min * h_min <= q_val *
 h_val + threshold`` compare over the occupancy estimate, then routes
-each mode through the dense DOR / minimal-candidate exports of
-:meth:`repro.core.routing.table.RouteTable.as_arrays`.  UGAL-S runs
+each mode through flat tables compiled from the DOR / minimal-candidate
+exports of :meth:`repro.core.routing.table.RouteTable.as_arrays` (see
+:class:`_Program`).  UGAL-S runs
 the decision *and* the routing inside the wave-ranked sequential
 emulation, so same-cycle decisions at one router see each other's
 allocator debits.
@@ -659,11 +660,11 @@ class _ChunkDraws:
 
 
 class _Scratch:
-    """Keyed, geometrically grown scratch buffers for the per-cycle
-    step: each request returns a view of a persistent buffer, so
-    steady-state cycles allocate nothing.  The ``allocs``/``reuses``
-    counters are surfaced through ``BatchRunResult.stats`` so the
-    benchmark can assert the allocation pass actually holds."""
+    """Keyed, geometrically grown scratch buffers: each request returns
+    a view of a persistent buffer, so steady-state cycles allocate
+    nothing.  The per-cycle step's ``allocs``/``reuses`` counters are
+    surfaced through ``BatchRunResult.stats`` so the benchmark can
+    assert the allocation pass actually holds."""
 
     __slots__ = ("_bufs", "allocs", "reuses")
 
@@ -726,6 +727,8 @@ class _RunState:
         # draws.
         self.cal: Dict[int, list] = {}
         self.scratch = _Scratch()
+        # The predraw's own buffers, apart from the step's counters.
+        self.draw_scratch = _Scratch()
 
         self.done = np.zeros(B, dtype=bool)
         self.saturated = np.zeros(B, dtype=bool)
@@ -1222,8 +1225,7 @@ class BatchBackend:
         born[:] = t
         hops = scratch.get("i_hops", n, np.int16)
         hops[:] = 0
-        # Written in place by the VAL flip and UGAL's decision, so a
-        # fresh fill every cycle.
+        # Written in place by the VAL flip, so a fresh fill every cycle.
         mode = scratch.get("i_mode", n, np.int8)
         mode[:] = self.program.mode0
         return ids, router, born, hops, mode
@@ -1318,7 +1320,7 @@ class BatchBackend:
             draws.run[rows] = b
             draws.router[rows] = prog.inj_router[terminals]
             self._draw_run_values(
-                state.gens[b], terminals, draws, rows, state.scratch
+                state.gens[b], terminals, draws, rows, state.draw_scratch
             )
         return draws
 

@@ -801,19 +801,11 @@ def _reference_modal(arrays, runs, router, dst_r, imd, mode, u, next_free,
     return chan
 
 
-_UGAL_BACKENDS = {}
-
-
 def _ugal_backend(n):
-    """A UGAL batch backend on the 4-ary n-flat (cached: building one
-    compiles the route table)."""
+    """A UGAL batch backend on the 4-ary n-flat."""
     from repro.network.batch import BatchBackend
 
-    if n not in _UGAL_BACKENDS:
-        _UGAL_BACKENDS[n] = BatchBackend(
-            FlattenedButterfly(4, n), UGAL(), UniformRandom()
-        )
-    return _UGAL_BACKENDS[n]
+    return BatchBackend(FlattenedButterfly(4, n), UGAL(), UniformRandom())
 
 
 def _check_flat_decisions(backend, runs, m, debits, seed):
