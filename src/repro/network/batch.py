@@ -727,8 +727,6 @@ class _RunState:
         # draws.
         self.cal: Dict[int, list] = {}
         self.scratch = _Scratch()
-        # The predraw's own buffers, apart from the step's counters.
-        self.draw_scratch = _Scratch()
 
         self.done = np.zeros(B, dtype=bool)
         self.saturated = np.zeros(B, dtype=bool)
@@ -1312,6 +1310,9 @@ class BatchBackend:
         if carry is not None:
             for name, rows in carry.items():
                 getattr(draws, name)[:head] = rows
+        # Each run's uniforms pass through these buffers, freed with the
+        # chunk's pass (the step's scratch keeps its own counters).
+        scratch = _Scratch()
         for i, (b, counts, terminals) in enumerate(timed):
             # The run's packets are in (cycle, terminal) order: the
             # p-th of cycle c0 + k goes to row first[i, k] + p.
@@ -1320,7 +1321,7 @@ class BatchBackend:
             draws.run[rows] = b
             draws.router[rows] = prog.inj_router[terminals]
             self._draw_run_values(
-                state.gens[b], terminals, draws, rows, state.draw_scratch
+                state.gens[b], terminals, draws, rows, scratch
             )
         return draws
 
