@@ -1419,6 +1419,18 @@ class BatchBackend:
             occ += debit_arr.take(qidx)
         return occ
 
+    def _candidates(self, runq, row, next_free, t, occ_grace, debit_arr):
+        """The candidate channels ``(m, W)`` of rows ``row`` and their
+        occupancy estimates (see :meth:`_occupancy`), padded slots at
+        :data:`_OCC_INF`."""
+        cands = self.program.cand.take(row, axis=0)
+        occ = self._occupancy(
+            runq[:, None] + np.maximum(cands, 0), next_free, t, occ_grace,
+            debit_arr,
+        )
+        occ[cands < 0] = _OCC_INF
+        return cands, occ
+
     def _pick_table(self, runq, row, u_route, next_free, t, occ_grace,
                     debit_arr):
         """Table-candidate channel choice for events with ``(run,
@@ -1431,13 +1443,9 @@ class BatchBackend:
         cand = self.program.cand
         if cand.shape[1] == 1:
             return cand.take(row)
-        cands = cand.take(row, axis=0)  # (m, W)
-        valid = cands >= 0
-        occ = self._occupancy(
-            runq[:, None] + np.maximum(cands, 0), next_free, t, occ_grace,
-            debit_arr,
+        cands, occ = self._candidates(
+            runq, row, next_free, t, occ_grace, debit_arr
         )
-        occ[~valid] = _OCC_INF
         mn = occ.min(axis=1, keepdims=True)
         tied = occ == mn
         ties = tied.sum(axis=1)
@@ -1519,13 +1527,9 @@ class BatchBackend:
                 debit_arr,
             )
         else:
-            cands = prog.cand.take(pair, axis=0)
-            occ = self._occupancy(
-                runq[:, None] + np.maximum(cands, 0), next_free, t,
-                occ_grace, debit_arr,
-            )
-            occ[cands < 0] = _OCC_INF
-            q_min = occ.min(axis=1)
+            q_min = self._candidates(
+                runq, pair, next_free, t, occ_grace, debit_arr
+            )[1].min(axis=1)
         h_min = prog.hops_rr.take(pair)
 
         degen = (imd == router) | (imd == dst_r)

@@ -732,11 +732,10 @@ def test_chunk_carry_keeps_in_flight_constants(algorithm_cls, rate, seed):
             assert np.array_equal(getattr(nxt, name)[blk[0]], want[name])
 
 
-def _reference_pick(arrays, runs, router, dst_r, u, next_free, Q, t,
-                    occ_grace, debit):
-    """MIN AD's pick over the 2-D ``minimal_channel[router, dst_r]``
-    rows: the uniform-``u`` draw among the minimum-occupancy
-    candidates."""
+def _reference_occupancy(arrays, runs, router, dst_r, next_free, Q, t,
+                         occ_grace, debit):
+    """The 2-D ``minimal_channel[router, dst_r]`` rows and their
+    credit-lagged occupancy estimates, padded slots at 2**40."""
     import numpy as np
 
     cands = arrays.minimal_channel[router, dst_r].astype(np.int64)
@@ -746,6 +745,18 @@ def _reference_pick(arrays, runs, router, dst_r, u, next_free, Q, t,
     if debit is not None:
         occ += np.where(valid, debit[qidx], 0)
     occ[~valid] = 1 << 40
+    return cands, occ
+
+
+def _reference_pick(arrays, runs, router, dst_r, u, next_free, Q, t,
+                    occ_grace, debit):
+    """MIN AD's pick over the 2-D rows: the uniform-``u`` draw among
+    the minimum-occupancy candidates."""
+    import numpy as np
+
+    cands, occ = _reference_occupancy(
+        arrays, runs, router, dst_r, next_free, Q, t, occ_grace, debit
+    )
     tied = occ == occ.min(axis=1, keepdims=True)
     ties = tied.sum(axis=1)
     j = np.minimum((u * ties).astype(np.int64), ties - 1)
@@ -760,14 +771,9 @@ def _reference_decide(arrays, threshold, runs, router, dst_r, imd,
     import numpy as np
 
     hops = arrays.hops.astype(np.int64)
-    cands = arrays.minimal_channel[router, dst_r].astype(np.int64)
-    valid = cands >= 0
-    qidx = runs[:, None] * Q + np.where(valid, cands, 0)
-    occ = np.clip(next_free[qidx] - (t - occ_grace), 0, None)
-    if debit is not None:
-        occ += np.where(valid, debit[qidx], 0)
-    occ[~valid] = 1 << 40
-    q_min = occ.min(axis=1)
+    q_min = _reference_occupancy(
+        arrays, runs, router, dst_r, next_free, Q, t, occ_grace, debit
+    )[1].min(axis=1)
     degen = (imd == router) | (imd == dst_r)
     via = np.where(degen, dst_r, imd)
     h_val = hops[router, via] + hops[via, dst_r]
