@@ -241,7 +241,7 @@ def _serve_fifo(q, minor, t, next_free, period_flat, dep):
 
 
 def _latency_summary(ordered) -> LatencySummary:
-    """:meth:`LatencySummary.from_samples` of the ascending int64
+    """:meth:`LatencySummary.from_samples` of the ascending integer
     array ``ordered``, computed in numpy: the exact integer sum over
     the count gives the same mean, and every field is a Python
     ``int``/``float``."""
@@ -260,6 +260,14 @@ def _latency_summary(ordered) -> LatencySummary:
         p99=percentile(0.99),
         max=float(ordered[-1]),
     )
+
+
+def _concat_and_clear(parts, dtype):
+    """The arrays of the list ``parts`` concatenated (empty ``dtype``
+    for none); empties the list, so its arrays can be freed."""
+    out = np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+    parts.clear()
+    return out
 
 
 @dataclass
@@ -630,27 +638,33 @@ class _ChunkDraws:
 
     The calendar files each in-flight packet by its row here (its
     *id*) and carries only what changes per hop; the step reads the
-    constants through the id.  Rows ``[0, offsets[0])`` are the
-    packets still in flight when the chunk was drawn, carried over from
-    the previous chunk (:meth:`BatchBackend._carry_in_flight`).  The
-    rest are every live run's pre-drawn injections in ``(cycle, run,
-    terminal)`` order, the order the cycle loop consumes them in, with
-    ``offsets[t - c0] : offsets[t - c0 + 1]`` slicing out cycle ``t``'s
-    packets.  The predraw pass writes each run's draws straight to
-    their rows, so the chunk is held once and never sorted or gathered.
-    All randomness (gaps, destinations, tie-break uniforms, Valiant
-    intermediates) is drawn there in the canonical per-run stream
-    order, so the cycle step never touches a generator: it only
-    *interprets* these columns.  Columns a program never reads are
-    ``None``: ``imd`` for table programs, and ``u_route`` unless
-    :attr:`_Program.reads_u_route` (an adaptive program that never
-    reads it still draws it, into scratch, to keep its stream).
+    constants through the id.  The head rows are the packets still in
+    flight when the chunk was drawn, carried over from the previous
+    chunk (:meth:`BatchBackend._carry_in_flight`).  After them, each
+    run that injects in the chunk owns one contiguous block of rows,
+    the blocks in run order, each holding the run's injections in
+    ``(cycle, terminal)`` order — the order its generator draws them
+    in.  ``inj_run[i]`` is the ``i``-th block's run, and
+    ``inj_start[k, i] : inj_start[k + 1, i]`` are its rows at cycle
+    ``c0 + k``; cycle ``t``'s injections in the ``(run, terminal)``
+    order the step consumes are those slices, taken in block order
+    (:meth:`BatchBackend._injections`).  The predraw pass draws each
+    run's values straight into its block, so the chunk is held once and
+    never sorted, scattered or gathered.  All randomness (gaps,
+    destinations, tie-break uniforms, Valiant intermediates) is drawn
+    there in the canonical per-run stream order, so the cycle step
+    never touches a generator: it only *interprets* these columns.
+    Columns a program never reads are ``None``: ``imd`` for table
+    programs, and ``u_route`` unless :attr:`_Program.reads_u_route`
+    (an adaptive program that never reads it still draws it, into the
+    rows the ranks then overwrite, to keep its stream).
     """
 
     #: The columns read by id after injection, so carried over.
     CONSTANTS = ("run", "dst", "imd", "u_route", "u_rank")
 
-    offsets: List[int]  # [c1 - c0 + 1] per-cycle row bounds
+    inj_run: "np.ndarray"  # [runs] intp, the injecting runs, ascending
+    inj_start: "np.ndarray"  # [c1 - c0 + 1, runs] int64 block row bounds
     run: "np.ndarray"  # [N] int32
     router: "np.ndarray"  # [N] int32 injection router (injections only)
     dst: "np.ndarray"  # [N] int32 destination terminal
@@ -673,12 +687,11 @@ class _Scratch:
         self.allocs = 0
         self.reuses = 0
 
-    def get(self, key: str, n: int, dtype, cols: Optional[int] = None):
+    def get(self, key: str, n: int, dtype):
         buf = self._bufs.get(key)
         if buf is None or buf.shape[0] < n:
             cap = max(64, n, 0 if buf is None else 2 * buf.shape[0])
-            shape = cap if cols is None else (cap, cols)
-            buf = np.empty(shape, dtype=dtype)
+            buf = np.empty(cap, dtype=dtype)
             self._bufs[key] = buf
             self.allocs += 1
         else:
@@ -745,7 +758,7 @@ class _RunState:
 
         # Labeled-ejection records for latency/hops summaries.
         self.rec_run: List["np.ndarray"] = []
-        self.rec_created: List["np.ndarray"] = []
+        self.rec_lat: List["np.ndarray"] = []
         self.rec_dep: List["np.ndarray"] = []
         self.rec_hops: List["np.ndarray"] = []
 
@@ -785,15 +798,20 @@ class BatchBackend:
             return "uniform"
         if type(pattern) is GroupShift:
             groups = pattern._groups
-            G = len(groups)
-            lmax = max(len(g) for g in groups)
-            members = np.zeros((G, lmax), dtype=np.int32)
-            glen = np.zeros(G, dtype=np.int64)
-            for g, ts in enumerate(groups):
-                members[g, : len(ts)] = ts
-                glen[g] = len(ts)
+            sizes = {len(g) for g in groups}
+            if len(sizes) > 1:
+                raise NotImplementedError(
+                    f"group-shift traffic over router groups of unequal "
+                    f"sizes {sorted(sizes)}: use kernel='event' "
+                    f"(kernel='batch' draws every destination group with "
+                    f"one bound)"
+                )
+            # members[g * L + i]: the i-th terminal of group g.
+            members = np.array(groups, dtype=np.int32).reshape(-1)
             group_of = np.array(pattern._group_of, dtype=np.int32)
-            self._groups = (members, glen, group_of, pattern.shift)
+            self._groups = (
+                members, sizes.pop(), group_of, len(groups), pattern.shift
+            )
             return "group"
         raise NotImplementedError(
             f"kernel='batch' does not implement the {pattern.name!r} "
@@ -809,10 +827,13 @@ class BatchBackend:
         if self._pattern_mode == "uniform":
             d = gen.integers(0, T - 1, size=n)
             return (d + (d >= srcs)).astype(np.int32)
-        members, glen, group_of, shift = self._groups
-        target = (group_of[srcs] + shift) % len(glen)
-        pick = gen.integers(0, glen[target])
-        return members[target, pick]
+        # Every group has L members, so one scalar bound draws what the
+        # per-packet bound array would, from the same stream.
+        members, L, group_of, G, shift = self._groups
+        target = (group_of.take(srcs) + shift) % G
+        pick = gen.integers(0, L, size=n)
+        pick += target * L
+        return members.take(pick)
 
     def _consume(self) -> None:
         if self._consumed:
@@ -993,7 +1014,7 @@ class BatchBackend:
             load_of_run, measure, state.cycles, state.saturated,
             state.labeled_created, state.frozen_delivered,
             state.win_ejects, state.n_events, state.n_routes,
-            state.rec_run, state.rec_created, state.rec_dep,
+            state.rec_run, state.rec_lat, state.rec_dep,
             state.rec_hops, wall,
         )
         stats = {
@@ -1141,7 +1162,7 @@ class BatchBackend:
                         run.take(ej), born.take(ej), dep.take(ej),
                         hops.take(ej), warmup, end, B, state.eject_at,
                         state.labeled_eject_at, state.rec_run,
-                        state.rec_created, state.rec_dep, state.rec_hops,
+                        state.rec_lat, state.rec_dep, state.rec_hops,
                     )
                 if fwd.size:
                     f_dep = dep.take(fwd)
@@ -1193,31 +1214,26 @@ class BatchBackend:
 
     def _injections(self, state: _RunState, draws: _ChunkDraws, k: int,
                     t: int):
-        """Cycle ``t``'s injection block: the ids ``offsets[k] :
-        offsets[k + 1]`` of ``draws``, less the runs already done, at
+        """Cycle ``t``'s injection block: every run's rows
+        ``inj_start[k] : inj_start[k + 1]`` of ``draws`` in run order,
+        so in ``(run, terminal)`` order, less the runs already done, at
         their injection routers, born at ``t`` with 0 hops in the
         program's birth mode; ``None`` when no live run injects.  Counts
         the packets created."""
-        lo = draws.offsets[k]
-        hi = draws.offsets[k + 1]
-        if hi == lo:
-            return None
-        runs = draws.run[lo:hi]
-        ids = np.arange(lo, hi)
-        router = draws.router[lo:hi]
-        dmask = state.done[runs]
-        if dmask.any():
-            keep = ~dmask
-            runs = runs[keep]
-            ids = ids[keep]
-            router = router[keep]
-        n = ids.size
+        starts = draws.inj_start[k]
+        counts = draws.inj_start[k + 1] - starts
+        counts[state.done.take(draws.inj_run)] = 0
+        n = int(counts.sum())
         if not n:
             return None
-        counts = np.bincount(runs, minlength=state.B)
-        state.created += counts
+        state.created[draws.inj_run] += counts
         if state.warmup <= t < state.end:
-            state.labeled_created += counts
+            state.labeled_created[draws.inj_run] += counts
+        # Row p of the block is its run's start plus p's offset past the
+        # runs before it.
+        ids = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        ids += np.arange(n)
+        router = draws.router.take(ids)
         scratch = state.scratch
         born = scratch.get("i_born", n, np.int64)
         born[:] = t
@@ -1259,11 +1275,10 @@ class BatchBackend:
         (see :meth:`_carry_in_flight`; ``None`` for no head).
 
         Every run's gaps are drawn first: their per-cycle counts fix
-        the rows each run's packets take in ``(cycle, run, terminal)``
-        order.  Then each run's per-packet values are drawn and written
-        straight to those rows.  Each run draws from its own generator,
-        so every run's stream order is that of drawing its gaps and its
-        values back to back."""
+        each run's block of rows (see :class:`_ChunkDraws`).  Then each
+        run's per-packet values are drawn straight into its block.  Each
+        run draws from its own generator, so every run's stream order is
+        that of drawing its gaps and its values back to back."""
         span = c1 - c0
         timed = []
         for b, gen in enumerate(state.gens):
@@ -1273,27 +1288,21 @@ class BatchBackend:
                 gen, state.rates[b], c0, c1, state.next_inj[b]
             )
             if drawn is not None:
-                t_run, terminals = drawn
-                timed.append(
-                    (b, np.bincount(t_run - c0, minlength=span), terminals)
-                )
-        # per_cycle[i, k]: the i-th drawing run's packets at cycle c0 + k.
-        per_cycle = np.array(
-            [counts for _, counts, _ in timed], dtype=np.int64
-        ).reshape(len(timed), span)
+                timed.append((b, *drawn))
         head = 0 if carry is None else carry["run"].size
-        offsets = np.empty(span + 1, dtype=np.int64)
-        offsets[0] = head
-        np.cumsum(per_cycle.sum(axis=0), out=offsets[1:])
-        offsets[1:] += head
-        # Each run's first row in each cycle: the cycle's first row plus
-        # the packets of the runs before it.
-        first = offsets[:-1] + (np.cumsum(per_cycle, axis=0) - per_cycle)
-        n = int(offsets[-1])
+        # inj_start[k, i]: the i-th block's packets before cycle c0 + k,
+        # then offset by the block's first row.
+        inj_start = np.zeros((span + 1, len(timed)), dtype=np.int64)
+        for i, (_, counts, _) in enumerate(timed):
+            np.cumsum(counts, out=inj_start[1:, i])
+        sizes = inj_start[-1].copy()
+        inj_start += head + (np.cumsum(sizes) - sizes)
+        n = head + int(sizes.sum())
         ucols = state.ucols
         prog = self.program
         draws = _ChunkDraws(
-            offsets=offsets.tolist(),
+            inj_run=np.array([b for b, _, _ in timed], dtype=np.intp),
+            inj_start=inj_start,
             run=np.empty(n, dtype=np.int32),
             router=np.empty(n, dtype=np.int32),
             dst=np.empty(n, dtype=np.int32),
@@ -1310,28 +1319,23 @@ class BatchBackend:
         if carry is not None:
             for name, rows in carry.items():
                 getattr(draws, name)[:head] = rows
-        # Each run's uniforms pass through these buffers, freed with the
-        # chunk's pass (the step's scratch keeps its own counters).
-        scratch = _Scratch()
-        for i, (b, counts, terminals) in enumerate(timed):
-            # The run's packets are in (cycle, terminal) order: the
-            # p-th of cycle c0 + k goes to row first[i, k] + p.
-            rows = np.repeat(first[i] - (np.cumsum(counts) - counts), counts)
-            rows += np.arange(terminals.size)
+        for (b, _, terminals), lo, hi in zip(
+            timed, inj_start[0].tolist(), inj_start[-1].tolist()
+        ):
+            rows = slice(lo, hi)
             draws.run[rows] = b
-            draws.router[rows] = prog.inj_router[terminals]
-            self._draw_run_values(
-                state.gens[b], terminals, draws, rows, scratch
-            )
+            prog.inj_router.take(terminals, out=draws.router[rows])
+            self._draw_run_values(state.gens[b], terminals, draws, rows)
         return draws
 
     def _draw_run_times(self, gen, rate, c0, c1, nt):
-        """One run's injection cycles in ``[c0, c1)``: vectorized
-        geometric gaps continuing the run's calendar row ``nt`` (next
-        injection per terminal, which never lags ``c0``, advanced in
-        place), drawn from the run's own generator.  Returns ``(t,
-        terminal)`` in canonical ``(cycle, terminal)`` order, or
-        ``None`` when the chunk has no injections."""
+        """One run's injections in ``[c0, c1)``: vectorized geometric
+        gaps continuing the run's calendar row ``nt`` (next injection
+        per terminal, which never lags ``c0``, advanced in place), drawn
+        from the run's own generator.  Returns the run's packet count at
+        each cycle of the chunk and their terminals in canonical
+        ``(cycle, terminal)`` order, or ``None`` when the chunk has no
+        injections."""
         times_parts: List["np.ndarray"] = []
         terms_parts: List["np.ndarray"] = []
         while True:
@@ -1373,36 +1377,32 @@ class BatchBackend:
         order = _run_order(
             t_all, j_all, c0, self.program.T, len(times_parts)
         )
-        return t_all[order], j_all[order]
+        return np.bincount(t_all - c0, minlength=c1 - c0), j_all[order]
 
-    def _draw_run_values(self, gen, terminals, draws: _ChunkDraws, rows,
-                         scratch: _Scratch) -> None:
+    def _draw_run_values(self, gen, terminals, draws: _ChunkDraws,
+                         rows: slice) -> None:
         """Draw the per-packet values of one run's injections from
-        ``terminals`` into ``rows`` of ``draws``, from the run's own
-        generator in this order: destinations, adaptive tie-break
-        uniforms (adaptive algorithms only), FIFO/wave rank uniforms,
-        Valiant intermediates (non-minimal algorithms only).  Uniforms
-        are drawn into ``scratch`` first; tie-breaks the program never
-        reads stay there."""
+        ``terminals`` straight into its block ``rows`` of ``draws``,
+        from the run's own generator in this order: destinations,
+        adaptive tie-break uniforms (adaptive algorithms only), FIFO/wave
+        rank uniforms, Valiant intermediates (non-minimal algorithms
+        only)."""
         prog = self.program
-        n = terminals.size
-        ucols = draws.u_rank.shape[1]
         draws.dst[rows] = self._draw_dsts(gen, terminals)
         if prog.adaptive:
-            u_route = gen.random(
+            # Tie-breaks the program never reads are drawn into the rank
+            # rows, which the rank draw below then overwrites.
+            gen.random(
                 dtype=np.float32,
-                out=scratch.get("u_route", n, np.float32, ucols),
+                out=(draws.u_rank if draws.u_route is None
+                     else draws.u_route)[rows],
             )
-            if draws.u_route is not None:
-                draws.u_route[rows] = u_route
-        draws.u_rank[rows] = gen.random(
-            dtype=np.float32, out=scratch.get("u_rank", n, np.float32, ucols)
-        )
+        gen.random(dtype=np.float32, out=draws.u_rank[rows])
         if prog.kind != "table":
             # Drawn *after* the destination/tie-break draws so
             # table-compiled algorithms consume exactly the streams
             # they always did (bit-compatibility of the pinned runs).
-            draws.imd[rows] = gen.integers(0, prog.R, size=n)
+            draws.imd[rows] = gen.integers(0, prog.R, size=terminals.size)
 
     # ------------------------------------------------------------------
     # Routing
@@ -1620,7 +1620,7 @@ class BatchBackend:
 
     @staticmethod
     def _record_ejections(runs, born, dep, hops, warmup, end, B, eject_at,
-                          labeled_eject_at, rec_run, rec_created, rec_dep,
+                          labeled_eject_at, rec_run, rec_lat, rec_dep,
                           rec_hops) -> None:
         """File one cycle's ejections: per-run counts by departure cycle
         (all, and labeled), and the labeled packets' records."""
@@ -1632,7 +1632,7 @@ class BatchBackend:
         ldep = dep.take(labeled)
         BatchBackend._count_by_cycle(labeled_eject_at, lruns, ldep, B)
         rec_run.append(lruns)
-        rec_created.append(born.take(labeled))
+        rec_lat.append(ldep - born.take(labeled))
         rec_dep.append(ldep)
         rec_hops.append(hops.take(labeled))
 
@@ -1670,28 +1670,53 @@ class BatchBackend:
     # ------------------------------------------------------------------
     def _finalize(self, load_of_run, measure, cycles, saturated,
                   labeled_created, frozen_delivered, win_ejects, n_events,
-                  n_routes, rec_run, rec_created, rec_dep, rec_hops,
+                  n_routes, rec_run, rec_lat, rec_dep, rec_hops,
                   wall) -> List[OpenLoopResult]:
+        """One result per run from the labeled-ejection records, in time
+        linear in the records: each record list is concatenated and
+        emptied in turn, freeing its per-cycle arrays."""
         B = load_of_run.size
         T = self.program.T
-        if rec_run:
-            all_run = np.concatenate(rec_run)
-            all_created = np.concatenate(rec_created)
-            all_dep = np.concatenate(rec_dep)
-            all_hops = np.concatenate(rec_hops)
-        else:
-            all_run = np.zeros(0, dtype=np.int32)
-            all_created = all_dep = np.zeros(0, dtype=np.int64)
-            all_hops = np.zeros(0, dtype=np.int16)
-        all_lat = all_dep - all_created
+        H = self.program.hmax + 1  # hop counts run 0 .. hmax
+        # Mirror the event kernel's break semantics: an ejection counts
+        # only if it happened strictly before its run's final ``now``
+        # (relevant for saturated cutoffs).  A cut record moves to run
+        # ``B``, past every real run.  Only a cycle's records departing
+        # at or after the earliest final cycle can be cut.
+        first_end = int(cycles.min())
+        for runs, dep in zip(rec_run, rec_dep):
+            if int(dep.max()) >= first_end:
+                runs[dep >= cycles.take(runs)] = B
+        rec_dep.clear()
+        run = _concat_and_clear(rec_run, np.int32)
+        # Integer hop sums from one bincount over (run, hops), so each
+        # mean is exact.
+        cell = run.astype(np.intp)
+        cell *= H
+        cell += _concat_and_clear(rec_hops, np.int16)
+        hop_sums = (
+            np.bincount(cell, minlength=(B + 1) * H)[: B * H].reshape(B, H)
+            @ np.arange(H)
+        ).tolist()
+        del cell
+        # One sort by (run, latency), of 32-bit keys where they fit;
+        # each run's latencies, ascending, are one slice of it.
+        lat = _concat_and_clear(rec_lat, np.int64)
+        span = int(lat.max()) + 1 if lat.size else 1
+        key = run.astype(
+            np.int32 if (B + 1) * span <= np.iinfo(np.int32).max
+            else np.int64,
+            copy=False,
+        )
+        key *= span
+        key += lat
+        del lat
+        key.sort()
+        bounds = np.searchsorted(key, np.arange(B + 1) * span).tolist()
         results = []
         for b in range(B):
-            # Mirror the event kernel's break semantics: an ejection
-            # counts only if it happened strictly before the run's
-            # final ``now`` (relevant for saturated cutoffs).
-            sel = (all_run == b) & (all_dep < cycles[b])
-            hop_samples = all_hops[sel]
-            summary = _latency_summary(np.sort(all_lat[sel]))
+            lo, hi = bounds[b], bounds[b + 1]
+            summary = _latency_summary(key[lo:hi] - b * span)
             stats = KernelStats(
                 kernel="batch",
                 cycles=int(cycles[b]),
@@ -1708,11 +1733,7 @@ class BatchBackend:
                 cycles=int(cycles[b]),
                 packets_labeled=int(labeled_created[b]),
                 packets_delivered=int(frozen_delivered[b]),
-                mean_hops=(
-                    float(hop_samples.mean())
-                    if hop_samples.size
-                    else float("nan")
-                ),
+                mean_hops=hop_sums[b] / (hi - lo) if hi > lo else math.nan,
                 packets_undeliverable=0,
                 kernel=stats,
             ))

@@ -336,6 +336,37 @@ class TestUnsupportedFeatures:
                 0.2, replicas=2, warmup=50, measure=50, drain_max=1000
             )
 
+    def test_unequal_group_shift_refused(self):
+        # Every topology the batch kernel routes gives each router the
+        # same number of terminals, so group-shift groups are equal and
+        # one scalar bound draws every destination...
+        from repro.topologies import (
+            GeneralizedHypercube, Hypercube, HyperX, Torus,
+        )
+
+        for topo in (
+            FlattenedButterfly(4, 2), FlattenedButterfly(2, 3),
+            HyperX(concentration=2, dims=(3, 3), multiplicity=(2, 2)),
+            GeneralizedHypercube((3, 4)), Hypercube(3), Torus((4, 4)),
+            Butterfly(2, 3), FoldedClos(16, 4),
+        ):
+            pattern = adversarial()
+            pattern.bind(topo)
+            assert len({len(g) for g in pattern._groups}) == 1, topo
+        # ...and a grouping of unequal sizes is refused, not misdrawn.
+        backend = BatchBackend(
+            FlattenedButterfly(4, 2), DimensionOrder(), adversarial()
+        )
+        lopsided = FlattenedButterfly(4, 2)
+        lopsided.injection_router = lambda t: int(t >= 3)
+        pattern = adversarial()
+        pattern.bind(lopsided)
+        with pytest.raises(NotImplementedError) as excinfo:
+            backend._compile_pattern(pattern)
+        message = str(excinfo.value)
+        assert "unequal sizes [3, 13]" in message
+        assert "use kernel='event'" in message
+
     def test_run_batch_not_supported(self):
         with pytest.raises(NotImplementedError):
             self._sim().run_batch(4)

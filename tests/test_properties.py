@@ -534,7 +534,8 @@ def _reference_draws(backend, state, c0, c1):
             )
             if drawn is None:
                 continue
-            t, j = drawn
+            counts, j = drawn
+            t = np.repeat(np.arange(c0, c1), counts)
             n = t.size
             shape = (n, state.ucols)
             dst = backend._draw_dsts(gen, j)
@@ -578,22 +579,24 @@ def _assert_columns_match(backend, draws, rows, dst, imd, u_route, u_rank):
     rate=st.sampled_from([0.02, 0.3, 1.0]),
     blocky=st.booleans(),
     seed=st.integers(min_value=0, max_value=99),
+    make_pattern=pattern_st,
 )
 def test_predraw_layout_matches_lexsort(algorithm_cls, n, runs, rate,
-                                        blocky, seed):
+                                        blocky, seed, make_pattern):
     """Two predraw chunks, each run's values drawn straight into its
-    rows, equal the same draws laid out by ``lexsort((terminal, run,
-    cycle))``, multi-block draws included: so each run's rows hold its
-    draws in ``lexsort((terminal, cycle))`` order.  Only the columns
-    the program reads exist.  UGAL on a k-ary 2-flat draws tie-break
-    uniforms it never reads: they have no column, yet the ranks and
-    intermediates after them match the reference stream that draws
-    them."""
+    block of rows, equal the same draws laid out by ``lexsort((terminal,
+    cycle, run))``, multi-block draws included: so the blocks come in
+    run order and each holds its run's draws in ``lexsort((terminal,
+    cycle))`` order, and each block's per-cycle bounds are where that
+    order's cycles start.  Only the columns the program reads exist.
+    UGAL on a k-ary 2-flat draws tie-break uniforms it never reads: they
+    have no column, yet the ranks and intermediates after them match
+    the reference stream that draws them."""
     np = pytest.importorskip("numpy")
     from repro.network import batch as batch_module
 
     backend = batch_module.BatchBackend(
-        FlattenedButterfly(4, n), algorithm_cls(), UniformRandom()
+        FlattenedButterfly(4, n), algorithm_cls(), make_pattern()
     )
     prog = backend.program
     if algorithm_cls is UGAL:
@@ -608,12 +611,20 @@ def test_predraw_layout_matches_lexsort(algorithm_cls, n, runs, rate,
     for c0 in (0, INJECTION_CHUNK):
         c1 = c0 + INJECTION_CHUNK
         want, next_inj = _reference_draws(backend, state, c0, c1)
-        b_all, t_all, j_all, dst, imd, u_route, u_rank = want
+        block = np.lexsort((want[2], want[1], want[0]))
+        b_all, t_all, j_all, dst, imd, u_route, u_rank = [
+            col[block] for col in want
+        ]
         draws = backend._predraw_chunk(state, c0, c1, None)
         assert np.array_equal(state.next_inj, next_inj)
-        assert draws.offsets == np.searchsorted(
-            t_all, np.arange(c0, c1 + 1)
-        ).tolist()
+        assert np.array_equal(draws.inj_run, np.unique(b_all))
+        # Run b's rows from cycle c0 + k on start at the first draw of
+        # (run, cycle offset) at least (b, k); k = span ends the block.
+        span = c1 - c0
+        assert np.array_equal(draws.inj_start, np.searchsorted(
+            b_all * span + (t_all - c0),
+            draws.inj_run * span + np.arange(span + 1)[:, None],
+        ))
         assert np.array_equal(draws.run, b_all)
         assert np.array_equal(
             draws.router, backend.program.inj_router[j_all]
@@ -627,8 +638,13 @@ def test_predraw_layout_matches_lexsort(algorithm_cls, n, runs, rate,
             assert np.array_equal(draws.imd, imd)
 
 
-@pytest.mark.parametrize("algorithm_cls", [MinimalAdaptive, UGAL])
-def test_step_injections_match_merged_layout(algorithm_cls):
+@pytest.mark.parametrize("algorithm_cls, make_pattern", [
+    pytest.param(MinimalAdaptive, UniformRandom, id="MinimalAdaptive"),
+    pytest.param(UGAL, UniformRandom, id="UGAL"),
+    pytest.param(MinimalAdaptive, adversarial, id="MinimalAdaptive-WC"),
+    pytest.param(UGAL, adversarial, id="UGAL-WC"),
+])
+def test_step_injections_match_merged_layout(algorithm_cls, make_pattern):
     """Each cycle's injection block, as the step files it, equals that
     cycle's slice of the chunk merged by ``lexsort((terminal, run,
     cycle))``, minus the runs already done; runs at different loads
@@ -638,7 +654,7 @@ def test_step_injections_match_merged_layout(algorithm_cls):
     from repro.network import batch as batch_module
 
     backend = batch_module.BatchBackend(
-        FlattenedButterfly(4, 2), algorithm_cls(), UniformRandom()
+        FlattenedButterfly(4, 2), algorithm_cls(), make_pattern()
     )
     state = batch_module._RunState(
         backend, np.array([0.3, 1.0, 0.1, 0.6]), [7, 8, 9, 10],
@@ -724,7 +740,7 @@ def test_chunk_carry_keeps_in_flight_constants(algorithm_cls, rate, seed):
     assert list(carry) == names
     head = carry["run"].size
     nxt = backend._predraw_chunk(state, c1, c1 + INJECTION_CHUNK, carry)
-    assert nxt.offsets[0] == head
+    assert nxt.inj_start[0, 0] == head
     referenced = np.concatenate([blk[0] for blk in blocks])
     assert np.array_equal(np.unique(referenced), np.arange(head))
     for blk, want in zip(blocks, before):
@@ -920,6 +936,107 @@ def test_numpy_summary_matches_from_samples(samples):
     for value, want in zip(_summary_fields(got), _summary_fields(expected)):
         assert type(value) is type(want)
         assert value == want or (math.isnan(value) and math.isnan(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    L=st.integers(min_value=1, max_value=1000),
+    n=st.integers(min_value=0, max_value=4097),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_group_bound_scalar_matches_array(L, n, seed):
+    """With every destination group of size ``L``, the batch kernel's
+    one scalar bound draws the same values as a per-packet bound array
+    of ``L`` and leaves the generator in the same state, so group-shift
+    runs consume their streams as they would with the array."""
+    np = pytest.importorskip("numpy")
+    by_array = np.random.default_rng(seed)
+    by_scalar = np.random.default_rng(seed)
+    want = by_array.integers(0, np.full(n, L, dtype=np.int64))
+    got = by_scalar.integers(0, L, size=n)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert by_scalar.bit_generator.state == by_array.bit_generator.state
+
+
+def _reference_finalize(rec_run, rec_lat, rec_dep, rec_hops, cycles):
+    """Per run, by a full-length mask over every record: the latency
+    summary and mean hops of its records that ejected strictly before
+    its final cycle, in plain Python."""
+    import numpy as np
+
+    def cat(parts):
+        return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+
+    run, lat, dep, hops = map(cat, (rec_run, rec_lat, rec_dep, rec_hops))
+    out = []
+    for b, cycle in enumerate(cycles.tolist()):
+        sel = (run == b) & (dep < cycle)
+        hop_samples = hops[sel].tolist()
+        out.append((
+            LatencySummary.from_samples(lat[sel].tolist()),
+            sum(hop_samples) / len(hop_samples) if hop_samples else math.nan,
+        ))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runs=st.integers(min_value=1, max_value=6),
+    records=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=400),
+            # Latencies past 2**31 need 64-bit sort keys.
+            st.one_of(st.integers(min_value=0, max_value=60),
+                      st.just(2**31)),
+            st.integers(min_value=0, max_value=6),
+        ),
+        max_size=300,
+    ),
+    cut=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_finalize_matches_masked_reference(runs, records, cut, data):
+    """The linear finalize (one cutoff pass, one sort by (run, latency),
+    one bincount of hops) equals a per-run masked reference field for
+    field, with records filed over several cycles' arrays, some runs cut
+    off before their last records ejected (saturated runs), one run with
+    no records at all, and latencies too long for 32-bit sort keys."""
+    np = pytest.importorskip("numpy")
+    from repro.network import batch as batch_module
+
+    backend = batch_module.BatchBackend(
+        FlattenedButterfly(2, 3), UGAL(), UniformRandom()
+    )
+    hmax = backend.program.hmax  # no packet takes more hops
+    empty = data.draw(st.integers(min_value=0, max_value=runs - 1))
+    records = [rec for rec in records if rec[0] % runs != empty]
+    run = np.array([rec[0] % runs for rec in records], dtype=np.int32)
+    lat = np.array([rec[2] for rec in records], dtype=np.int64)
+    dep = lat + np.array([rec[1] for rec in records], dtype=np.int64)
+    hops = np.array([rec[3] % (hmax + 1) for rec in records], dtype=np.int16)
+    # Final cycles from before every ejection to after all, often at
+    # one of the run's own ejection cycles.
+    cycles = np.array([
+        data.draw(st.sampled_from([1, 2**32, *dep[run == b].tolist()]))
+        for b in range(runs)
+    ], dtype=np.int64)
+    # Filed as the step files them: one nonempty array per cycle.
+    parts = [p for p in np.array_split(np.arange(run.size), cut) if p.size]
+    rec = [[col[p] for p in parts] for col in (run, lat, dep, hops)]
+    want = _reference_finalize(*rec, cycles)
+    zeros = np.zeros(runs, dtype=np.int64)
+    got = backend._finalize(
+        np.full(runs, 0.5), 100, cycles, zeros.astype(bool), zeros,
+        zeros, zeros, zeros, zeros, *rec, 1.0,
+    )
+    assert want[empty][0].count == 0
+    for result, (summary, mean_hops) in zip(got, want):
+        assert repr(result.latency) == repr(summary)
+        assert repr(result.network_latency) == repr(summary)
+        assert type(result.mean_hops) is float
+        assert repr(result.mean_hops) == repr(mean_hops)
 
 
 # ----------------------------------------------------------------------
