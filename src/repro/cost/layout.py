@@ -134,17 +134,16 @@ def measure_flattened_butterfly(
     if placement not in ("fig8", "row-major"):
         raise ValueError(f"unknown placement {placement!r}")
     c = cfg.concentration
+    routers = range(cfg.num_routers)
+    # Each router's cabinet and floor position, computed once per
+    # placement: two routers share a cabinet iff their cabinets are
+    # equal.
     if placement == "row-major":
         plan = FloorPlan.square(num_nodes, packaging)
-
-        def position(router: int) -> Tuple[float, float]:
-            return plan.position_m(_cabinet_of_node(router * c, packaging))
-
-        def same_cabinet(a: int, b: int) -> bool:
-            return _cabinet_of_node(a * c, packaging) == _cabinet_of_node(
-                b * c, packaging
-            )
-
+        cabinet = [
+            _cabinet_of_node(router * c, packaging) for router in routers
+        ]
+        position = [plan.position_m(cab) for cab in cabinet]
     else:
         # Figure 8(c): each (d2, d3) grid cell holds one dimension-1
         # subsystem of m1 routers spread over group_cabs cabinets laid
@@ -174,12 +173,10 @@ def measure_flattened_butterfly(
             sub = min(d1 // routers_per_cab, group_cabs - 1)
             return ((cell % cells_x) * group_cabs + sub, cell // cells_x)
 
-        def position(router: int) -> Tuple[float, float]:
-            col, row = cabinet_coords(router)
-            return ((col + 0.5) * width, (row + 0.5) * depth)
-
-        def same_cabinet(a: int, b: int) -> bool:
-            return cabinet_coords(a) == cabinet_coords(b)
+        cabinet = [cabinet_coords(router) for router in routers]
+        position = [
+            ((col + 0.5) * width, (row + 0.5) * depth) for col, row in cabinet
+        ]
 
     backplane = 0
     cable = 0
@@ -187,17 +184,18 @@ def measure_flattened_butterfly(
     max_m = 0.0
     stride = 1
     for extent, mult in zip(cfg.dims, cfg.multiplicity):
-        for router in range(cfg.num_routers):
+        for router in routers:
             own = (router // stride) % extent
-            xa, ya = position(router)
+            xa, ya = position[router]
+            home = cabinet[router]
             for m in range(extent):
                 if m == own:
                     continue
                 peer = router + (m - own) * stride
-                if same_cabinet(router, peer):
+                if cabinet[peer] == home:
                     backplane += mult
                     continue
-                xb, yb = position(peer)
+                xb, yb = position[peer]
                 length = max(
                     abs(xa - xb) + abs(ya - yb), packaging.short_cable_m
                 )
