@@ -26,7 +26,11 @@ the best (minimum) wall time over the repeats; the grid's ``layers``
 record splits its best run into the batch kernel's predraw, step and
 finalize seconds (``BatchRunResult.stats``).  One more, untimed grid
 run under ``tracemalloc`` records the grid's peak traced Python
-allocation as ``grid.peak_traced_mb``.  Emits ``BENCH_batch.json``,
+allocation as ``grid.peak_traced_mb``.  The ``scaling`` record runs the
+same UGAL grid at :data:`SCALING_REPLICAS` replicas per load (20, 80
+and 320 runs) and keeps, per size, the best grid wall and its predraw,
+step and finalize split, plus each layer's ratio between the two
+largest grids.  Emits ``BENCH_batch.json``,
 with a ``machine`` record (CPU count, CPU model, Python and numpy
 versions) beside the timings.
 
@@ -40,7 +44,12 @@ Asserted (here and in the pytest CI smoke entry point):
 * both sides land statistically together: the replica-family means of
   latency and accepted throughput agree within 5% (the thorough CI
   check is ``tests/test_batch_kernel.py``; this guards the benchmark
-  itself from silently timing two different measurements).
+  itself from silently timing two different measurements), and
+* the batch kernel scales in the number of runs: at full windows no
+  layer's time grows more than :data:`MAX_SCALING_RATIO` times from the
+  80-run to the 320-run grid, and finalize stays under
+  :data:`MAX_FINALIZE_SHARE` of the 320-run grid.  Both are ratios of
+  times taken in the same run, so they transfer across machines.
 
 Checked against a committed report (``--check-against``): each
 speedup stays within ``--tolerance`` of the committed one, and the
@@ -110,6 +119,23 @@ MIN_GRID_SPEEDUP = 1.0
 #: Under --quick the grid's fixed compile/injection overhead is a
 #: larger slice of tiny windows; allow mild noise-driven inversions.
 MIN_GRID_SPEEDUP_QUICK = 0.8
+
+#: Replicas per load of the scaling grids: 20, 80 and 320 runs over
+#: the five GRID_LOADS.  The largest two are compared.
+SCALING_REPLICAS = (4, 16, 64)
+
+#: The layers the scaling record splits each grid into.
+LAYERS = ("predraw_s", "step_s", "finalize_s")
+
+#: Bound on each layer's time ratio between the 320-run and the 80-run
+#: grid (4x the runs): a layer linear in the runs reads about 4, and
+#: the step's fixed per-cycle cost keeps it lower.  A layer whose cost
+#: grows with runs x records, such as one picking each run's records
+#: with a full-length mask (11.9-12.5x measured), fails it.
+MAX_SCALING_RATIO = 6.0
+
+#: Bound on finalize's share of the 320-run grid's wall time.
+MAX_FINALIZE_SHARE = 0.05
 
 #: Allowed fractional growth of the grid's ``peak_traced_mb`` over the
 #: committed baseline.  The traced peak counts Python allocations, so
@@ -190,6 +216,37 @@ def _traced_grid_peak(seeds, warmup, measure, drain_max):
     finally:
         tracemalloc.stop()
     return peak / 2**20
+
+
+def _scaling(repeat, warmup, measure, drain_max):
+    """The UGAL grid at each of :data:`SCALING_REPLICAS`: per size the
+    best grid wall and that run's layer split, sizes interleaved per
+    repeat; then each layer's ratio between the two largest sizes and
+    finalize's share of the largest grid."""
+    best = {}
+    for _ in range(repeat):
+        for replicas in SCALING_REPLICAS:
+            wall, batches = _run_lockstep_grid(
+                GRID_LOADS, replica_seeds(BASE_SEED, replicas), warmup,
+                measure, drain_max, UGAL,
+            )
+            if replicas not in best or wall < best[replicas]["grid_s"]:
+                best[replicas] = {
+                    "runs": len(GRID_LOADS) * replicas,
+                    "grid_s": wall,
+                    **{key: batches[0].stats[key] for key in LAYERS},
+                }
+    points = [best[replicas] for replicas in SCALING_REPLICAS]
+    mid, top = points[-2], points[-1]
+    return {
+        "algorithm": "UGAL",
+        "loads": list(GRID_LOADS),
+        "points": points,
+        "ratios": {
+            key: top[key] / mid[key] for key in ("grid_s", *LAYERS)
+        },
+        "finalize_share": top["finalize_s"] / top["grid_s"],
+    }
 
 
 def _grid_identical(a_batches, b_batches):
@@ -273,6 +330,7 @@ def collect(repeat=3, quick=False):
         )
 
     peak_traced_mb = _traced_grid_peak(seeds, warmup, measure, drain_max)
+    scaling = _scaling(repeat, warmup, measure, drain_max)
 
     import numpy
 
@@ -312,6 +370,7 @@ def collect(repeat=3, quick=False):
             "bit_identical": grid_identical,
             "peak_traced_mb": peak_traced_mb,
         },
+        "scaling": scaling,
         "engine_stats": engine_stats,
     }
 
@@ -351,6 +410,21 @@ def check(report):
         f"(pointwise {grid['pointwise_wall_seconds']:.2f}s, "
         f"grid {grid['grid_wall_seconds']:.2f}s)"
     )
+    scaling = report["scaling"]
+    if not report["config"]["quick"]:
+        runs = [point["runs"] for point in scaling["points"]]
+        for key in LAYERS:
+            ratio = scaling["ratios"][key]
+            assert ratio <= MAX_SCALING_RATIO, (
+                f"batch-kernel {key} grows {ratio:.1f}x from {runs[-2]} "
+                f"to {runs[-1]} runs, over the {MAX_SCALING_RATIO}x bound: "
+                f"that layer is no longer linear in the runs"
+            )
+        share = scaling["finalize_share"]
+        assert share < MAX_FINALIZE_SHARE, (
+            f"finalize takes {share:.1%} of the {runs[-1]}-run grid, over "
+            f"the {MAX_FINALIZE_SHARE:.0%} bound"
+        )
     scratch = report["engine_stats"]
     assert scratch["scratch_reuses"] > scratch["scratch_allocs"], (
         f"the batch step's per-cycle scratch buffers are not being "
@@ -430,6 +504,20 @@ def _print(report):
     print(
         f"UGAL grid layers: predraw {layers['predraw_s']:.2f}s, "
         f"step {layers['step_s']:.2f}s, finalize {layers['finalize_s']:.2f}s"
+    )
+    scaling = report["scaling"]
+    for point in scaling["points"]:
+        print(
+            f"UGAL grid scaling, {point['runs']:>3} runs: "
+            f"grid {point['grid_s']:.3f}s, predraw "
+            f"{point['predraw_s']:.3f}s, step {point['step_s']:.3f}s, "
+            f"finalize {point['finalize_s']:.3f}s"
+        )
+    ratios = scaling["ratios"]
+    print(
+        "UGAL grid scaling ratios (largest / second): "
+        + ", ".join(f"{key} {ratios[key]:.2f}x" for key in ratios)
+        + f"; finalize share {scaling['finalize_share']:.1%}"
     )
 
 
