@@ -52,7 +52,7 @@ def test_sweep_cache_hit(benchmark, bench_scale, tmp_path):
 
 
 def test_latency_load_curve_speculative(benchmark, bench_scale):
-    """The speculative parallel curve equals the serial early-exit one."""
+    """The coarse→refine parallel curve equals the serial early-exit one."""
     spec = SimSpec.of(_make, bench_scale.fb_k)
     window = dict(warmup=bench_scale.warmup, measure=bench_scale.measure,
                   drain_max=bench_scale.drain_max)

@@ -33,7 +33,7 @@ from typing import Dict, List
 from ..core import UGAL
 from ..core.flattened_butterfly import FlattenedButterfly
 from ..network import SimulationConfig, Simulator, WorkloadSpec
-from ..runner import SimSpec, WorkloadJob, execute_job
+from ..runner import SimSpec, WorkloadJob, execute_job, resolve_runner
 from ..topologies import (
     Butterfly,
     DestinationTag,
@@ -156,10 +156,7 @@ def run(scale=None, runner=None) -> ExperimentResult:
             jobs.append(
                 WorkloadJob(spec, scale.warmup, scale.measure, scale.drain_max)
             )
-    if runner is not None:
-        results = runner.map(jobs)
-    else:
-        results = [execute_job(job) for job in jobs]
+    results = resolve_runner(runner).map(jobs)
 
     cursor = iter(results)
     points = {

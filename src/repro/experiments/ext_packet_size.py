@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..core import ClosAD, MinimalAdaptive
 from ..core.flattened_butterfly import FlattenedButterfly
 from ..network import SimulationConfig, Simulator
-from ..runner import SaturationJob, SimSpec, execute_job
+from ..runner import SaturationJob, SimSpec, resolve_runner
 from ..traffic import UniformRandom, adversarial
 from .common import ExperimentResult, Table, resolve_scale
 
@@ -53,10 +53,7 @@ def run(scale=None, runner=None) -> ExperimentResult:
         for pattern_factory in (UniformRandom, adversarial)
         for algorithm_cls in (MinimalAdaptive, ClosAD)
     ]
-    if runner is not None:
-        outcomes = runner.map(jobs)
-    else:
-        outcomes = [execute_job(job) for job in jobs]
+    outcomes = resolve_runner(runner).map(jobs)
     point = iter(outcomes)
     for size in PACKET_SIZES:
         row = [size] + [next(point) for _ in range(4)]

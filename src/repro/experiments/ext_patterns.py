@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..core import ClosAD, MinimalAdaptive, UGAL
 from ..core.flattened_butterfly import FlattenedButterfly
 from ..network import SimulationConfig, Simulator, resolve_kernel
-from ..runner import SaturationJob, SimSpec, execute_job
+from ..runner import SaturationJob, SimSpec, resolve_runner
 from ..traffic import (
     BitComplement,
     BitReverse,
@@ -113,10 +113,7 @@ def run(scale=None, runner=None, kernel=None) -> ExperimentResult:
         for name in pattern_names
         for _label, algorithm_cls in algorithms
     ]
-    if runner is not None:
-        outcomes = runner.map(jobs)
-    else:
-        outcomes = [execute_job(job) for job in jobs]
+    outcomes = resolve_runner(runner).map(jobs)
     point = iter(outcomes)
     for name in pattern_names:
         row = [next(point), next(point)]

@@ -41,7 +41,7 @@ from ..faults import (
 from ..network import SimulationConfig, Simulator
 from ..network.config import derive_seed
 from ..network.config import replica_seeds as _traffic_replica_seeds
-from ..runner import OpenLoopJob, SimSpec, execute_job
+from ..runner import OpenLoopJob, SimSpec, resolve_runner
 from ..topologies import Butterfly, FoldedClos
 from ..topologies.hyperx import HyperX
 from ..traffic import UniformRandom
@@ -73,7 +73,7 @@ def replica_seeds(replica: int):
 
     The traffic side is the canonical per-replica family from
     :func:`repro.network.config.replica_seeds` — the same family the
-    batch kernel and ``replicate`` use — so replica ``i`` of this
+    batch kernel uses — so replica ``i`` of this
     experiment drives the identical traffic RNG stream no matter which
     kernel or replication path runs it.  (Earlier revisions derived a
     private ``"resilience-replica"`` stream here, silently decoupling
@@ -204,10 +204,7 @@ def run(scale=None, runner=None, replicas: int = 1) -> ExperimentResult:
                         scale.drain_max,
                     )
                 )
-    if runner is not None:
-        results = runner.map(jobs)
-    else:
-        results = [execute_job(job) for job in jobs]
+    results = resolve_runner(runner).map(jobs)
 
     cursor = iter(results)
     for fraction in FAIL_FRACTIONS:

@@ -13,7 +13,7 @@ from ..core import ClosAD
 from ..core.flattened_butterfly import FlattenedButterfly
 from ..cost import flattened_butterfly_census, price_census, torus_census
 from ..network import SimulationConfig, Simulator
-from ..runner import OpenLoopJob, SaturationJob, SimSpec, execute_job
+from ..runner import OpenLoopJob, SaturationJob, SimSpec, resolve_runner
 from ..topologies import Torus, TorusDOR
 from ..traffic import UniformRandom
 from .common import ExperimentResult, Table, resolve_scale
@@ -50,10 +50,7 @@ def run(scale=None, runner=None) -> ExperimentResult:
         jobs.append(OpenLoopJob(spec, 0.1, scale.warmup, scale.measure,
                                 scale.drain_max))
         jobs.append(SaturationJob(spec, scale.warmup, scale.measure))
-    if runner is not None:
-        outcomes = runner.map(jobs)
-    else:
-        outcomes = [execute_job(job) for job in jobs]
+    outcomes = resolve_runner(runner).map(jobs)
     point = iter(outcomes)
     for name, topology_cls, args, _algorithm_cls in systems:
         low, sat = next(point), next(point)

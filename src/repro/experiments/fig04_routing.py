@@ -17,7 +17,7 @@ from typing import Callable, Dict
 from ..core import ClosAD, MinimalAdaptive, UGAL, UGALSequential, Valiant
 from ..core.flattened_butterfly import FlattenedButterfly
 from ..network import SimulationConfig, Simulator, replica_seeds, resolve_kernel
-from ..runner import BatchSaturationJob, SaturationJob, SimSpec, execute_job
+from ..runner import BatchSaturationJob, SaturationJob, SimSpec, resolve_runner
 from ..traffic import UniformRandom, adversarial
 from .common import (
     ExperimentResult,
@@ -73,6 +73,7 @@ def _spec(k: int, algorithm_cls, pattern_factory, kernel=None,
 
 def run(scale=None, runner=None, kernel=None, replicas=None) -> ExperimentResult:
     scale = resolve_scale(scale)
+    runner = resolve_runner(runner)
     if kernel is not None:
         resolve_kernel(kernel)
     batch = kernel == "batch"
@@ -167,7 +168,7 @@ def run(scale=None, runner=None, kernel=None, replicas=None) -> ExperimentResult
                 # One lockstep job advances every replica of the load
                 # point together; the seed family is the canonical
                 # per-replica family, so replica i here is the same
-                # RNG stream the event kernel's replicate path runs.
+                # RNG stream everywhere.
                 seeds = (
                     replica_seeds(scale.seeds[0], replicas)
                     if replicas is not None
@@ -179,10 +180,7 @@ def run(scale=None, runner=None, kernel=None, replicas=None) -> ExperimentResult
                     scale.warmup,
                     scale.measure,
                 )
-                if runner is not None:
-                    throughputs = runner.map([job])[0]
-                else:
-                    throughputs = execute_job(job)
+                throughputs = runner.run(job)
                 replicated = _summarize(tuple(float(x) for x in throughputs))
             else:
                 replicated = replicate_jobs(

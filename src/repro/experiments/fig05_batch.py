@@ -15,7 +15,7 @@ from typing import Callable, Dict
 from ..core import ClosAD, MinimalAdaptive, UGAL, UGALSequential, Valiant
 from ..core.flattened_butterfly import FlattenedButterfly
 from ..network import SimulationConfig, Simulator, resolve_kernel
-from ..runner import BatchJob, SimSpec, execute_job
+from ..runner import BatchJob, SimSpec, resolve_runner
 from ..traffic import adversarial
 from .common import ExperimentResult, Table, resolve_scale
 
@@ -65,10 +65,7 @@ def run(scale=None, runner=None, kernel=None) -> ExperimentResult:
         for batch in scale.batch_sizes
         for cls in ALGORITHMS.values()
     ]
-    if runner is not None:
-        outcomes = runner.map(jobs)
-    else:
-        outcomes = [execute_job(job) for job in jobs]
+    outcomes = resolve_runner(runner).map(jobs)
     point = iter(outcomes)
     for batch in scale.batch_sizes:
         row = [batch]

@@ -18,7 +18,7 @@ from ..analysis.scaling import table4_configs
 from ..core import MinimalAdaptive, Valiant
 from ..core.flattened_butterfly import FlattenedButterfly
 from ..network import SimulationConfig, Simulator, resolve_kernel
-from ..runner import OpenLoopJob, SaturationJob, SimSpec, execute_job
+from ..runner import OpenLoopJob, SaturationJob, SimSpec, resolve_runner
 from ..traffic import UniformRandom
 from .common import ExperimentResult, Table, resolve_scale
 
@@ -88,10 +88,7 @@ def run(scale=None, runner=None, kernel=None) -> ExperimentResult:
                         scale.drain_max)
         )
         jobs.append(SaturationJob(min_spec, scale.warmup, scale.measure))
-    if runner is not None:
-        outcomes = runner.map(jobs)
-    else:
-        outcomes = [execute_job(job) for job in jobs]
+    outcomes = resolve_runner(runner).map(jobs)
     point = iter(outcomes)
     for cfg in configs:
         label = f"{cfg.k}-ary {cfg.n}-flat"

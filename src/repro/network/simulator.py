@@ -1057,7 +1057,7 @@ class Simulator:
           stays exact because a quiescent network implies no
           outstanding delivery, so ``next_message_cycle`` bounds all
           future messages.
-        * **Finite workloads** (trace replay, bounded request counts)
+        * **Finite workloads** (bounded request counts)
           may end the run before the window closes: the run stops as
           soon as the workload is exhausted and the network drained.
 
@@ -1066,7 +1066,7 @@ class Simulator:
 
         Under ``kernel="batch"`` only workloads reducible to the
         open-loop Bernoulli×pattern form run (via their
-        ``batch_delegate``); closed-loop and trace sources raise
+        ``batch_delegate``); closed-loop and timed sources raise
         :class:`~repro.network.workload.UnsupportedWorkloadError`.
         """
         wl = self.workload
@@ -1084,7 +1084,7 @@ class Simulator:
                     f"kernel='batch' cannot run the workload {wl.name!r}: "
                     f"the vectorized backend implements only open-loop "
                     f"Bernoulli traffic over a compiled pattern "
-                    f"(closed-loop and trace-driven sources need the event "
+                    f"(closed-loop and timed sources need the event "
                     f"kernel's delivery hooks and per-cycle timing); use "
                     f"kernel='event'"
                 )

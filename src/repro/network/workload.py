@@ -17,9 +17,9 @@ capabilities the split plane could not express:
   channels (request and reply never share a VC), which is the textbook
   protocol-deadlock-freedom discipline, and reports per-class latency
   and throughput.
-* **Timed / trace-driven sources.**  Messages are emitted at absolute
-  cycles, so trace replay and epoch-structured datacenter sources
-  (incast bursts, permutation churn) slot in naturally.
+* **Timed sources.**  Messages are emitted at absolute cycles, so
+  epoch-structured datacenter sources (incast bursts, permutation
+  churn) slot in naturally.
 
 The legacy combination is reimplemented — not emulated — as
 :class:`SyntheticWorkload`, which drives the *same* injection process
@@ -58,9 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class UnsupportedWorkloadError(NotImplementedError):
     """Raised when a kernel cannot run a workload — e.g. the vectorized
-    ``kernel="batch"`` backend asked to run a closed-loop or
-    trace-replay source, which require the event kernel's delivery
-    hooks and per-cycle message timing."""
+    ``kernel="batch"`` backend asked to run a closed-loop or timed
+    source, which require the event kernel's delivery hooks and
+    per-cycle message timing."""
 
 
 class Message:
@@ -399,7 +399,7 @@ def _ensure_registered() -> None:
     """Import the modules that register the stock workload kinds (kept
     lazy so ``repro.network`` does not drag the whole traffic package
     in at import time)."""
-    from ..traffic import datacenter, tracefile  # noqa: F401
+    from ..traffic import datacenter  # noqa: F401
 
 
 def registered_workloads() -> Tuple[str, ...]:

@@ -42,7 +42,13 @@ from .jobs import (
     topology_build_count,
     warm_hit_count,
 )
-from .sweep import SweepReport, SweepRunner, resolve_jobs, stderr_progress
+from .sweep import (
+    SweepReport,
+    SweepRunner,
+    resolve_jobs,
+    resolve_runner,
+    stderr_progress,
+)
 
 __all__ = [
     "BatchGridJob",
@@ -66,6 +72,7 @@ __all__ = [
     "init_worker",
     "job_key",
     "resolve_jobs",
+    "resolve_runner",
     "run_batch_grid",
     "sim_build_count",
     "stderr_progress",

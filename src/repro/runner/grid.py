@@ -8,17 +8,19 @@ the cache granularity at the per-point
 (report counters, ``replicate_jobs``) already consumes: each load
 point is probed against its per-point key first, only the misses
 enter the grid, and every fresh per-load result is stored back under
-its per-point key.  Per-run purity of the batch
-backend makes grid results bit-identical to pointwise execution, so
-cache entries written either way are interchangeable — and the cache
-version stays unchanged.
+its per-point key.  The grid itself is never stored: no lookup reads
+it.  Per-run purity of the batch backend makes grid results
+bit-identical to pointwise execution, so cache entries written either
+way are interchangeable — and the cache version stays unchanged.
 """
 
 from __future__ import annotations
 
+import time
 from typing import List, Sequence
 
 from .jobs import BatchGridJob, BatchOpenLoopJob, execute_job
+from .sweep import resolve_runner
 
 
 def run_batch_grid(
@@ -35,17 +37,20 @@ def run_batch_grid(
 
     Cached points are served from ``runner.cache`` under their
     per-point :class:`BatchOpenLoopJob` keys; the remaining loads
-    execute as a single :class:`BatchGridJob` (one array program) and
-    are written back point-by-point.  With ``runner=None`` the grid
-    job executes in-process, uncached.
+    execute in this process as a single :class:`BatchGridJob` (one
+    array program, so there is nothing to fan out) and are written
+    back point-by-point.  ``runner.report`` counts every load as one
+    point.  With ``runner=None`` the grid runs uncached.
     """
+    runner = resolve_runner(runner)
+    start = time.perf_counter()
     loads = [float(load) for load in loads]
     seeds = tuple(int(s) for s in seeds)
     point_jobs = [
         BatchOpenLoopJob(spec, load, seeds, warmup, measure, drain_max)
         for load in loads
     ]
-    cache = getattr(runner, "cache", None)
+    cache = runner.cache
     results: List = [None] * len(loads)
     missing: List[int] = []
     for i, job in enumerate(point_jobs):
@@ -62,18 +67,14 @@ def run_batch_grid(
         else:
             missing.append(i)
     if missing:
-        grid_job = BatchGridJob(
+        fresh = execute_job(BatchGridJob(
             spec,
             tuple(loads[i] for i in missing),
             seeds,
             warmup,
             measure,
             drain_max,
-        )
-        if runner is not None:
-            fresh = runner.map([grid_job])[0]
-        else:
-            fresh = execute_job(grid_job)
+        ))
         for i, value in zip(missing, fresh):
             results[i] = value
             if cache is not None:
@@ -81,4 +82,8 @@ def run_batch_grid(
                     cache.put(point_jobs[i], value)
                 except TypeError:
                     pass
+    runner.report.note(len(loads), len(loads) - len(missing), len(missing),
+                       time.perf_counter() - start)
+    if cache is not None:
+        cache.flush_counters()
     return results

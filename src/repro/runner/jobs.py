@@ -223,11 +223,6 @@ class SimSpec:
         topology = _build_topology(self.topology)
         return self.factory(topology, *self.args, **dict(self.kwargs))
 
-    # Specs double as the zero-argument ``make_simulator`` callables
-    # the experiment helpers historically accepted.
-    def __call__(self) -> Simulator:
-        return self.build()
-
 
 @dataclass(frozen=True)
 class OpenLoopJob:
@@ -318,9 +313,10 @@ class BatchSaturationJob:
 
 @dataclass(frozen=True)
 class CallableJob:
-    """An arbitrary metric evaluation, e.g. one seed of a
-    :func:`~repro.experiments.common.replicate` call.  The callable
-    must be module-level (or otherwise picklable and describable)."""
+    """An arbitrary metric evaluation, ``fn(*args, **kwargs)``, e.g.
+    one seed of a :func:`~repro.experiments.common.replicate_jobs`
+    summary.  The callable must be module-level (or otherwise picklable
+    and describable) to cross a process boundary or enter the cache."""
 
     fn: Callable
     args: Tuple = ()

@@ -24,9 +24,9 @@ change *when and where* a job runs, never what it computes):
   overhead.  Results are reassembled into input order, so ordering is
   purely a wall-clock optimization.
 * **Replica statistics.**  ``SweepReport`` aggregates the replica
-  summaries produced by :func:`repro.experiments.common.replicate` /
-  ``replicate_jobs`` (metric and sample counts) next to the kernel
-  stats.
+  summaries produced by
+  :func:`repro.experiments.common.replicate_jobs` (metric and sample
+  counts) next to the kernel stats.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 @dataclass
 class SweepReport:
-    """Running totals across every ``map`` call of one runner.
+    """Running totals across every ``map`` call (and every
+    :func:`~repro.runner.run_batch_grid` grid) of one runner.
 
     Besides the point/caching counters, the report aggregates the
     :class:`~repro.network.KernelStats` attached to every result a
@@ -145,7 +146,7 @@ class SweepReport:
         self.warm_topology_hits += delta.get("warm_topology_hits", 0)
 
     def note_replicated(self, replicated) -> None:
-        """Record one replicate() / replicate_jobs() summary."""
+        """Record one replicate_jobs() summary."""
         self.replicated_metrics += 1
         self.replica_samples += replicated.count
 
@@ -484,6 +485,13 @@ class SweepRunner:
     def _tick(self, done: int, total: int, job) -> None:
         if self.progress is not None:
             self.progress(done, total, job)
+
+
+def resolve_runner(runner: Optional[SweepRunner] = None) -> SweepRunner:
+    """``runner``, or a serial, uncached ``SweepRunner(jobs=1)`` when it
+    is ``None``: every helper that takes an optional runner runs its
+    jobs through ``map`` either way."""
+    return SweepRunner(jobs=1) if runner is None else runner
 
 
 def _diff_counters(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:

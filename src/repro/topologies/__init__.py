@@ -3,10 +3,6 @@
 from .base import Channel, DirectTopology, Topology
 from .butterfly import Butterfly
 from .folded_clos import FoldedClos
-from .folded_clos_multilevel import (
-    FoldedClosMultiLevel,
-    FoldedClosMultiLevelAdaptive,
-)
 from .generalized_hypercube import GeneralizedHypercube
 from .hyperx import HyperX
 from .hypercube import Hypercube
@@ -20,8 +16,6 @@ __all__ = [
     "Topology",
     "Butterfly",
     "FoldedClos",
-    "FoldedClosMultiLevel",
-    "FoldedClosMultiLevelAdaptive",
     "GeneralizedHypercube",
     "HyperX",
     "Hypercube",

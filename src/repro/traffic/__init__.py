@@ -1,5 +1,4 @@
-"""Synthetic traffic patterns (Section 3.2), datacenter workloads, and
-trace-driven sources."""
+"""Synthetic traffic patterns (Section 3.2) and datacenter workloads."""
 
 from .datacenter import HotSpotSkew, Incast, PermutationChurn
 from .patterns import (
@@ -15,14 +14,6 @@ from .patterns import (
     adversarial,
     tornado_for,
 )
-from .tracefile import (
-    TraceFormatError,
-    TraceRecord,
-    TraceReplay,
-    generate_coherence_trace,
-    load_trace,
-    write_trace,
-)
 
 __all__ = [
     "BitComplement",
@@ -34,15 +25,9 @@ __all__ = [
     "PermutationChurn",
     "RandomPermutation",
     "Shuffle",
-    "TraceFormatError",
-    "TraceRecord",
-    "TraceReplay",
     "TrafficPattern",
     "Transpose",
     "UniformRandom",
     "adversarial",
-    "generate_coherence_trace",
-    "load_trace",
     "tornado_for",
-    "write_trace",
 ]

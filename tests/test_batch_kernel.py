@@ -571,6 +571,28 @@ class TestLoadGrid:
                 assert _fingerprint(ra) == _fingerprint(rb)
 
 
+    def test_grid_stores_only_per_point_entries(self, tmp_path):
+        """A cold grid leaves one cache entry and one miss per load (the
+        grid itself is never stored), and a warm rerun through a fresh
+        runner and cache object hits every point and executes none."""
+        from repro.runner import ResultCache, SimSpec, SweepRunner, run_batch_grid
+
+        spec = SimSpec.of(_grid_sim, UGAL)
+        window = (GRID_LOADS, GRID_SEEDS, 50, 50, 500)
+        cache = ResultCache(str(tmp_path))
+        cold = SweepRunner(jobs=1, cache=cache)
+        run_batch_grid(spec, *window, runner=cold)
+        n = len(GRID_LOADS)
+        assert len(cache) == n
+        assert cache.persisted_counters() == {"hits": 0, "misses": n}
+        assert (cold.report.total, cold.report.executed) == (n, n)
+
+        warm = SweepRunner(jobs=1, cache=ResultCache(str(tmp_path)))
+        run_batch_grid(spec, *window, runner=warm)
+        assert len(cache) == n
+        assert cache.persisted_counters() == {"hits": n, "misses": n}
+        assert (warm.report.cache_hits, warm.report.executed) == (n, 0)
+
 # ----------------------------------------------------------------------
 # Committed fingerprints: exact batch output pinned to data
 # ----------------------------------------------------------------------

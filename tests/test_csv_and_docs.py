@@ -1,6 +1,7 @@
 """Tests for CSV export and the package's executable documentation
 (doctests in module docstrings)."""
 
+import ast
 import doctest
 import os
 
@@ -110,23 +111,30 @@ ENVIRONMENT_VARIABLES = {
 }
 
 
+def _source_trees():
+    """``(path relative to the repo, parsed module)`` for every module
+    under ``src/repro``."""
+    for dirpath, _dirs, files in os.walk(os.path.join(REPO_ROOT, "src", "repro")):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as handle:
+                tree = ast.parse(handle.read())
+            yield os.path.relpath(path, REPO_ROOT), tree
+
+
 def _repro_names_in_string_literals():
     """``REPRO_*`` names in any string literal (docstrings included)
     under ``src/repro``."""
-    import ast
     import re
 
     pattern = re.compile(r"REPRO_[A-Z_]+")
     names = set()
-    for dirpath, _dirs, files in os.walk(os.path.join(REPO_ROOT, "src", "repro")):
-        for name in files:
-            if not name.endswith(".py"):
-                continue
-            with open(os.path.join(dirpath, name)) as handle:
-                tree = ast.parse(handle.read())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.update(pattern.findall(node.value))
+    for _path, tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(pattern.findall(node.value))
     return names
 
 
@@ -146,3 +154,47 @@ class TestEnvironmentInventory:
                 text += handle.read()
         for variable in sorted(ENVIRONMENT_VARIABLES):
             assert variable in text, f"{variable} is not documented"
+
+
+def _unreachable_lines(tree):
+    """Line numbers of statements that follow a ``return``, ``raise``,
+    ``continue`` or ``break`` in the same block: code that never runs."""
+    terminal = (ast.Return, ast.Raise, ast.Continue, ast.Break)
+    lines = []
+    for node in ast.walk(tree):
+        for _field, block in ast.iter_fields(node):
+            if not isinstance(block, list):
+                continue
+            for stmt, following in zip(block, block[1:]):
+                if isinstance(stmt, terminal):
+                    lines.append(following.lineno)
+    return lines
+
+
+class TestNoUnreachableCode:
+    def test_checker_flags_code_after_each_terminal(self):
+        source = (
+            "def f(xs):\n"
+            "    for x in xs:\n"
+            "        if x:\n"
+            "            continue\n"
+            "            a = 1\n"
+            "        break\n"
+            "        b = 2\n"
+            "    try:\n"
+            "        raise ValueError\n"
+            "        c = 3\n"
+            "    finally:\n"
+            "        pass\n"
+            "    return xs\n"
+            "    d = 4\n"
+        )
+        assert sorted(_unreachable_lines(ast.parse(source))) == [5, 7, 10, 14]
+
+    def test_no_statement_follows_a_terminal_in_src(self):
+        found = [
+            f"{path}:{line}"
+            for path, tree in _source_trees()
+            for line in _unreachable_lines(tree)
+        ]
+        assert found == []

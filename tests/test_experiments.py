@@ -301,84 +301,53 @@ def test_registry_complete():
         assert hasattr(module, "run")
 
 
-class TestReplication:
-    def test_replicate_statistics(self):
-        from repro.experiments.common import replicate
+def clos_ad_wc(seed):
+    """Module-level simulator factory for the replication test's specs."""
+    from repro.core import ClosAD
+    from repro.core.flattened_butterfly import FlattenedButterfly
+    from repro.network import SimulationConfig, Simulator
+    from repro.traffic import adversarial
 
-        result = replicate(lambda seed: float(seed), seeds=[1, 2, 3])
+    return Simulator(
+        FlattenedButterfly(4, 2), ClosAD(), adversarial(),
+        SimulationConfig(seed=seed),
+    )
+
+
+class TestReplication:
+    def _summary(self, values):
+        from repro.experiments.common import replicate_jobs
+        from repro.runner import CallableJob
+
+        return replicate_jobs([CallableJob.of(float, v) for v in values])
+
+    def test_replicate_statistics(self):
+        result = self._summary([1, 2, 3])
         assert result.mean == pytest.approx(2.0)
         assert result.std == pytest.approx(1.0)
         assert result.count == 3
 
     def test_single_seed_zero_std(self):
-        from repro.experiments.common import replicate
-
-        result = replicate(lambda seed: 5.0, seeds=[7])
+        result = self._summary([5.0])
         assert result.std == 0.0
+        assert result.ci95 == 0.0
 
     def test_empty_seeds_rejected(self):
-        from repro.experiments.common import replicate
+        from repro.experiments.common import replicate_jobs
 
         with pytest.raises(ValueError):
-            replicate(lambda seed: 0.0, seeds=[])
+            replicate_jobs([])
 
     def test_simulation_metric_is_stable_across_seeds(self):
         """CLOS AD's worst-case throughput is ~0.5 for every seed —
         the claim is not a single-seed artifact."""
-        from repro.core import ClosAD
-        from repro.core.flattened_butterfly import FlattenedButterfly
-        from repro.experiments.common import replicate
-        from repro.network import SimulationConfig, Simulator
-        from repro.traffic import adversarial
+        from repro.experiments.common import replicate_jobs
+        from repro.runner import SaturationJob, SimSpec
 
-        result = replicate(
-            lambda seed: Simulator(
-                FlattenedButterfly(4, 2), ClosAD(), adversarial(),
-                SimulationConfig(seed=seed),
-            ).measure_saturation_throughput(400, 400),
-            seeds=range(1, 5),
-        )
+        result = replicate_jobs([
+            SaturationJob(SimSpec.of(clos_ad_wc, seed), 400, 400)
+            for seed in range(1, 5)
+        ])
+        assert result.count == 4
         assert result.mean == pytest.approx(0.5, abs=0.05)
         assert result.std < 0.03
-
-
-class TestSaturationSearch:
-    def _make(self, algorithm_cls, pattern_factory):
-        from repro.network import SimulationConfig, Simulator
-        from repro.core.flattened_butterfly import FlattenedButterfly
-
-        def factory(load):
-            return Simulator(
-                FlattenedButterfly(4, 2), algorithm_cls(), pattern_factory(),
-                SimulationConfig(seed=2),
-            )
-
-        return factory
-
-    def test_min_on_wc_saturates_near_quarter(self):
-        from repro.core import DimensionOrder
-        from repro.experiments.common import find_saturation_load
-        from repro.traffic import adversarial
-
-        load = find_saturation_load(
-            self._make(DimensionOrder, adversarial),
-            warmup=300, measure=300, drain_max=4000,
-        )
-        assert 0.15 < load < 0.32  # theory: 0.25
-
-    def test_min_on_ur_saturates_high(self):
-        from repro.core import DimensionOrder
-        from repro.experiments.common import find_saturation_load
-        from repro.traffic import UniformRandom
-
-        load = find_saturation_load(
-            self._make(DimensionOrder, UniformRandom),
-            warmup=300, measure=300, drain_max=4000,
-        )
-        assert load > 0.7
-
-    def test_precision_validation(self):
-        from repro.experiments.common import find_saturation_load
-
-        with pytest.raises(ValueError):
-            find_saturation_load(lambda load: None, 1, 1, 1, precision=0.0)

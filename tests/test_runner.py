@@ -16,13 +16,12 @@ import pytest
 from repro.core import ClosAD, DimensionOrder, MinimalAdaptive
 from repro.core.flattened_butterfly import FlattenedButterfly
 from repro.experiments.common import (
-    find_saturation_load,
     latency_load_curve,
-    replicate,
     replicate_jobs,
+    saturation_throughput,
 )
 from repro.network import SimulationConfig, Simulator, derive_seed
-from repro.network.stats import LatencySummary, OpenLoopResult
+from repro.network.stats import OpenLoopResult
 from repro.runner import (
     BatchJob,
     CallableJob,
@@ -61,7 +60,7 @@ def fb_spec(**overrides):
 
 
 def saturation_metric(seed):
-    """Picklable replicate metric."""
+    """Picklable replica metric."""
     return make_fb(4, ClosAD, adversarial, seed=seed).measure_saturation_throughput(
         200, 200
     )
@@ -73,7 +72,7 @@ def saturation_metric(seed):
 class TestSimSpec:
     def test_builds_a_fresh_simulator_per_call(self):
         spec = fb_spec()
-        first, second = spec.build(), spec()
+        first, second = spec.build(), spec.build()
         assert first is not second
         assert isinstance(first, Simulator)
 
@@ -237,21 +236,19 @@ class TestSerialParallelEquivalence:
         # the first saturated point is reported.
         assert all(not r.saturated for r in serial[:-1])
 
-    def test_curve_matches_legacy_callable_path(self):
-        spec = fb_spec(algorithm_cls=ClosAD, pattern_factory=UniformRandom)
-        legacy = latency_load_curve(lambda: spec.factory(
-            *spec.args, **dict(spec.kwargs)), LOADS, **WINDOW)
-        modern = latency_load_curve(
-            spec, LOADS, runner=SweepRunner(jobs=4), **WINDOW
-        )
-        assert legacy == modern
+    def test_helpers_reject_a_simulator_factory(self):
+        """The helpers take a SimSpec job description only: a bare
+        factory is refused before anything runs."""
+        spec = fb_spec()
+        with pytest.raises(TypeError, match="SimSpec"):
+            latency_load_curve(lambda: spec.build(), LOADS, **WINDOW)
+        with pytest.raises(TypeError, match="SimSpec"):
+            saturation_throughput(spec.build, 100, 100)
 
     def test_replicate_identical(self):
-        seeds = (1, 2, 3, 4)
-        serial = replicate(saturation_metric, seeds)
-        parallel = replicate(
-            saturation_metric, seeds, runner=SweepRunner(jobs=4)
-        )
+        jobs = [CallableJob.of(saturation_metric, seed) for seed in (1, 2, 3, 4)]
+        serial = replicate_jobs(jobs)
+        parallel = replicate_jobs(jobs, runner=SweepRunner(jobs=4))
         assert serial == parallel
 
     def test_replicate_jobs_matches_direct_execution(self):
@@ -263,18 +260,6 @@ class TestSerialParallelEquivalence:
         direct = [execute_job(job) for job in jobs]
         summary = replicate_jobs(jobs, runner=SweepRunner(jobs=2))
         assert summary.samples == tuple(direct)
-
-    def test_find_saturation_load_identical(self):
-        def factory(load):
-            return fb_spec(algorithm_cls=DimensionOrder,
-                           pattern_factory=adversarial)
-
-        kwargs = dict(warmup=100, measure=100, drain_max=800, precision=0.1)
-        serial = find_saturation_load(factory, **kwargs)
-        parallel = find_saturation_load(
-            factory, runner=SweepRunner(jobs=3), **kwargs
-        )
-        assert serial == parallel
 
     def test_batch_jobs_identical(self):
         jobs = [
@@ -327,7 +312,10 @@ class TestCacheBehavior:
 
     def test_uncacheable_jobs_still_run(self, tmp_path):
         runner = SweepRunner(jobs=1, cache=ResultCache(str(tmp_path)))
-        result = replicate(lambda seed: float(seed), (1, 2), runner=runner)
+        result = replicate_jobs(
+            [CallableJob.of(lambda seed: float(seed), s) for s in (1, 2)],
+            runner=runner,
+        )
         assert result.mean == pytest.approx(1.5)
 
     def test_report_counts(self, tmp_path):
@@ -370,79 +358,6 @@ class TestCacheBehavior:
                              progress=lambda done, total, job: ticks.append(done))
         runner.map([SaturationJob(fb_spec(), 50, 50) for _ in range(3)])
         assert ticks == [1, 2, 3]
-
-
-# ----------------------------------------------------------------------
-# find_saturation_load unit coverage (fake simulators, legacy path)
-# ----------------------------------------------------------------------
-def _fake_open_loop(saturated, latency_mean):
-    summary = LatencySummary(count=10, mean=latency_mean, p50=latency_mean,
-                             p95=latency_mean, p99=latency_mean,
-                             max=latency_mean)
-    return OpenLoopResult(
-        offered_load=0.0, accepted_throughput=0.0, latency=summary,
-        network_latency=summary, saturated=saturated, cycles=100,
-        packets_labeled=10, packets_delivered=10, mean_hops=1.0,
-    )
-
-
-class _FakeSim:
-    def __init__(self, result):
-        self._result = result
-
-    def run_open_loop(self, load, warmup, measure, drain_max):
-        return self._result
-
-
-class TestFindSaturationLoad:
-    def test_latency_bound_path(self):
-        """Saturation detected purely from the latency blow-up: no run
-        ever reports ``saturated`` but latency crosses 4x zero-load."""
-        built = []
-
-        def factory(load):
-            built.append(load)
-            return _FakeSim(_fake_open_loop(False, 20.0 if load > 0.5 else 2.0))
-
-        load = find_saturation_load(factory, 10, 10, 100, precision=0.02)
-        assert load == pytest.approx(0.5, abs=0.02)
-        assert load <= 0.5
-
-    def test_non_drained_path(self):
-        """Saturation detected from undrained labeled packets, with
-        latency far below the bound."""
-
-        def factory(load):
-            return _FakeSim(_fake_open_loop(load > 0.3, 2.0))
-
-        load = find_saturation_load(factory, 10, 10, 100, precision=0.02)
-        assert load == pytest.approx(0.3, abs=0.02)
-        assert load <= 0.3
-
-    def test_baseline_probe_is_reused(self):
-        """Every distinct load — the 0.05 baseline included — is
-        simulated exactly once per search."""
-        built = []
-
-        def factory(load):
-            built.append(load)
-            return _FakeSim(_fake_open_loop(load > 0.4, 1.0))
-
-        find_saturation_load(factory, 10, 10, 100, precision=0.02)
-        assert built.count(0.05) == 1
-        assert len(built) == len(set(built))
-
-    def test_saturated_baseline_returns_zero(self):
-        def factory(load):
-            return _FakeSim(_fake_open_loop(True, 1.0))
-
-        assert find_saturation_load(factory, 10, 10, 100) == 0.0
-
-    def test_unsaturated_network_returns_full_load(self):
-        def factory(load):
-            return _FakeSim(_fake_open_loop(False, 2.0))
-
-        assert find_saturation_load(factory, 10, 10, 100) == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.core.flattened_butterfly import FlattenedButterfly
 from repro.topologies import (
     Butterfly,
     FoldedClos,
-    FoldedClosMultiLevel,
     GeneralizedHypercube,
     Hypercube,
     TopologyError,
@@ -26,8 +25,6 @@ ALL_TOPOLOGIES = [
     Butterfly(2, 4),
     FoldedClos(64, 8),
     FoldedClos(64, 8, taper=1),
-    FoldedClosMultiLevel(4, 3),
-    FoldedClosMultiLevel(3, 3, taper=1),
     Hypercube(5),
     GeneralizedHypercube((3, 4)),
     Torus((4, 4)),

@@ -11,7 +11,7 @@ The central invariants pinned here:
   that cache hits build nothing;
 * per-seed fault replicas are distinct cache entries, while replica 0
   keeps the historical single-replica key;
-* replicate() runs every seed it is given, so outputs stay
+* replicate_jobs() runs every job it is given, so outputs stay
   byte-stable.
 """
 
@@ -24,9 +24,10 @@ import pytest
 from repro.core import ClosAD, DimensionOrder
 from repro.core.flattened_butterfly import FlattenedButterfly
 from repro.experiments import ext_resilience
-from repro.experiments.common import latency_load_curve, replicate
+from repro.experiments.common import latency_load_curve, replicate_jobs
 from repro.network import SimulationConfig, Simulator
 from repro.runner import (
+    CallableJob,
     OpenLoopJob,
     ResultCache,
     SimSpec,
@@ -86,7 +87,7 @@ def cold_reference(jobs):
 
 
 def seed_metric(seed):
-    """Picklable replicate metric (identical across seeds on purpose:
+    """Picklable replica metric (identical across seeds on purpose:
     the summary's CI is then exactly zero)."""
     return 0.75
 
@@ -232,7 +233,10 @@ class TestJobsResolution:
 class TestReplicaStatistics:
     def test_default_runs_every_seed(self):
         runner = SweepRunner(jobs=1)
-        summary = replicate(seed_metric, range(1, 6), runner=runner)
+        summary = replicate_jobs(
+            [CallableJob.of(seed_metric, seed) for seed in range(1, 6)],
+            runner=runner,
+        )
         assert summary.count == 5
         assert summary.ci95 == 0.0
         assert runner.report.replicated_metrics == 1

@@ -1,6 +1,6 @@
 """The unified workload plane.
 
-Four guarantees pinned here:
+Three guarantees pinned here:
 
 * **Bit-identity with the legacy plane.**  ``SyntheticWorkload``
   (injection process × traffic pattern behind the ``Workload``
@@ -11,19 +11,16 @@ Four guarantees pinned here:
   on disjoint VC partitions, terminates cleanly at saturation load
   (protocol deadlock freedom), and still lets the event kernel skip
   quiescent stretches.
-* **Trace replay.**  Write→load round-trips in both encodings,
-  malformed files rejected with line numbers, finite termination.
+* **Clean errors.**  The batch kernel refuses closed-loop and timed
+  workloads with a named error; pattern-only methods refuse workload
+  simulators and vice versa.
 
 Every exact run here is also pinned to its committed fingerprint in
 ``tests/golden/exact_fingerprints.json`` (see ``tests/fingerprints.py``).
-* **Clean errors.**  The batch kernel refuses closed-loop/trace
-  workloads with a named error; pattern-only methods refuse workload
-  simulators and vice versa.
 """
 
 import os
 import random
-import tempfile
 
 import pytest
 
@@ -48,13 +45,7 @@ from repro.traffic import (
     Incast,
     PermutationChurn,
     RandomPermutation,
-    TraceFormatError,
-    TraceRecord,
-    TraceReplay,
     UniformRandom,
-    generate_coherence_trace,
-    load_trace,
-    write_trace,
 )
 from tests import fingerprints
 
@@ -310,110 +301,6 @@ class TestDatacenterWorkloads:
             sim.run_workload(warmup=10, measure=10, drain_max=100)
 
 
-class TestTraceFormat:
-    def _reject(self, tmp_path, content, match, lineno):
-        path = os.path.join(tmp_path, "bad.trace")
-        with open(path, "w") as handle:
-            handle.write(content)
-        with pytest.raises(TraceFormatError, match=match) as info:
-            load_trace(path)
-        assert info.value.line == lineno
-        assert f"{path}:{lineno}" in str(info.value)
-
-    def test_text_wrong_columns(self, tmp_path):
-        self._reject(tmp_path, "0 1\n", "3-5 columns", 1)
-
-    def test_text_non_integer(self, tmp_path):
-        self._reject(tmp_path, "# header\n0 1 2\n5 x 3\n", "non-integer", 3)
-
-    def test_cycle_goes_backwards(self, tmp_path):
-        self._reject(tmp_path, "5 1 2\n3 2 1\n", "goes backwards", 2)
-
-    def test_negative_terminal(self, tmp_path):
-        self._reject(tmp_path, "0 -1 2\n", "negative terminal", 1)
-
-    def test_zero_size(self, tmp_path):
-        self._reject(tmp_path, "0 1 2 0\n", "size must be >= 1", 1)
-
-    def test_jsonl_unknown_key(self, tmp_path):
-        self._reject(
-            tmp_path,
-            '{"cycle": 0, "src": 1, "dst": 2, "sized": 3}\n',
-            "unknown keys: sized",
-            1,
-        )
-
-    def test_jsonl_missing_key(self, tmp_path):
-        self._reject(tmp_path, '{"cycle": 0, "src": 1}\n', "missing key", 1)
-
-    def test_jsonl_invalid_json(self, tmp_path):
-        self._reject(tmp_path, '{"cycle": 0,\n', "invalid JSON", 1)
-
-    def test_jsonl_bool_rejected(self, tmp_path):
-        self._reject(
-            tmp_path,
-            '{"cycle": 0, "src": true, "dst": 2}\n',
-            "must be an integer",
-            1,
-        )
-
-    @pytest.mark.parametrize("format", ["text", "jsonl"])
-    def test_round_trip(self, tmp_path, format):
-        records = generate_coherence_trace(16, 40, seed=9, service_delay=4)
-        path = os.path.join(tmp_path, f"trace.{format}")
-        write_trace(path, records, format=format)
-        assert load_trace(path) == records
-
-    def test_comments_and_blanks_ignored(self, tmp_path):
-        path = os.path.join(tmp_path, "ok.trace")
-        with open(path, "w") as handle:
-            handle.write("# a comment\n\n0 1 2\n\n# more\n4 2 1 2 1\n")
-        assert load_trace(path) == [
-            TraceRecord(0, 1, 2, None, 0),
-            TraceRecord(4, 2, 1, 2, 1),
-        ]
-
-
-def _write_coherence_trace(directory, num_terminals=16):
-    records = generate_coherence_trace(
-        num_terminals, 60, seed=21, service_delay=6
-    )
-    path = os.path.join(directory, "coherence.trace")
-    write_trace(path, records)
-    return path, records
-
-
-class TestTraceReplay:
-    def test_finite_replay_terminates(self, tmp_path):
-        path, records = _write_coherence_trace(tmp_path)
-        workload = TraceReplay(path)
-        assert workload.num_classes == 2
-        sim = Simulator(
-            FlattenedButterfly(4, 2), UGAL(), workload,
-            SimulationConfig(seed=1), kernel="event",
-        )
-        result = sim.run_workload(warmup=10, measure=100, drain_max=5000)
-        assert sim.in_flight == 0
-        assert sim.packets_created == len(records)
-        assert result.per_class is not None and len(result.per_class) == 2
-
-    def test_cross_kernel_identical(self, tmp_path):
-        fingerprints.assert_pinned(
-            "workloads/trace_replay",
-            fingerprints.run_record(*_run_trace_replay(tmp_path)),
-        )
-
-    def test_terminal_out_of_range_names_record(self, tmp_path):
-        path = os.path.join(tmp_path, "big.trace")
-        write_trace(path, [TraceRecord(0, 0, 99)])
-        sim = Simulator(
-            FlattenedButterfly(4, 2), MinimalAdaptive(), TraceReplay(path),
-            SimulationConfig(seed=1),
-        )
-        with pytest.raises(TraceFormatError, match="outside this"):
-            sim.run_workload(warmup=10, measure=10, drain_max=100)
-
-
 class TestBatchKernelGate:
     """Satellite: ``kernel="batch"`` raises a named error for workloads
     it cannot express, and delegates the Bernoulli×pattern case."""
@@ -427,14 +314,13 @@ class TestBatchKernelGate:
         with pytest.raises(UnsupportedWorkloadError, match="request-reply"):
             sim.run_workload(warmup=50, measure=50, drain_max=500)
 
-    def test_trace_rejected(self, tmp_path):
-        path = os.path.join(tmp_path, "t.trace")
-        write_trace(path, [TraceRecord(0, 0, 1)])
+    def test_timed_source_rejected(self):
         sim = Simulator(
-            FlattenedButterfly(4, 2), MinimalAdaptive(), TraceReplay(path),
+            FlattenedButterfly(4, 2), MinimalAdaptive(),
+            DATACENTER_WORKLOADS["incast"](),
             SimulationConfig(seed=1), kernel="batch",
         )
-        with pytest.raises(UnsupportedWorkloadError, match="trace"):
+        with pytest.raises(UnsupportedWorkloadError, match="timed sources"):
             sim.run_workload(warmup=50, measure=50, drain_max=500)
 
     def test_synthetic_bernoulli_delegates(self):
@@ -454,7 +340,6 @@ class TestWorkloadSpecPlumbing:
         kinds = registered_workloads()
         for kind in (
             "hotspot_skew", "incast", "permutation_churn", "request_reply",
-            "trace_replay",
         ):
             assert kind in kinds
 
@@ -602,24 +487,6 @@ def _run_datacenter(name):
     return sim, trace.series, result
 
 
-def _run_trace_replay(directory):
-    path, _ = _write_coherence_trace(directory)
-    sim = Simulator(
-        FlattenedButterfly(4, 2), UGAL(), TraceReplay(path),
-        SimulationConfig(seed=1),
-    )
-    # warmup=10 keeps part of the (short) trace inside the window, so
-    # the result carries real latency and mean_hops samples.
-    result = sim.run_workload(warmup=10, measure=100, drain_max=5000)
-    sim.check_activation_invariants()
-    return sim, None, result
-
-
-def _pinned_trace_replay():
-    with tempfile.TemporaryDirectory() as directory:
-        return fingerprints.run_record(*_run_trace_replay(directory))
-
-
 def _pinned_cases():
     """``{case name: thunk returning its record}`` for every pinned
     configuration of this module."""
@@ -637,7 +504,6 @@ def _pinned_cases():
     cases["workloads/closed_loop_skip"] = pin(_run_closed_loop_skip)
     for name in sorted(DATACENTER_WORKLOADS):
         cases[f"workloads/datacenter/{name}"] = pin(_run_datacenter, name)
-    cases["workloads/trace_replay"] = _pinned_trace_replay
     return cases
 
 
