@@ -5,8 +5,8 @@ CI-scale 8-ary 2-flat, executed two ways:
 
 * **event**: one serial ``run_open_loop`` per replica seed (what
   ``replicate_jobs`` does on a single worker), and
-* **batch**: a single ``run_open_loop_batch`` advancing every replica
-  in lockstep on the vectorized backend.
+* **batch**: a single one-load ``run_open_loop_grid`` advancing every
+  replica in lockstep on the vectorized backend.
 
 Three measured points:
 
@@ -15,8 +15,8 @@ Three measured points:
   (intermediate draw + credit-lagged occupancy estimate) must clear
   the same speedup floor as the table-driven program, and
 * a **load grid**: the full 5-load x 16-replica fig04 latency curve
-  as one ``run_open_loop_grid`` lockstep program vs. one
-  ``run_open_loop_batch`` per load — the whole-grid batching win on
+  as one ``run_open_loop_grid`` lockstep program vs. one one-load
+  ``run_open_loop_grid`` per load — the whole-grid batching win on
   top of the already-vectorized backend (results are bit-identical
   by per-run purity, which the benchmark also asserts).
 
@@ -170,8 +170,8 @@ def _run_batch(seeds, warmup, measure, drain_max,
                algorithm_cls=MinimalAdaptive):
     """One lockstep batched run; returns (wall, BatchRunResult)."""
     started = time.perf_counter()
-    batch = _build("batch", BASE_SEED, algorithm_cls).run_open_loop_batch(
-        LOAD, seeds=seeds, warmup=warmup, measure=measure,
+    batch, = _build("batch", BASE_SEED, algorithm_cls).run_open_loop_grid(
+        [LOAD], seeds=seeds, warmup=warmup, measure=measure,
         drain_max=drain_max,
     )
     return time.perf_counter() - started, batch
@@ -184,8 +184,8 @@ def _run_pointwise_grid(loads, seeds, warmup, measure, drain_max,
     batches = []
     for load in loads:
         sim = _build("batch", BASE_SEED, algorithm_cls)
-        batches.append(sim.run_open_loop_batch(
-            load, seeds=seeds, warmup=warmup, measure=measure,
+        batches.extend(sim.run_open_loop_grid(
+            [load], seeds=seeds, warmup=warmup, measure=measure,
             drain_max=drain_max,
         ))
     return time.perf_counter() - started, batches

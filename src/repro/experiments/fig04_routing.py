@@ -101,8 +101,8 @@ def run(scale=None, runner=None, kernel=None, replicas=None) -> ExperimentResult
             # The whole (load x replica) grid per algorithm compiles
             # into one lockstep array program; the per-point cache
             # entries it fills are the same BatchOpenLoopJob keys a
-            # pointwise run would write (grid results are bit-identical
-            # per run).  Replica seeds come from the canonical family,
+            # one-load job would write (each load of a grid is
+            # bit-identical to a one-load grid).  Replica seeds come from the canonical family,
             # so replica i is the same RNG stream everywhere.
             curve_seeds = (
                 replica_seeds(scale.seeds[0], replicas)
@@ -182,6 +182,7 @@ def run(scale=None, runner=None, kernel=None, replicas=None) -> ExperimentResult
                 )
                 throughputs = runner.run(job)
                 replicated = _summarize(tuple(float(x) for x in throughputs))
+                runner.report.note_replicated(replicated)
             else:
                 replicated = replicate_jobs(
                     [

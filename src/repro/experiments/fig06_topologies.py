@@ -159,7 +159,7 @@ def run(scale=None, runner=None, kernel=None) -> ExperimentResult:
         )
         if batch:
             # One lockstep load-grid per topology row; the seed matches
-            # the default-config seed so a pointwise batch run of the
+            # the default-config seed so a batch run_open_loop of the
             # same spec reproduces each point bit-for-bit.
             seeds = (SimulationConfig().seed,)
             curves = {

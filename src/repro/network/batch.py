@@ -78,9 +78,9 @@ draws, so table-routed algorithms consume exactly the streams they
 always did.  Per-run results are therefore a pure function of the
 run's ``(seed, load)`` — **permutation-invariant** across the batch
 axis and identical whether the run executes alone, inside a replica
-batch, or inside a whole load grid (:meth:`BatchBackend.run_load_grid`
-is bit-identical to pointwise :meth:`BatchBackend.run_open_loop`
-calls, per run).
+batch, or inside a whole load grid (each load of a
+:meth:`BatchBackend.run_load_grid` grid is bit-identical to a one-load
+grid of the same seeds).
 
 numpy is an optional extra (``pip install repro[batch]``); importing
 this module without numpy works, using the backend raises.
@@ -94,7 +94,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import SimulationConfig, replica_seeds
-from .stats import KernelStats, LatencySummary, OpenLoopResult
+from .stats import KernelStats, LatencySummary, OpenLoopResult, _window_end
 
 try:
     import numpy as np
@@ -570,11 +570,7 @@ def _build_program(topology, algorithm, table) -> _Program:
     raise ``NotImplementedError`` for unsupported algorithms."""
     builder = _builder_registry().get(type(algorithm))
     if builder is None:
-        raise NotImplementedError(
-            f"kernel='batch' does not implement {algorithm.name!r} "
-            f"(supported: {', '.join(supported_algorithms())}); use "
-            f"kernel='event'"
-        )
+        raise NotImplementedError(unsupported_reason(algorithm=algorithm))
 
     T = topology.num_terminals
     R = topology.num_routers
@@ -813,11 +809,7 @@ class BatchBackend:
                 members, sizes.pop(), group_of, len(groups), pattern.shift
             )
             return "group"
-        raise NotImplementedError(
-            f"kernel='batch' does not implement the {pattern.name!r} "
-            f"traffic pattern (supported: UR, group-shift); use "
-            f"kernel='event'"
-        )
+        raise NotImplementedError(unsupported_reason(pattern=pattern))
 
     def _draw_dsts(self, gen, srcs):
         """Destinations for creation-ordered sources ``srcs``, matching
@@ -844,27 +836,6 @@ class BatchBackend:
         self._consumed = True
 
     # ------------------------------------------------------------------
-    def run_open_loop(
-        self,
-        load: float,
-        seeds: Sequence[int],
-        warmup: int = 1000,
-        measure: int = 1000,
-        drain_max: int = 100_000,
-    ) -> BatchRunResult:
-        """Batched analogue of :meth:`Simulator.run_open_loop`: one
-        warmup/label/drain measurement per seed, advanced in lockstep."""
-        seeds = tuple(seeds)
-        self._check_window(warmup, measure, drain_max)
-        load_of_run = np.full(len(seeds) or 1, float(load))
-        results, created, delivered, wall, stats = self._run(
-            load_of_run, seeds, warmup, measure, drain_max, True
-        )
-        return self._wrap(
-            float(load), seeds, warmup, measure, drain_max,
-            results, created, delivered, wall, stats,
-        )
-
     def run_load_grid(
         self,
         loads: Sequence[float],
@@ -873,19 +844,20 @@ class BatchBackend:
         measure: int = 1000,
         drain_max: int = 100_000,
     ) -> List[BatchRunResult]:
-        """One lockstep array program over the whole ``(load x seed)``
-        grid: every load point's replicas advance together, and the
-        result is reshaped into one :class:`BatchRunResult` per load —
-        element ``i`` is **bit-identical** to
-        ``run_open_loop(loads[i], seeds, ...)`` on a fresh backend,
-        because each run's state and random stream are its own (the
-        batch axis only shares the cycle loop and the compiled
-        program)."""
+        """Batched analogue of :meth:`Simulator.run_open_loop` over the
+        whole ``(load x seed)`` grid, and the only open-loop entry into
+        this kernel: one warmup/label/drain measurement per pair, every
+        pair advanced in lockstep by one array program.  Returns one
+        :class:`BatchRunResult` per load; element ``i`` is
+        **bit-identical** to ``run_load_grid([loads[i]], seeds, ...)``
+        on a fresh backend, because each run's state and random stream
+        are its own (the batch axis only shares the cycle loop and the
+        compiled program)."""
         loads = [float(load) for load in loads]
         seeds = tuple(seeds)
         if not loads:
             raise ValueError("need at least one load")
-        self._check_window(warmup, measure, drain_max)
+        _window_end(warmup, measure, drain_max)
         S = len(seeds) or 1
         load_of_run = np.repeat(np.asarray(loads), S)
         all_seeds = seeds * len(loads)
@@ -916,17 +888,6 @@ class BatchBackend:
             load_of_run, seeds, warmup, measure, warmup + measure, False
         )
         return [r.accepted_throughput for r in results]
-
-    @staticmethod
-    def _check_window(warmup: int, measure: int, drain_max: int) -> None:
-        end = warmup + measure
-        if drain_max <= end:
-            raise ValueError(
-                f"drain_max={drain_max} must exceed warmup+measure={end}: "
-                f"the run would be cut off before the measurement window "
-                f"ends and its labeled packets could never all be observed "
-                f"draining"
-            )
 
     def _wrap(self, load, seeds, warmup, measure, drain_max, results,
               created, delivered, wall, stats) -> BatchRunResult:

@@ -50,6 +50,7 @@ from .stats import (
     LatencySummary,
     MeasurementWindow,
     OpenLoopResult,
+    _window_end,
 )
 from .workload import UnsupportedWorkloadError, Workload
 
@@ -98,19 +99,6 @@ class _NullInjection(InjectionProcess):
 
 
 _NULL_PROCESS = _NullInjection()
-
-
-def _window_end(warmup: int, measure: int, drain_max: int) -> int:
-    """End of the measurement window, after checking that the drain cap
-    ``drain_max`` lies beyond it."""
-    end = warmup + measure
-    if drain_max <= end:
-        raise ValueError(
-            f"drain_max={drain_max} must exceed warmup+measure={end}: the "
-            f"run would be cut off before the measurement window ends and "
-            f"its labeled packets could never all be observed draining"
-        )
-    return end
 
 
 class Simulator:
@@ -937,11 +925,10 @@ class Simulator:
         self._require_pattern("run_open_loop")
         end = _window_end(warmup, measure, drain_max)
         if self.kernel == "batch":
-            batched = self.run_open_loop_batch(
-                load, seeds=(self.config.seed,), warmup=warmup,
+            return self._batch_backend("run_open_loop").run_load_grid(
+                [load], (self.config.seed,), warmup=warmup,
                 measure=measure, drain_max=drain_max,
-            )
-            return batched.results[0]
+            )[0].results[0]
         self._consume()
         started = time.perf_counter()
         process = BernoulliInjection(load)
@@ -1089,16 +1076,10 @@ class Simulator:
                     f"kernel='event'"
                 )
             load, pattern = delegate
-            self._consume()
-            from .batch import BatchBackend
-
-            backend = BatchBackend(
-                self.topology, self.algorithm, pattern, self.config
-            )
-            return backend.run_open_loop(
-                load, (self.config.seed,), warmup=warmup, measure=measure,
-                drain_max=drain_max,
-            ).results[0]
+            return self._batch_backend("run_workload", pattern).run_load_grid(
+                [load], (self.config.seed,), warmup=warmup,
+                measure=measure, drain_max=drain_max,
+            )[0].results[0]
         self._consume()
         started = time.perf_counter()
         wl.start(
@@ -1156,9 +1137,9 @@ class Simulator:
         throughput plateau of the latency-load curves."""
         self._require_pattern("measure_saturation_throughput")
         if self.kernel == "batch":
-            return self.measure_saturation_throughput_batch(
-                seeds=(self.config.seed,), warmup=warmup, measure=measure
-            )[0]
+            return self._batch_backend(
+                "measure_saturation_throughput"
+            ).measure_saturation((self.config.seed,), warmup, measure)[0]
         self._consume()
         started = time.perf_counter()
         process = BernoulliInjection(1.0)
@@ -1176,19 +1157,24 @@ class Simulator:
     # ------------------------------------------------------------------
     # Batched runs (kernel="batch")
     # ------------------------------------------------------------------
-    def _batch_backend(self):
-        self._require_pattern("run_open_loop_batch")
+    def _batch_backend(self, method: str, pattern=None):
+        """Consume this simulator and compile its one batch run: the
+        only place a :class:`Simulator` builds a
+        :class:`~repro.network.batch.BatchBackend`.  ``method`` names
+        the caller in refusals; ``pattern`` (a workload's batch
+        delegate) stands in for the simulator's own pattern."""
+        if pattern is None:
+            self._require_pattern(method)
+            pattern = self.pattern
         if self.kernel != "batch":
             raise ValueError(
-                f"batched runs require kernel='batch', this simulator was "
+                f"{method}() requires kernel='batch', this simulator was "
                 f"built with kernel={self.kernel!r}"
             )
         self._consume()
         from .batch import BatchBackend
 
-        return BatchBackend(
-            self.topology, self.algorithm, self.pattern, self.config
-        )
+        return BatchBackend(self.topology, self.algorithm, pattern, self.config)
 
     def _batch_seeds(self, replicas, seeds) -> Tuple[int, ...]:
         from .config import replica_seeds
@@ -1199,30 +1185,6 @@ class Simulator:
             return tuple(seeds)
         return replica_seeds(self.config.seed, replicas)
 
-    def run_open_loop_batch(
-        self,
-        load: float,
-        replicas: Optional[int] = None,
-        seeds: Optional[Tuple[int, ...]] = None,
-        warmup: int = 1000,
-        measure: int = 1000,
-        drain_max: int = 100_000,
-    ):
-        """Batched :meth:`run_open_loop`: one measurement per replica
-        seed, advanced in lockstep by the vectorized backend.
-
-        Pass either ``replicas`` (seeds come from
-        :func:`repro.network.config.replica_seeds`, so replica 0 uses
-        this config's own seed) or an explicit ``seeds`` tuple.
-        Returns a
-        :class:`repro.network.batch.BatchRunResult`.
-        """
-        run_seeds = self._batch_seeds(replicas, seeds)
-        return self._batch_backend().run_open_loop(
-            load, run_seeds, warmup=warmup, measure=measure,
-            drain_max=drain_max,
-        )
-
     def run_open_loop_grid(
         self,
         loads: Sequence[float],
@@ -1232,15 +1194,20 @@ class Simulator:
         measure: int = 1000,
         drain_max: int = 100_000,
     ):
-        """Whole-curve :meth:`run_open_loop_batch`: every ``(load,
-        seed)`` pair advances in lockstep as one array program, and the
+        """Batched :meth:`run_open_loop` over a ``(load x seed)`` grid:
+        every pair advances in lockstep as one array program, and the
         result is one :class:`repro.network.batch.BatchRunResult` per
-        load — element ``i`` bit-identical to
-        ``run_open_loop_batch(loads[i], seeds=...)`` (per-run purity),
+        load — element ``i`` bit-identical to the one-load grid
+        ``run_open_loop_grid([loads[i]], seeds=...)`` (per-run purity),
         so per-point cache keys and downstream consumers are
-        unaffected by the grid batching."""
+        unaffected by the grid batching.
+
+        Pass either ``replicas`` (seeds come from
+        :func:`repro.network.config.replica_seeds`, so replica 0 uses
+        this config's own seed) or an explicit ``seeds`` tuple.
+        """
         run_seeds = self._batch_seeds(replicas, seeds)
-        return self._batch_backend().run_load_grid(
+        return self._batch_backend("run_open_loop_grid").run_load_grid(
             loads, run_seeds, warmup=warmup, measure=measure,
             drain_max=drain_max,
         )
@@ -1255,6 +1222,6 @@ class Simulator:
         """Batched :meth:`measure_saturation_throughput`: one
         accepted-throughput value per replica seed."""
         run_seeds = self._batch_seeds(replicas, seeds)
-        return self._batch_backend().measure_saturation(
-            run_seeds, warmup=warmup, measure=measure
-        )
+        return self._batch_backend(
+            "measure_saturation_throughput_batch"
+        ).measure_saturation(run_seeds, warmup=warmup, measure=measure)

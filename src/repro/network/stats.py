@@ -171,6 +171,19 @@ class BatchResult:
         return self.completion_cycles / self.batch_size
 
 
+def _window_end(warmup: int, measure: int, drain_max: int) -> int:
+    """End of the measurement window, after checking that the drain cap
+    ``drain_max`` lies beyond it."""
+    end = warmup + measure
+    if drain_max <= end:
+        raise ValueError(
+            f"drain_max={drain_max} must exceed warmup+measure={end}: the "
+            f"run would be cut off before the measurement window ends and "
+            f"its labeled packets could never all be observed draining"
+        )
+    return end
+
+
 class MeasurementWindow:
     """Tracks labeling and throughput accounting for one run."""
 

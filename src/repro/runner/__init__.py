@@ -22,9 +22,7 @@ are immutable after construction.
 """
 
 from .cache import CACHE_VERSION, ResultCache, describe, job_key
-from .grid import run_batch_grid
 from .jobs import (
-    BatchGridJob,
     BatchJob,
     BatchOpenLoopJob,
     BatchSaturationJob,
@@ -47,11 +45,11 @@ from .sweep import (
     SweepRunner,
     resolve_jobs,
     resolve_runner,
+    run_batch_grid,
     stderr_progress,
 )
 
 __all__ = [
-    "BatchGridJob",
     "BatchJob",
     "BatchOpenLoopJob",
     "BatchSaturationJob",

@@ -271,29 +271,13 @@ class BatchJob:
 @dataclass(frozen=True)
 class BatchOpenLoopJob:
     """A whole batch of open-loop replicas at one load point, executed
-    in lockstep by the vectorized backend (the spec must build a
-    ``kernel="batch"`` simulator).  Returns a
-    :class:`~repro.network.batch.BatchRunResult`."""
+    in lockstep by the vectorized backend as a one-load grid (the spec
+    must build a ``kernel="batch"`` simulator).  Returns a
+    :class:`~repro.network.batch.BatchRunResult`; it is also the cache
+    key of each load of a :func:`~repro.runner.run_batch_grid` grid."""
 
     spec: SimSpec
     load: float
-    seeds: Tuple[int, ...]
-    warmup: int
-    measure: int
-    drain_max: int
-
-
-@dataclass(frozen=True)
-class BatchGridJob:
-    """A whole ``(load x seed)`` grid of open-loop replicas, executed
-    as one lockstep array program by the vectorized backend (the spec
-    must build a ``kernel="batch"`` simulator).  Returns a list of
-    :class:`~repro.network.batch.BatchRunResult`, one per load, each
-    bit-identical to the corresponding :class:`BatchOpenLoopJob`
-    result (per-run purity), so per-point cache entries stay valid."""
-
-    spec: SimSpec
-    loads: Tuple[float, ...]
     seeds: Tuple[int, ...]
     warmup: int
     measure: int
@@ -350,15 +334,10 @@ def execute_job(job):
     if isinstance(job, BatchJob):
         return job.spec.build().run_batch(job.batch_size, job.max_cycles)
     if isinstance(job, BatchOpenLoopJob):
-        return job.spec.build().run_open_loop_batch(
-            job.load, seeds=job.seeds, warmup=job.warmup,
-            measure=job.measure, drain_max=job.drain_max,
-        )
-    if isinstance(job, BatchGridJob):
         return job.spec.build().run_open_loop_grid(
-            list(job.loads), seeds=job.seeds, warmup=job.warmup,
+            [job.load], seeds=job.seeds, warmup=job.warmup,
             measure=job.measure, drain_max=job.drain_max,
-        )
+        )[0]
     if isinstance(job, BatchSaturationJob):
         return job.spec.build().measure_saturation_throughput_batch(
             seeds=job.seeds, warmup=job.warmup, measure=job.measure

@@ -27,6 +27,10 @@ change *when and where* a job runs, never what it computes):
   summaries produced by
   :func:`repro.experiments.common.replicate_jobs` (metric and sample
   counts) next to the kernel stats.
+
+:func:`run_batch_grid` runs a batch-kernel latency-load curve as one
+lockstep array program through the same cache probe, store and report
+as ``map``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -41,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from . import jobs as _jobs_module
 from .cache import ResultCache
-from .jobs import execute_chunk, execute_job, init_worker
+from .jobs import BatchOpenLoopJob, execute_chunk, execute_job, init_worker
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -309,14 +314,35 @@ class SweepRunner:
         """Execute every job, returning results in input order."""
         jobs = list(jobs)
         start = time.perf_counter()
-        results: List = [None] * len(jobs)
+        results, pending, cacheable = self._lookup(jobs)
         done = 0
+        missed = set(pending)
+        for i, job in enumerate(jobs):
+            if i not in missed:
+                done += 1
+                self._tick(done, len(jobs), job)
 
-        # 1. Cache lookups.  A job whose description cannot be hashed
-        # (e.g. a lambda metric) is simply uncacheable, not an error.
+        if pending:
+            if self.jobs > 1 and len(pending) > 1:
+                done = self._run_parallel(jobs, pending, results, done,
+                                          cacheable)
+            else:
+                self._run_local(jobs, pending, results, done, cacheable)
+        self._settle(results, pending, start)
+        return results
+
+    # ------------------------------------------------------------------
+    # The cache probe, store and report of map and run_batch_grid
+    # ------------------------------------------------------------------
+    def _lookup(self, jobs: List):
+        """Probe the cache for every job: ``(results, pending,
+        cacheable)``, with each hit filled into ``results``, the
+        indices of the misses in order in ``pending``, and whether each
+        job has a cache key.  A job whose description cannot be hashed
+        (e.g. a lambda metric) is simply uncacheable, not an error."""
+        results: List = [None] * len(jobs)
         pending: List[int] = []
         cacheable: List[bool] = [False] * len(jobs)
-        hits = 0
         for i, job in enumerate(jobs):
             hit = False
             if self.cache is not None:
@@ -328,43 +354,47 @@ class SweepRunner:
                     hit = False
             if hit:
                 results[i] = value
-                hits += 1
-                done += 1
-                self._tick(done, len(jobs), job)
             else:
                 pending.append(i)
+        return results, pending, cacheable
 
-        # 2. Execute the misses.
-        if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                done = self._run_parallel(jobs, pending, results, done,
-                                          cacheable)
-            else:
-                self._run_local(jobs, pending, results, done, cacheable)
+    def _store(self, job, value, cacheable: bool) -> None:
+        if self.cache is not None and cacheable:
+            self.cache.put(job, value)
 
-        self.report.note(
-            len(jobs), hits, len(pending), time.perf_counter() - start
+    @contextmanager
+    def _counting_builds(self):
+        """Fold the construction counters this process accrues inside
+        the block into the report."""
+        before = _jobs_module.build_counters()
+        yield
+        self.report.note_builds(
+            _diff_counters(before, _jobs_module.build_counters())
         )
+
+    def _settle(self, results: List, pending: List[int], start: float) -> None:
+        """Count one lookup-and-execute pass in the report (every job
+        once; kernel stats of the executed ones only, as a hit's stats
+        describe some earlier run) and persist the cache counters."""
+        self.report.note(len(results), len(results) - len(pending),
+                         len(pending), time.perf_counter() - start)
         for i in pending:
             stats = getattr(results[i], "kernel", None)
             if stats is not None:
                 self.report.note_kernel(stats)
         if self.cache is not None:
             self.cache.flush_counters()
-        return results
 
     # ------------------------------------------------------------------
     def _run_local(self, jobs, pending, results, done, cacheable) -> int:
         """Execute ``pending`` in this process (serial path)."""
-        before = _jobs_module.build_counters()
-        for i in pending:
-            results[i] = execute_job(jobs[i])
-            self._store(jobs[i], results[i], cacheable[i])
-            self._cost_model.observe(jobs[i], results[i])
-            done += 1
-            self._tick(done, len(jobs), jobs[i])
-        self.report.note_builds(_diff_counters(before,
-                                               _jobs_module.build_counters()))
+        with self._counting_builds():
+            for i in pending:
+                results[i] = execute_job(jobs[i])
+                self._store(jobs[i], results[i], cacheable[i])
+                self._cost_model.observe(jobs[i], results[i])
+                done += 1
+                self._tick(done, len(jobs), jobs[i])
         return done
 
     def _run_parallel(self, jobs, pending, results, done, cacheable) -> int:
@@ -478,10 +508,6 @@ class SweepRunner:
         self._worker_totals[pid] = counters
         self.report.note_builds(delta)
 
-    def _store(self, job, value, cacheable: bool) -> None:
-        if self.cache is not None and cacheable:
-            self.cache.put(job, value)
-
     def _tick(self, done: int, total: int, job) -> None:
         if self.progress is not None:
             self.progress(done, total, job)
@@ -492,6 +518,54 @@ def resolve_runner(runner: Optional[SweepRunner] = None) -> SweepRunner:
     is ``None``: every helper that takes an optional runner runs its
     jobs through ``map`` either way."""
     return SweepRunner(jobs=1) if runner is None else runner
+
+
+def run_batch_grid(
+    spec,
+    loads: Sequence[float],
+    seeds: Sequence[int],
+    warmup: int,
+    measure: int,
+    drain_max: int,
+    runner: Optional[SweepRunner] = None,
+) -> List:
+    """Run the whole ``(load x seed)`` grid for the batch-kernel
+    ``spec`` and return one :class:`~repro.network.batch.BatchRunResult`
+    per load, in order.
+
+    The cache granularity stays at the per-point
+    :class:`~repro.runner.jobs.BatchOpenLoopJob` the rest of the stack
+    (report counters, ``replicate_jobs``) already consumes: each load is
+    probed under its per-point key, the misses execute in this process
+    as **one** lockstep grid (one array program, so there is nothing to
+    fan out), and each fresh load is stored under its per-point key.
+    The grid itself is never stored: no lookup reads it.  Per-run purity
+    of the batch backend makes a grid's loads bit-identical to one-load
+    grids, so entries written either way are interchangeable.
+    ``runner.report`` counts every load as one point and folds in the
+    grid's construction counters.  With ``runner=None`` the grid runs
+    uncached.
+    """
+    runner = resolve_runner(runner)
+    start = time.perf_counter()
+    loads = [float(load) for load in loads]
+    seeds = tuple(int(s) for s in seeds)
+    point_jobs = [
+        BatchOpenLoopJob(spec, load, seeds, warmup, measure, drain_max)
+        for load in loads
+    ]
+    results, missing, cacheable = runner._lookup(point_jobs)
+    if missing:
+        with runner._counting_builds():
+            fresh = spec.build().run_open_loop_grid(
+                [loads[i] for i in missing], seeds=seeds, warmup=warmup,
+                measure=measure, drain_max=drain_max,
+            )
+        for i, value in zip(missing, fresh):
+            results[i] = value
+            runner._store(point_jobs[i], value, cacheable[i])
+    runner._settle(results, missing, start)
+    return results
 
 
 def _diff_counters(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:

@@ -99,9 +99,9 @@ def _batch_replicas(make_topo, algorithm_cls, load, seeds):
         make_topo(), algorithm_cls(), UniformRandom(),
         SimulationConfig(seed=seeds[0]), kernel="batch",
     )
-    return sim.run_open_loop_batch(
-        load, seeds=seeds, warmup=WARMUP, measure=MEASURE, drain_max=DRAIN
-    )
+    return sim.run_open_loop_grid(
+        [load], seeds=seeds, warmup=WARMUP, measure=MEASURE, drain_max=DRAIN
+    )[0]
 
 
 class TestStatisticalMatrix:
@@ -235,9 +235,9 @@ class TestSeedFamily:
             FlattenedButterfly(2, 2), DimensionOrder(), UniformRandom(),
             SimulationConfig(seed=31), kernel="batch",
         )
-        batch = sim.run_open_loop_batch(
-            0.2, replicas=3, warmup=50, measure=80, drain_max=1000
-        )
+        batch = sim.run_open_loop_grid(
+            [0.2], replicas=3, warmup=50, measure=80, drain_max=1000
+        )[0]
         assert batch.seeds == replica_seeds(31, 3)
 
     def test_ext_resilience_traffic_seeds_rebased(self):
@@ -276,8 +276,8 @@ class TestUnsupportedFeatures:
         # name the registry-derived supported set and the fallback.
         sim = self._sim(algorithm=ClosAD())
         with pytest.raises(NotImplementedError) as excinfo:
-            sim.run_open_loop_batch(
-                0.2, replicas=2, warmup=50, measure=50, drain_max=1000
+            sim.run_open_loop_grid(
+                [0.2], replicas=2, warmup=50, measure=50, drain_max=1000
             )
         message = str(excinfo.value)
         assert "CLOS AD" in message
@@ -308,8 +308,8 @@ class TestUnsupportedFeatures:
     def test_multiflit_packets_raise(self):
         sim = self._sim(config=SimulationConfig(seed=1, packet_size=4))
         with pytest.raises(NotImplementedError, match="single-flit"):
-            sim.run_open_loop_batch(
-                0.2, replicas=2, warmup=50, measure=50, drain_max=1000
+            sim.run_open_loop_grid(
+                [0.2], replicas=2, warmup=50, measure=50, drain_max=1000
             )
 
     def test_faults_raise(self):
@@ -325,15 +325,15 @@ class TestUnsupportedFeatures:
             algorithm=FaultAwareMinimalAdaptive(), config=config
         )
         with pytest.raises(NotImplementedError, match="fault"):
-            sim.run_open_loop_batch(
-                0.2, replicas=2, warmup=50, measure=50, drain_max=1000
+            sim.run_open_loop_grid(
+                [0.2], replicas=2, warmup=50, measure=50, drain_max=1000
             )
 
     def test_unsupported_pattern_raises(self):
         sim = self._sim(pattern=RandomPermutation())
         with pytest.raises(NotImplementedError, match="pattern"):
-            sim.run_open_loop_batch(
-                0.2, replicas=2, warmup=50, measure=50, drain_max=1000
+            sim.run_open_loop_grid(
+                [0.2], replicas=2, warmup=50, measure=50, drain_max=1000
             )
 
     def test_unequal_group_shift_refused(self):
@@ -377,7 +377,7 @@ class TestUnsupportedFeatures:
             SimulationConfig(seed=1), kernel="event",
         )
         with pytest.raises(ValueError, match="kernel"):
-            sim.run_open_loop_batch(0.2, replicas=2)
+            sim.run_open_loop_grid([0.2], replicas=2)
 
     def test_batch_kernel_refuses_event_methods(self):
         """A batch simulator builds no event routers or pipes, and each
@@ -406,14 +406,14 @@ class TestUnsupportedFeatures:
 
     def test_replicas_xor_seeds(self):
         with pytest.raises(ValueError, match="exactly one"):
-            self._sim().run_open_loop_batch(0.2)
+            self._sim().run_open_loop_grid([0.2])
         with pytest.raises(ValueError, match="exactly one"):
-            self._sim().run_open_loop_batch(0.2, replicas=2, seeds=(1, 2))
+            self._sim().run_open_loop_grid([0.2], replicas=2, seeds=(1, 2))
 
     def test_drain_max_validation(self):
         with pytest.raises(ValueError, match="drain_max"):
-            self._sim().run_open_loop_batch(
-                0.2, replicas=2, warmup=100, measure=100, drain_max=200
+            self._sim().run_open_loop_grid(
+                [0.2], replicas=2, warmup=100, measure=100, drain_max=200
             )
 
     def test_grid_beyond_sort_key_bound_refused(self):
@@ -432,8 +432,8 @@ class TestUnsupportedFeatures:
             backend.run_load_grid(
                 loads, seeds, warmup=10, measure=10, drain_max=100
             )
-        batch = backend.run_open_loop(0.1, (1,), warmup=5, measure=5,
-                                      drain_max=100)
+        batch, = backend.run_load_grid([0.1], (1,), warmup=5, measure=5,
+                                       drain_max=100)
         assert not batch.results[0].saturated
 
     def test_backend_single_use(self):
@@ -441,10 +441,10 @@ class TestUnsupportedFeatures:
             FlattenedButterfly(2, 2), DimensionOrder(), UniformRandom(),
             SimulationConfig(seed=1),
         )
-        backend.run_open_loop(0.2, (1, 2), warmup=50, measure=50,
+        backend.run_load_grid([0.2], (1, 2), warmup=50, measure=50,
                               drain_max=1000)
         with pytest.raises(RuntimeError, match="already executed"):
-            backend.run_open_loop(0.2, (1, 2), warmup=50, measure=50,
+            backend.run_load_grid([0.2], (1, 2), warmup=50, measure=50,
                                   drain_max=1000)
 
 
@@ -484,6 +484,15 @@ def _grid_sim(algorithm_cls):
     )
 
 
+def _grid_sim_on(topology, algorithm_cls):
+    """:func:`_grid_sim` taking the topology first, so a spec can carry
+    it as a warm-cacheable sub-spec."""
+    return Simulator(
+        topology, algorithm_cls(), UniformRandom(),
+        SimulationConfig(seed=GRID_SEEDS[0]), kernel="batch",
+    )
+
+
 def _fingerprint(result):
     """Every observable of one per-seed OpenLoopResult, exactly."""
     return (
@@ -514,10 +523,10 @@ class TestLoadGrid:
         )
         assert len(grid) == len(GRID_LOADS)
         for load, batch in zip(GRID_LOADS, grid):
-            pointwise = _grid_sim(algorithm_cls).run_open_loop_batch(
-                load, seeds=GRID_SEEDS,
+            pointwise = _grid_sim(algorithm_cls).run_open_loop_grid(
+                [load], seeds=GRID_SEEDS,
                 warmup=WARMUP, measure=MEASURE, drain_max=DRAIN,
-            )
+            )[0]
             assert batch.offered_load == load
             assert batch.seeds == GRID_SEEDS
             assert len(batch.results) == len(GRID_SEEDS)
@@ -593,6 +602,50 @@ class TestLoadGrid:
         assert cache.persisted_counters() == {"hits": n, "misses": n}
         assert (warm.report.cache_hits, warm.report.executed) == (n, 0)
 
+    def test_cold_grid_reports_its_builds(self):
+        """A grid folds its construction counters into the sweep
+        report: with the warm cache emptied, a cold grid on a fresh
+        runner builds its simulator, topology and route table."""
+        from repro.runner import (
+            SimSpec, SweepRunner, clear_warm_cache, run_batch_grid,
+        )
+
+        spec = SimSpec.of(_grid_sim_on, UGAL).with_topology(
+            FlattenedButterfly, 4, 2
+        )
+        clear_warm_cache()
+        runner = SweepRunner(jobs=1)
+        run_batch_grid(spec, GRID_LOADS, GRID_SEEDS[:2], 50, 50, 500,
+                       runner=runner)
+        report = runner.report
+        assert report.sim_builds == 1
+        assert report.topology_builds >= 1
+        assert report.route_table_builds >= 1
+        assert "0 topologies" not in report.summary()
+
+    def test_fig04_footer_counts_batch_work(self):
+        """fig04 under the batch kernel reports what its grids built and
+        one replicated metric per (algorithm, pattern) saturation probe,
+        as its event-kernel run does."""
+        from repro.experiments import fig04_routing
+        from repro.experiments.common import Scale
+        from repro.runner import SweepRunner, clear_warm_cache
+
+        scale = Scale(name="tiny", fb_k=4, loads=(0.2,), warmup=30,
+                      measure=30, drain_max=500, batch_sizes=(1,),
+                      design_study_n=16)
+        clear_warm_cache()
+        runner = SweepRunner(jobs=1)
+        fig04_routing.run(scale, runner=runner, kernel="batch", replicas=2)
+        report = runner.report
+        assert report.topology_builds >= 1
+        assert report.route_table_builds >= 1
+        assert report.replicated_metrics == 2 * len(
+            fig04_routing.BATCH_ALGORITHMS
+        )
+        assert "replicated metrics" in report.summary()
+
+
 # ----------------------------------------------------------------------
 # Committed fingerprints: exact batch output pinned to data
 # ----------------------------------------------------------------------
@@ -665,9 +718,9 @@ def _pinned_cases():
         def pointwise(row=row):
             make_topo, cls, load, *pattern = row
             return _batch_fingerprint(
-                _pin_sim(make_topo, cls, *pattern).run_open_loop_batch(
-                    load, **window
-                )
+                _pin_sim(make_topo, cls, *pattern).run_open_loop_grid(
+                    [load], **window
+                )[0]
             )
 
         def grid(row=row):
@@ -692,10 +745,10 @@ def _pinned_cases():
     def drain_cutoff():
         return _batch_fingerprint(
             _pin_sim(lambda: FlattenedButterfly(4, 2), UGAL
-                     ).run_open_loop_batch(
-                0.9, seeds=replica_seeds(7, 3), warmup=60, measure=80,
+                     ).run_open_loop_grid(
+                [0.9], seeds=replica_seeds(7, 3), warmup=60, measure=80,
                 drain_max=160,
-            )
+            )[0]
         )
 
     cases["saturation/ugal-fb"] = saturation
@@ -713,9 +766,9 @@ def _pinned_cases():
         def long_run(row=row):
             make_topo, cls, load, *pattern = row
             return _batch_fingerprint(
-                _pin_sim(make_topo, cls, *pattern).run_open_loop_batch(
-                    load, **multichunk
-                )
+                _pin_sim(make_topo, cls, *pattern).run_open_loop_grid(
+                    [load], **multichunk
+                )[0]
             )
 
         cases[f"multichunk/{name}"] = long_run
@@ -751,10 +804,10 @@ class TestScratchCounters:
         reuses must dwarf allocations.  ``stats`` carries exactly these
         two counters (perfbench's paper-grid-batch reads both) and the
         per-layer seconds of the predraw, step and finalize calls."""
-        batch = _grid_sim(UGAL).run_open_loop_batch(
-            0.3, seeds=PIN_SEEDS, warmup=PIN_WARMUP, measure=PIN_MEASURE,
+        batch = _grid_sim(UGAL).run_open_loop_grid(
+            [0.3], seeds=PIN_SEEDS, warmup=PIN_WARMUP, measure=PIN_MEASURE,
             drain_max=PIN_DRAIN,
-        )
+        )[0]
         assert batch.stats["scratch_reuses"] > batch.stats["scratch_allocs"]
         layers = {"predraw_s", "step_s", "finalize_s"}
         counters = {"scratch_allocs", "scratch_reuses"}

@@ -153,9 +153,9 @@ def _batch_run(algorithm_cls, k, n, seeds, load=0.25):
         SimulationConfig(seed=seeds[0]),
         kernel="batch",
     )
-    return sim.run_open_loop_batch(
-        load, seeds=tuple(seeds), warmup=100, measure=150, drain_max=2000
-    )
+    return sim.run_open_loop_grid(
+        [load], seeds=tuple(seeds), warmup=100, measure=150, drain_max=2000
+    )[0]
 
 
 def _fingerprint(result):
@@ -236,9 +236,9 @@ def test_batch_open_loop_physics(algorithm_cls, k, batch_size, seed):
         SimulationConfig(seed=seed),
         kernel="batch",
     )
-    batch = sim.run_open_loop_batch(
-        0.2, replicas=batch_size, warmup=150, measure=150, drain_max=4000
-    )
+    batch = sim.run_open_loop_grid(
+        [0.2], replicas=batch_size, warmup=150, measure=150, drain_max=4000
+    )[0]
     assert len(batch) == batch_size
     for result in batch:
         if result.saturated:

@@ -334,6 +334,29 @@ class TestBatchKernelGate:
         assert result.offered_load == 0.2
         assert result.accepted_throughput > 0
 
+    @pytest.mark.parametrize("method,call", [
+        ("run_open_loop", lambda sim: sim.run_open_loop(0.2)),
+        ("run_open_loop_grid",
+         lambda sim: sim.run_open_loop_grid([0.2], replicas=2)),
+        ("measure_saturation_throughput",
+         lambda sim: sim.measure_saturation_throughput()),
+        ("measure_saturation_throughput_batch",
+         lambda sim: sim.measure_saturation_throughput_batch(replicas=2)),
+    ])
+    def test_pattern_methods_refuse_under_their_own_name(self, method, call):
+        """A batch simulator built with a workload refuses each pattern
+        run method naming that method, before any backend is built."""
+        sim = Simulator(
+            FlattenedButterfly(4, 2), MinimalAdaptive(),
+            SyntheticWorkload(BernoulliInjection(0.2), UniformRandom()),
+            SimulationConfig(seed=1), kernel="batch",
+        )
+        with pytest.raises(ValueError) as excinfo:
+            call(sim)
+        assert str(excinfo.value).startswith(
+            f"{method}() drives a TrafficPattern"
+        )
+
 
 class TestWorkloadSpecPlumbing:
     def test_registered_kinds(self):
