@@ -204,7 +204,8 @@ def run(scale=None, runner=None, replicas: int = 1) -> ExperimentResult:
                         scale.drain_max,
                     )
                 )
-    results = resolve_runner(runner).map(jobs)
+    runner = resolve_runner(runner)
+    results = runner.map(jobs)
 
     cursor = iter(results)
     for fraction in FAIL_FRACTIONS:
@@ -258,6 +259,7 @@ def run(scale=None, runner=None, replicas: int = 1) -> ExperimentResult:
             row = [fraction]
             for name in systems:
                 summary = _summarize(tuple(per_point[(fraction, name)]))
+                runner.report.note_replicated(summary)
                 row += [summary.mean, summary.ci95]
             aggregate.add(*row)
         result.tables.append(aggregate)

@@ -82,12 +82,16 @@ batch, or inside a whole load grid (each load of a
 :meth:`BatchBackend.run_load_grid` grid is bit-identical to a one-load
 grid of the same seeds).
 
-numpy is an optional extra (``pip install repro[batch]``); importing
-this module without numpy works, using the backend raises.
+numpy is an optional extra (``pip install repro[batch]``).  Importing
+this module does not import numpy: it is loaded on first batch use (a
+:class:`BatchBackend`, or any helper here that touches an array), so an
+event-kernel process never pays for it.  Without numpy, importing
+works and using the backend raises.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -96,13 +100,26 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .config import SimulationConfig, replica_seeds
 from .stats import KernelStats, LatencySummary, OpenLoopResult, _window_end
 
-try:
-    import numpy as np
+#: Whether numpy can be imported.  Found without importing it: the
+#: module loads on first use (see :class:`_NumpyOnFirstUse`).
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-    HAVE_NUMPY = False
+
+class _NumpyOnFirstUse:
+    """The ``np`` global until something reads an attribute of it:
+    that first read imports numpy and rebinds ``np`` to the module, so
+    every later read is the real module with no indirection."""
+
+    def __getattr__(self, name):
+        global np
+        _require_numpy()
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _NumpyOnFirstUse()
 
 #: Cycles of Bernoulli injections generated per vectorized chunk.
 INJECTION_CHUNK = 256

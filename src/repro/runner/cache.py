@@ -161,11 +161,25 @@ class ResultCache:
         return os.path.join(self.directory, f"{key}.pkl")
 
     def get(self, job) -> Tuple[bool, object]:
-        """Return ``(hit, value)`` for ``job``."""
+        """Return ``(hit, value)`` for ``job``.
+
+        An entry that fails to load for any reason — truncated, or
+        naming a module or class that is gone — is a miss: it is
+        removed, so the job recomputes and ``put`` writes it afresh."""
+        path = self._path(self.key(job))
         try:
-            with open(self._path(self.key(job)), "rb") as handle:
+            with open(path, "rb") as handle:
                 value = pickle.load(handle)
-        except (FileNotFoundError, EOFError, pickle.UnpicklingError):
+        except FileNotFoundError:
+            self.misses += 1
+            return False, None
+        except Exception:
+            # Unpickling a stale or torn entry can raise almost any
+            # exception type, not only UnpicklingError.
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
             self.misses += 1
             return False, None
         self.hits += 1

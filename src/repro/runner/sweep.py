@@ -8,8 +8,10 @@ serial and parallel paths return bit-identical results.
 Three sweep-scale mechanisms live here (all results-neutral — they
 change *when and where* a job runs, never what it computes):
 
-* **Warm workers.**  The worker pool is created once per runner and
-  reused across every ``map`` call, and each worker keeps a topology
+* **Warm workers.**  The worker pool is created on a runner's first
+  parallel ``map`` (its modules are imported only then, so a serial
+  runner never loads them) and reused across every later ``map``
+  call, and each worker keeps a topology
   cache (see :mod:`repro.runner.jobs`): all jobs whose specs share a
   topology sub-spec reuse one topology instance — and therefore one
   bound
@@ -39,14 +41,15 @@ import os
 import pickle
 import time
 from contextlib import contextmanager
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from . import jobs as _jobs_module
 from .cache import ResultCache
 from .jobs import BatchOpenLoopJob, execute_chunk, execute_job, init_worker
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -259,7 +262,7 @@ class SweepRunner:
         self.cache = cache
         self.progress = progress
         self.report = SweepReport()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional["ProcessPoolExecutor"] = None
         # pid -> last reported construction totals for that worker.
         self._worker_totals: Dict[int, Dict[str, int]] = {}
         self._cost_model = CostModel()
@@ -275,7 +278,9 @@ class SweepRunner:
         *slower*)."""
         return min(self.jobs, os.cpu_count() or self.jobs)
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(self) -> "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.worker_budget(),
@@ -439,6 +444,9 @@ class SweepRunner:
         that reliably kills its worker still surfaces as
         ``BrokenProcessPool`` instead of looping forever.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         remaining = [list(group) for group in chunks]
         rebuilds = 0
         while remaining:

@@ -408,6 +408,28 @@ class TestResilienceClaim:
         )
         assert t_row["FB (UGAL)"] > 0
 
+    def test_ext_resilience_replicas_reach_the_report(self):
+        """Each (fraction, system) cell of the replica aggregate is one
+        replicated metric in the runner's report, so the footer counts
+        them."""
+        import dataclasses
+
+        from repro.experiments import ext_resilience
+        from repro.experiments.common import CI_SCALE
+        from repro.runner import SweepRunner
+
+        scale = dataclasses.replace(
+            CI_SCALE, fb_k=4, warmup=100, measure=100, drain_max=2000
+        )
+        runner = SweepRunner(jobs=1)
+        ext_resilience.run(scale, runner=runner, replicas=2)
+        cells = len(ext_resilience.FAIL_FRACTIONS) * len(
+            ext_resilience.system_specs(4, 0.0)
+        )
+        assert runner.report.replicated_metrics == cells > 0
+        assert runner.report.replica_samples == 2 * cells
+        assert "replicated metrics" in runner.report.summary()
+
 
 # ----------------------------------------------------------------------
 # Transient outages

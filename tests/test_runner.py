@@ -181,6 +181,38 @@ class TestResultCache:
         assert cache.clear() == 1
         assert len(cache) == 0
 
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            (b"cno_such_module_for_repro\nResult\n.", ModuleNotFoundError),
+            (b"crepro.runner.cache\nNoSuchResult\n.", AttributeError),
+            (pickle.dumps(0.75)[:-3], (EOFError, pickle.UnpicklingError)),
+        ],
+        ids=["missing-module", "renamed-class", "truncated"],
+    )
+    def test_unloadable_entry_is_a_miss_and_recomputes(
+        self, tmp_path, entry, error
+    ):
+        """An entry that no longer loads is dropped and counted as a
+        miss; the sweep recomputes the job and stores it afresh."""
+        with pytest.raises(error):
+            pickle.loads(entry)
+        cache = ResultCache(str(tmp_path))
+        job = SaturationJob(fb_spec(), 50, 50)
+        path = cache._path(cache.key(job))
+        with open(path, "wb") as handle:
+            handle.write(entry)
+        assert cache.get(job) == (False, None)
+        assert not os.path.exists(path)
+
+        with open(path, "wb") as handle:
+            handle.write(entry)
+        runner = SweepRunner(jobs=1, cache=cache)
+        value = runner.run(job)
+        assert value == execute_job(job)
+        assert runner.report.executed == 1
+        assert cache.get(job) == (True, value)
+
 
 # ----------------------------------------------------------------------
 # SweepRunner
