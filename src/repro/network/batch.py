@@ -97,7 +97,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .config import SimulationConfig, replica_seeds
+from .config import SimulationConfig
 from .stats import KernelStats, LatencySummary, OpenLoopResult, _window_end
 
 #: Whether numpy can be imported.  Found without importing it: the
@@ -1717,9 +1717,3 @@ class BatchBackend:
             ))
         return results
 
-
-def batch_seeds(config: SimulationConfig, replicas: int) -> Tuple[int, ...]:
-    """The seed list a batch of ``replicas`` runs rooted at
-    ``config.seed`` must use: :func:`replica_seeds`, so replica ``i``
-    belongs to the same stream family under every backend."""
-    return replica_seeds(config.seed, replicas)

@@ -1,10 +1,10 @@
 """The cycle-accurate network simulator.
 
-Ties together topology, routing algorithm, traffic pattern, and
-injection process, and advances the network one cycle at a time:
+Ties together topology, routing algorithm and traffic source, and
+advances the network one cycle at a time:
 
 1. deliver flits and credits that complete their channel traversal,
-2. create new packets (injection process + traffic pattern) and move
+2. create the packets of the run's workload for this cycle and move
    source-queue flits into injection buffers (one flit per cycle per
    terminal, matching unit terminal bandwidth),
 3. routing phase at every active router (greedy or sequential
@@ -41,7 +41,7 @@ from ..traffic.patterns import TrafficPattern
 from .buffers import CHANNEL_PORT
 from .channel import ChannelPipe
 from .config import SimulationConfig, derive_seed
-from .injection import BatchInjection, BernoulliInjection, InjectionProcess
+from .injection import BatchInjection, BernoulliInjection
 from .packet import Flit, Packet
 from .router import RouterEngine
 from .stats import (
@@ -52,7 +52,7 @@ from .stats import (
     OpenLoopResult,
     _window_end,
 )
-from .workload import UnsupportedWorkloadError, Workload
+from .workload import SyntheticWorkload, UnsupportedWorkloadError, Workload
 
 #: Recognized kernel names: the exact event kernel, and ``"batch"``,
 #: the vectorized structure-of-arrays backend
@@ -76,31 +76,6 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
     return kernel
 
 
-class _NullInjection(InjectionProcess):
-    """An injection process that never fires.
-
-    Workload runs create their packets in ``_enqueue_messages`` before
-    each step; the kernels' inject phase still runs to advance source
-    queues into the injection buffers, driven by this process so its
-    creation half is a no-op.
-    """
-
-    def start(self, num_terminals: int, packet_size: int, rng) -> None:
-        pass
-
-    def injections(self, now: int):
-        return []
-
-    def exhausted(self) -> bool:
-        return True
-
-    def next_injection_cycle(self, now: int) -> Optional[int]:
-        return None
-
-
-_NULL_PROCESS = _NullInjection()
-
-
 class Simulator:
     """A single simulation instance.
 
@@ -113,7 +88,9 @@ class Simulator:
     open-loop run methods) or a
     :class:`~repro.network.workload.Workload` — passed in the same
     positional slot, or described by ``config.workload`` (in which
-    case pass ``None``) — driven by :meth:`run_workload`.
+    case pass ``None``) — driven by :meth:`run_workload`.  Every
+    event-kernel run drives a workload: the pattern methods wrap the
+    pattern as a :class:`~repro.network.workload.SyntheticWorkload`.
 
     Args:
         kernel: ``"event"`` or ``"batch"``; ``None`` (default) is the
@@ -166,8 +143,10 @@ class Simulator:
                 f"workload {workload.name!r} declares num_classes="
                 f"{self._num_vc_classes}; must be >= 1"
             )
-        # Delivery hook resolved at run time (run_workload): non-None
-        # only when the workload overrides Workload.on_delivered.
+        # The running workload, set when a run starts: the source of
+        # every packet (see _enqueue_messages).  The delivery hook is
+        # non-None only when it overrides Workload.on_delivered.
+        self._source: Optional[Workload] = None
         self._on_delivered = None
         self.kernel = resolve_kernel(kernel)
         self._profile = PhaseProfile() if profiling_enabled(profile) else None
@@ -365,8 +344,8 @@ class Simulator:
         for terminal, (r, port) in self._injection_port.items():
             self._injection_engine[terminal] = self.engines[r]
             self._injection_invc[terminal] = self.engines[r].in_ports[port][0]
-        # Terminal -> ejection router, for the packets ``_inject``
-        # creates (pattern destinations are always valid terminals).
+        # Terminal -> ejection router, for the packets
+        # ``_enqueue_messages`` creates (indexed after a range check).
         self._ejection_router: List[int] = [
             topo.ejection_router(t) for t in range(topo.num_terminals)
         ]
@@ -480,17 +459,83 @@ class Simulator:
         for cycle in sorted(c for c in wheel if c <= target):
             self._deliver(cycle)
 
-    def _inject(self, process: InjectionProcess, now: int) -> None:
-        """Injection: create this cycle's packets (in terminal order,
-        so the traffic-RNG draws are fixed), then move at most one
-        source-queue flit per terminal into its injection FIFO.
+    def _enqueue_messages(self, now: int) -> None:
+        """Create the packets for the running workload's cycle-``now``
+        messages and append them to their source queues: the event
+        kernel's one packet source.
 
-        The traffic-RNG draw for a destination happens unconditionally,
-        so a fault set never perturbs the destination sequence; only
-        then is the pair checked for deliverability.  Undeliverable
-        packets are counted and dropped before entering the source
-        queue — never labeled and never in flight, which is what lets
-        the drain phase terminate on a disconnected network.
+        Messages are unpacked positionally, so a workload may emit
+        :class:`~repro.network.workload.Message` tuples or bare
+        ``(src, dst, msg_class, size)`` tuples.  Packets are numbered
+        in message order.  The destination is range-checked before it
+        indexes the ejection-router list, since a workload's
+        destinations come from outside the simulator.  Under faults each pair is then
+        checked for deliverability: undeliverable packets are counted
+        and dropped before entering the source queue — never labeled
+        and never in flight, which is what lets the drain phase
+        terminate on a disconnected network.  The destination was
+        still drawn, so a fault set never perturbs the destination
+        sequence.  Outside a run (``step()`` before any run method)
+        nothing is created.
+        """
+        workload = self._source
+        if workload is None:
+            return
+        msgs = workload.messages(now)
+        if not msgs:
+            return
+        sources = self._sources
+        active_sources = self._active_sources
+        window = self._window
+        algorithm = self.algorithm
+        check_faults = self.fault_state is not None
+        ejection_router = self._ejection_router
+        num_terminals = len(ejection_router)
+        default_size = self.config.packet_size
+        on_created = self._on_created
+        labeling = window is not None and window.start <= now < window.end
+        pid = self.packets_created
+        pid0 = pid
+        for src, dst, msg_class, size in msgs:
+            if not 0 <= dst < num_terminals:
+                raise ValueError(
+                    f"workload {workload.name!r} sent a message from "
+                    f"terminal {src} to terminal {dst}, outside "
+                    f"0..{num_terminals - 1}"
+                )
+            if check_faults and not algorithm.deliverable(src, dst):
+                self.packets_undeliverable += 1
+                continue
+            packet = Packet(
+                pid,
+                src,
+                dst,
+                ejection_router[dst],
+                default_size if size is None else size,
+                now,
+                msg_class,
+            )
+            pid += 1
+            if labeling:
+                packet.labeled = True
+                window.labeled_outstanding += 1
+                window.labeled_total += 1
+            if on_created is not None:
+                on_created(packet)
+            queue = sources[src]
+            if not queue:
+                # Empty -> non-empty: activate the terminal.  A stalled
+                # terminal always has a non-empty queue, so this can
+                # never double-book a terminal as active and stalled.
+                active_sources[src] = None
+            queue.append(packet)
+        if pid != pid0:
+            self.packets_created = pid
+            self.in_flight += pid - pid0
+
+    def _inject(self, now: int) -> None:
+        """Injection: move at most one source-queue flit per terminal
+        into its injection FIFO.
 
         The flit delivery is ``RouterEngine.deliver`` for an injection
         input, inlined, minus the overflow assertion (the has-space
@@ -504,48 +549,9 @@ class Simulator:
         terminals does not affect results.
         """
         active_sources = self._active_sources
-        sources = self._sources
-        injections = process.injections(now)
-        if injections:
-            destination = self.pattern.destination
-            traffic_rng = self.traffic_rng
-            algorithm = self.algorithm
-            on_created = self._on_created
-            check_faults = self.fault_state is not None
-            ejection_router = self._ejection_router
-            size = self.config.packet_size
-            window = self._window
-            labeling = window is not None and window.start <= now < window.end
-            pid = self.packets_created
-            pid0 = pid
-            for terminal, count in injections:
-                queue = sources[terminal]
-                was_empty = not queue
-                for _ in range(count):
-                    dst = destination(terminal, traffic_rng)
-                    if check_faults and not algorithm.deliverable(
-                        terminal, dst
-                    ):
-                        self.packets_undeliverable += 1
-                        continue
-                    packet = Packet(
-                        pid, terminal, dst, ejection_router[dst], size, now
-                    )
-                    pid += 1
-                    if labeling:
-                        packet.labeled = True
-                        window.labeled_outstanding += 1
-                        window.labeled_total += 1
-                    if on_created is not None:
-                        on_created(packet)
-                    queue.append(packet)
-                if was_empty and queue:
-                    active_sources[terminal] = None
-            if pid != pid0:
-                self.packets_created = pid
-                self.in_flight += pid - pid0
         if not active_sources:
             return
+        sources = self._sources
         invcs = self._injection_invc
         engines = self._injection_engine
         cursors = self._source_cursor
@@ -619,67 +625,11 @@ class Simulator:
             for terminal in done:
                 del active_sources[terminal]
 
-    def _enqueue_messages(self, workload: Workload, now: int) -> None:
-        """Create the packets for ``workload``'s cycle-``now`` messages
-        and append them to their source queues.
-
-        The workload-run analogue of the creation half of
-        :meth:`_inject`: identical packet numbering, labeling, fault
-        handling and source-activation transitions, with the
-        destination chosen by the workload instead of a pattern
-        (``SyntheticWorkload`` reproduces the legacy pattern draws
-        bit-for-bit).
-        """
-        msgs = workload.messages(now)
-        if not msgs:
-            return
-        sources = self._sources
-        active_sources = self._active_sources
-        window = self._window
-        algorithm = self.algorithm
-        check_faults = self.fault_state is not None
-        ejection_router = self.topology.ejection_router
-        default_size = self.config.packet_size
-        on_created = self._on_created
-        labeling = window is not None and window.start <= now < window.end
-        pid = self.packets_created
-        pid0 = pid
-        for msg in msgs:
-            src = msg.src
-            if check_faults and not algorithm.deliverable(src, msg.dst):
-                self.packets_undeliverable += 1
-                continue
-            size = msg.size
-            packet = Packet(
-                pid,
-                src,
-                msg.dst,
-                ejection_router(msg.dst),
-                default_size if size is None else size,
-                now,
-                msg.msg_class,
-            )
-            pid += 1
-            if labeling:
-                packet.labeled = True
-                window.labeled_outstanding += 1
-                window.labeled_total += 1
-            if on_created is not None:
-                on_created(packet)
-            queue = sources[src]
-            if not queue:
-                # Empty -> non-empty: activate the terminal.  A stalled
-                # terminal always has a non-empty queue, so this can
-                # never double-book a terminal as active and stalled.
-                active_sources[src] = None
-            queue.append(packet)
-        if pid != pid0:
-            self.packets_created = pid
-            self.in_flight += pid - pid0
-
-    def step(self, process: InjectionProcess) -> None:
-        """Advance the network by one cycle: deliver, inject, fused
-        route+switch sub-iterations, wire.
+    def step(self) -> None:
+        """Advance the network by one cycle: deliver, inject (create
+        the running workload's packets for this cycle, then move source
+        queues into injection FIFOs), fused route+switch
+        sub-iterations, wire.
 
         Only routers that can possibly do something are visited, in
         ascending router id per sub-iteration, so every shared-RNG draw
@@ -705,7 +655,8 @@ class Simulator:
         self._deliver(now)
         if profile is not None:
             t1 = perf()
-        self._inject(process, now)
+        self._enqueue_messages(now)
+        self._inject(now)
         if profile is not None:
             t2 = perf()
         busy = self._busy_engines
@@ -929,53 +880,75 @@ class Simulator:
                 [load], (self.config.seed,), warmup=warmup,
                 measure=measure, drain_max=drain_max,
             )[0].results[0]
-        self._consume()
-        started = time.perf_counter()
-        process = BernoulliInjection(load)
-        process.start(
-            self.topology.num_terminals, self.config.packet_size, self.injection_rng
+        return self._run_measured(
+            SyntheticWorkload(BernoulliInjection(load), self.pattern),
+            warmup, end, drain_max,
         )
-        return self._drive(
-            started, MeasurementWindow(warmup, end), drain_max, load, process
+
+    def _run_measured(
+        self, workload: Workload, warmup: int, end: int, drain_max: int
+    ) -> OpenLoopResult:
+        """Run ``workload`` with the measurement window ``[warmup,
+        end)`` and assemble the result of :meth:`run_open_loop` and
+        :meth:`run_workload`."""
+        window = MeasurementWindow(warmup, end, num_classes=workload.num_classes)
+        saturated = self._drive(workload, window, drain_max)
+        num_terminals = self.topology.num_terminals
+        return OpenLoopResult(
+            offered_load=workload.offered_load,
+            accepted_throughput=window.throughput(num_terminals),
+            latency=LatencySummary.from_samples(window.latencies),
+            network_latency=LatencySummary.from_samples(window.network_latencies),
+            saturated=saturated,
+            cycles=self.now,
+            packets_labeled=window.labeled_total,
+            packets_delivered=self.packets_delivered,
+            mean_hops=(
+                sum(window.hops) / len(window.hops) if window.hops else float("nan")
+            ),
+            packets_undeliverable=self.packets_undeliverable,
+            kernel=self.kernel_stats,
+            per_class=window.per_class_stats(num_terminals),
         )
 
     def _drive(
-        self,
-        started: float,
-        window: MeasurementWindow,
-        drain_max: int,
-        offered_load: float,
-        process: InjectionProcess,
-        workload: Optional[Workload] = None,
-    ) -> OpenLoopResult:
-        """The drive loop of :meth:`run_open_loop` and
-        :meth:`run_workload`: step until the window's labeled packets
-        have drained (or ``drain_max``, which marks the run
-        saturated), jump quiescent stretches, and assemble the result.
+        self, workload: Workload, window: MeasurementWindow, drain_max: int
+    ) -> bool:
+        """The drive loop of every event-kernel run: start ``workload``
+        on the shared traffic and injection RNG streams, then step until
+        the window's labeled packets have drained, or the workload is
+        exhausted and the network empty, or ``drain_max`` cycles have
+        run; jump quiescent stretches on the way.
 
-        Packets are created either by ``process`` in the inject phase
-        (open loop) or, with a ``workload``, by enqueuing its messages
-        before each step (``process`` is then the null process).  A
-        workload run also ends once the workload is exhausted and the
-        network empty.  The idle skip asks the creating side for its
-        next cycle.
+        Returns whether ``drain_max`` cut the run with labeled packets
+        outstanding (saturated).  The kernel counters land in
+        :attr:`kernel_stats`.
         """
+        self._consume()
+        started = time.perf_counter()
+        workload.start(
+            self.topology,
+            self.config.packet_size,
+            self.traffic_rng,
+            self.injection_rng,
+        )
+        # Resolve the delivery hook only for workloads that override
+        # the base no-op, so open-loop workloads pay nothing per tail.
+        if type(workload).on_delivered is not Workload.on_delivered:
+            self._on_delivered = workload.on_delivered
+        self._source = workload
         self._window = window
         end = window.end
-        if workload is None:
-            next_cycle = process.next_injection_cycle
-        else:
-            next_cycle = workload.next_message_cycle
+        next_cycle = workload.next_message_cycle
+        exhausted = workload.exhausted
         saturated = False
         skip_ok = self._skip_ok()
         step = self.step
         while True:
-            if workload is not None:
-                self._enqueue_messages(workload, self.now)
-            step(process)
+            step()
             if self.now >= end and window.drained():
                 break
-            if workload is not None and self.in_flight == 0 and workload.exhausted():
+            if self.in_flight == 0 and exhausted():
                 # Finite workload fully delivered before the window
                 # closed (every labeled packet is out: drained()).
                 break
@@ -998,24 +971,8 @@ class Simulator:
                     if self.now >= drain_max:
                         saturated = not window.drained()
                         break
-        stats = self._finish_stats(started)
-        num_terminals = self.topology.num_terminals
-        return OpenLoopResult(
-            offered_load=offered_load,
-            accepted_throughput=window.throughput(num_terminals),
-            latency=LatencySummary.from_samples(window.latencies),
-            network_latency=LatencySummary.from_samples(window.network_latencies),
-            saturated=saturated,
-            cycles=self.now,
-            packets_labeled=window.labeled_total,
-            packets_delivered=self.packets_delivered,
-            mean_hops=(
-                sum(window.hops) / len(window.hops) if window.hops else float("nan")
-            ),
-            packets_undeliverable=self.packets_undeliverable,
-            kernel=stats,
-            per_class=window.per_class_stats(num_terminals),
-        )
+        self._finish_stats(started)
+        return saturated
 
     def _require_pattern(self, method: str) -> None:
         if self.pattern is None:
@@ -1080,22 +1037,7 @@ class Simulator:
                 [load], (self.config.seed,), warmup=warmup,
                 measure=measure, drain_max=drain_max,
             )[0].results[0]
-        self._consume()
-        started = time.perf_counter()
-        wl.start(
-            self.topology,
-            self.config.packet_size,
-            self.traffic_rng,
-            self.injection_rng,
-        )
-        # Resolve the delivery hook only for workloads that override
-        # the base no-op, so open-loop workloads pay nothing per tail.
-        if type(wl).on_delivered is not Workload.on_delivered:
-            self._on_delivered = wl.on_delivered
-        window = MeasurementWindow(warmup, end, num_classes=wl.num_classes)
-        return self._drive(
-            started, window, drain_max, wl.offered_load, _NULL_PROCESS, wl
-        )
+        return self._run_measured(wl, warmup, end, drain_max)
 
     def run_batch(self, batch_size: int, max_cycles: int = 1_000_000) -> BatchResult:
         """Deliver a batch of ``batch_size`` packets per terminal and
@@ -1106,28 +1048,24 @@ class Simulator:
                 "kernel='batch' does not implement the dynamic-response "
                 "(Figure 5) batch run; use the event kernel"
             )
-        self._consume()
-        started = time.perf_counter()
-        process = BatchInjection(batch_size)
-        process.start(
-            self.topology.num_terminals, self.config.packet_size, self.injection_rng
+        # Every packet of the batch is labeled, so the window drains
+        # exactly when the batch has been delivered; a run the cycle
+        # cap cuts is the saturated one.
+        saturated = self._drive(
+            SyntheticWorkload(BatchInjection(batch_size), self.pattern),
+            MeasurementWindow(0, max_cycles),
+            max_cycles,
         )
-        step = self.step
-        while True:
-            step(process)
-            if process.exhausted() and self.in_flight == 0:
-                break
-            if self.now >= max_cycles:
-                raise RuntimeError(
-                    f"batch of {batch_size} not drained within {max_cycles} cycles"
-                )
-        stats = self._finish_stats(started)
+        if saturated:
+            raise RuntimeError(
+                f"batch of {batch_size} not drained within {max_cycles} cycles"
+            )
         return BatchResult(
             batch_size=batch_size,
             completion_cycles=self.now,
             packets=self.packets_created,
             packets_undeliverable=self.packets_undeliverable,
-            kernel=stats,
+            kernel=self.kernel_stats,
         )
 
     def measure_saturation_throughput(
@@ -1140,18 +1078,13 @@ class Simulator:
             return self._batch_backend(
                 "measure_saturation_throughput"
             ).measure_saturation((self.config.seed,), warmup, measure)[0]
-        self._consume()
-        started = time.perf_counter()
-        process = BernoulliInjection(1.0)
-        process.start(
-            self.topology.num_terminals, self.config.packet_size, self.injection_rng
+        # The drain cap is the window's end: the run stops there,
+        # drained or not, and reports the window's throughput.
+        end = warmup + measure
+        window = MeasurementWindow(warmup, end)
+        self._drive(
+            SyntheticWorkload(BernoulliInjection(1.0), self.pattern), window, end
         )
-        window = MeasurementWindow(warmup, warmup + measure)
-        self._window = window
-        step = self.step
-        for _ in range(warmup + measure):
-            step(process)
-        self._finish_stats(started)
         return window.throughput(self.topology.num_terminals)
 
     # ------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """The unified workload plane.
 
-Historically the simulator's traffic came from two independent pieces:
-an :class:`~repro.network.injection.InjectionProcess` decided *when*
+A :class:`Workload` is the event kernel's one packet source: it emits
+typed :class:`Message` events — ``(src, dst, msg_class, size)`` — per
+cycle.  The paper's open-loop traffic is the workload
+:class:`SyntheticWorkload`, in which an
+:class:`~repro.network.injection.InjectionProcess` decides *when*
 terminals fire and a :class:`~repro.traffic.patterns.TrafficPattern`
-decided *where* each packet goes.  A :class:`Workload` unifies the two
-behind one source interface that emits typed :class:`Message` events —
-``(src, dst, msg_class, size)`` — per cycle, which adds three
-capabilities the split plane could not express:
+decides *where* each packet goes; the simulator's pattern run methods
+(``run_open_loop``, ``run_batch``, ``measure_saturation_throughput``)
+build one from their pattern, so a :class:`SyntheticWorkload` passed to
+``run_workload`` runs exactly the simulation of the corresponding
+``run_open_loop`` (pinned by ``tests/test_workloads.py``).  Other
+workloads add three capabilities that an injection process and a
+pattern cannot express:
 
 * **Closed-loop dependencies.**  A workload receives a delivery
   callback (:meth:`Workload.on_delivered`) for every packet that exits
@@ -20,12 +26,6 @@ capabilities the split plane could not express:
 * **Timed sources.**  Messages are emitted at absolute cycles, so
   epoch-structured datacenter sources (incast bursts, permutation
   churn) slot in naturally.
-
-The legacy combination is reimplemented — not emulated — as
-:class:`SyntheticWorkload`, which drives the *same* injection process
-and pattern objects through the same RNG streams in the same order, so
-a synthetic workload run is bit-identical to the corresponding
-``run_open_loop`` (pinned by ``tests/test_workloads.py``).
 
 Determinism contract for implementers: :meth:`Workload.messages` is
 called once per *executed* cycle, and under the event kernel quiescent
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import abc
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
@@ -63,30 +64,16 @@ class UnsupportedWorkloadError(NotImplementedError):
     per-cycle message timing."""
 
 
-class Message:
+class Message(namedtuple("Message", "src dst msg_class size", defaults=(0, None))):
     """One typed traffic event: terminal ``src`` sends a
     ``msg_class``-class packet of ``size`` flits to terminal ``dst``
-    (``size=None`` uses the config's ``packet_size``)."""
+    (``size=None`` uses the config's ``packet_size``).
 
-    __slots__ = ("src", "dst", "msg_class", "size")
+    The simulator unpacks messages positionally, so a source on a hot
+    path may emit the bare tuple ``(src, dst, msg_class, size)``
+    instead (as :class:`SyntheticWorkload` does)."""
 
-    def __init__(
-        self,
-        src: int,
-        dst: int,
-        msg_class: int = 0,
-        size: Optional[int] = None,
-    ) -> None:
-        self.src = src
-        self.dst = dst
-        self.msg_class = msg_class
-        self.size = size
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Message {self.src}->{self.dst} class={self.msg_class} "
-            f"size={self.size}>"
-        )
+    __slots__ = ()
 
 
 _NO_MESSAGES: List[Message] = []
@@ -118,17 +105,19 @@ class Workload(abc.ABC):
         injection_rng: random.Random,
     ) -> None:
         """Reset state for a fresh simulation.  Called exactly once by
-        :meth:`~repro.network.Simulator.run_workload` before the first
-        cycle; the RNGs are the simulator's shared traffic/injection
-        streams."""
+        the simulator's run method before the first cycle; the RNGs are
+        the simulator's shared traffic/injection streams."""
 
     @abc.abstractmethod
     def messages(self, now: int) -> List[Message]:
         """Messages entering their source queues at cycle ``now``.
 
-        Called once per executed cycle, in cycle order.  Must not draw
-        from the shared RNGs on cycles where it returns nothing (see
-        the module docstring's determinism contract).
+        Called once per executed cycle, in cycle order, inside the
+        kernel's inject phase.  Must not draw from the shared RNGs on
+        cycles where it returns nothing (see the module docstring's
+        determinism contract).  Each message is unpacked positionally,
+        so a :class:`Message` or a bare ``(src, dst, msg_class, size)``
+        tuple both work; ``dst`` must lie in ``0..N-1``.
         """
 
     def exhausted(self) -> bool:
@@ -172,16 +161,14 @@ class Workload(abc.ABC):
 
 
 class SyntheticWorkload(Workload):
-    """The legacy open-loop plane as a workload: an injection process
-    decides when terminals fire, a traffic pattern decides where each
-    packet goes.
+    """Open-loop traffic as a workload: an injection process decides
+    when terminals fire, a traffic pattern decides where each packet
+    goes.
 
-    Bit-identical to driving the same process/pattern through
-    ``run_open_loop``: :meth:`start` performs the identical
-    ``pattern.bind`` + ``process.start`` calls (same injection-RNG
-    draws), and :meth:`messages` draws one destination per injected
-    packet from the traffic RNG in the identical terminal-major order
-    the inlined injection loop used.
+    The simulator's pattern run methods drive their pattern through
+    this class: :meth:`start` binds the pattern and starts the process
+    on the injection RNG, and :meth:`messages` draws one destination
+    per injected packet from the traffic RNG in terminal-major order.
     """
 
     closed_loop = False
@@ -202,10 +189,18 @@ class SyntheticWorkload(Workload):
             return _NO_MESSAGES
         destination = self.pattern.destination
         rng = self._traffic_rng
+        # Bare (src, dst, msg_class, size) tuples: this is every
+        # pattern run's packet source, one tuple per packet.  A
+        # Bernoulli process fires one packet per terminal, so that
+        # case skips the per-terminal inner loop.
         out = []
+        append = out.append
         for terminal, count in fires:
-            for _ in range(count):
-                out.append(Message(terminal, destination(terminal, rng)))
+            if count == 1:
+                append((terminal, destination(terminal, rng), 0, None))
+            else:
+                for _ in range(count):
+                    append((terminal, destination(terminal, rng), 0, None))
         return out
 
     def exhausted(self) -> bool:

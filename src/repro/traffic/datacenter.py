@@ -16,6 +16,11 @@ happen only on cycles that emit messages (see the contract in
 permutation) is a pure function of a private per-epoch seed — so
 results stay bit-identical whether or not the event kernel skips
 quiescent stretches.
+
+Messages: each source emits bare ``(src, dst, msg_class, size)``
+tuples, the positional form of :class:`~repro.network.workload.Message`
+that the simulator unpacks, because every tuple becomes a packet on
+the kernel's hot path.
 """
 
 from __future__ import annotations
@@ -183,7 +188,7 @@ class HotSpotSkew(Workload):
                 dst = hot[rng._randbelow(len(hot))]
             else:
                 dst = self._uniform_other(src, rng)
-            out.append(Message(src, dst))
+            out.append((src, dst, 0, None))
         return out
 
     def next_message_cycle(self, now: int) -> Optional[int]:
@@ -262,13 +267,13 @@ class Incast(Workload):
                 for src in blocks[rack]:
                     for _ in range(burst):
                         out.append(
-                            Message(src, targets[rng._randbelow(len(targets))])
+                            (src, targets[rng._randbelow(len(targets))], 0, None)
                         )
         if self._bg is not None:
             n = self._num_terminals
             for src in self._bg.fires(now):
                 dst = rng._randbelow(n - 1)
-                out.append(Message(src, dst + 1 if dst >= src else dst))
+                out.append((src, dst + 1 if dst >= src else dst, 0, None))
         return out
 
     def next_message_cycle(self, now: int) -> Optional[int]:
@@ -337,7 +342,7 @@ class PermutationChurn(Workload):
             self._perm = churn_permutation(self.seed, e, self._num_terminals)
             self._epoch_index = e
         perm = self._perm
-        return [Message(src, perm[src]) for src in fires]
+        return [(src, perm[src], 0, None) for src in fires]
 
     def next_message_cycle(self, now: int) -> Optional[int]:
         return self._calendar.next_cycle(now)

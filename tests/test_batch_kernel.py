@@ -44,7 +44,6 @@ from repro.network.batch import (
     INJECTION_CHUNK,
     BatchBackend,
     BatchRunResult,
-    batch_seeds,
     supported_algorithms,
     unsupported_reason,
 )
@@ -226,10 +225,6 @@ class TestSeedFamily:
         with pytest.raises(ValueError):
             replica_seeds(1, 0)
 
-    def test_batch_seeds_uses_canonical_family(self):
-        config = SimulationConfig(seed=77)
-        assert batch_seeds(config, 4) == replica_seeds(77, 4)
-
     def test_simulator_replicas_use_canonical_family(self):
         sim = Simulator(
             FlattenedButterfly(2, 2), DimensionOrder(), UniformRandom(),
@@ -383,12 +378,12 @@ class TestUnsupportedFeatures:
         """A batch simulator builds no event routers or pipes, and each
         method that drives or inspects them refuses, naming the kernel,
         while its batched runs still work."""
-        from repro.network import BernoulliInjection, ChannelLoadTrace
+        from repro.network import ChannelLoadTrace
 
         sim = self._sim()
         assert not hasattr(sim, "engines") and not hasattr(sim, "pipes")
         calls = {
-            "step": lambda: sim.step(BernoulliInjection(0.2)),
+            "step": sim.step,
             "attach_tracer": lambda: sim.attach_tracer(ChannelLoadTrace()),
             "flits_accounted": sim.flits_accounted,
             "check_activation_invariants": sim.check_activation_invariants,

@@ -4,11 +4,20 @@ plumbing (env flag, ``profile=`` kwarg, ``KernelStats`` fields, sweep
 aggregation, report formatting) works end to end.
 """
 
+import time
+
 import pytest
 
 from repro.core import MinimalAdaptive, UGAL
 from repro.core.flattened_butterfly import FlattenedButterfly
-from repro.network import KERNELS, SimulationConfig, Simulator, ThroughputTrace
+from repro.network import (
+    KERNELS,
+    Message,
+    SimulationConfig,
+    Simulator,
+    ThroughputTrace,
+    Workload,
+)
 from repro.profiling import (
     PHASES,
     PROFILE_ENV,
@@ -105,6 +114,33 @@ class TestKernelStatsFields:
         assert set(phases) == set(PHASES)
         assert all(seconds >= 0.0 for seconds in phases.values())
         assert sum(phases.values()) > 0.0
+
+    def test_workload_packet_creation_charged_to_inject(self):
+        """A workload's messages are created inside the inject phase:
+        a source that sleeps 20 ms on its first emitting cycle shows up
+        in ``phase_seconds["inject"]``."""
+
+        class SlowFirstMessage(Workload):
+            name = "slow-first-message"
+
+            def start(self, topology, packet_size, traffic_rng, injection_rng):
+                self._n = topology.num_terminals
+                self._slept = False
+
+            def messages(self, now):
+                if now % 10:
+                    return []
+                if not self._slept:
+                    self._slept = True
+                    time.sleep(0.02)
+                return [Message(0, self._n - 1)]
+
+        sim = Simulator(
+            FlattenedButterfly(4, 2), MinimalAdaptive(), SlowFirstMessage(),
+            SimulationConfig(seed=1), kernel="event", profile=True,
+        )
+        result = sim.run_workload(warmup=10, measure=20, drain_max=200)
+        assert result.kernel.phase_seconds["inject"] >= 0.02
 
     def test_phase_seconds_absent_when_not_profiling(self):
         _, _, result = _run(False)

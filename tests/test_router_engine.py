@@ -9,7 +9,6 @@ from repro.core import DimensionOrder, MinimalAdaptive
 from repro.core.flattened_butterfly import FlattenedButterfly
 from repro.network import SimulationConfig, Simulator
 from repro.network.buffers import CHANNEL_PORT, EJECTION_PORT
-from repro.network.injection import BatchInjection
 from repro.network.packet import Flit, Packet
 from repro.traffic import UniformRandom, adversarial
 
@@ -88,11 +87,10 @@ class TestCreditProtocol:
         its initial value."""
         sim = build()
         sim.run_batch(8)
-        # Drain the last in-flight credits.
-        process = BatchInjection(1)
-        process._done = True  # nothing more to inject
+        # Drain the last in-flight credits (the spent batch injects
+        # nothing more).
         for _ in range(10):
-            sim.step(process)
+            sim.step()
         num_vcs = sim.algorithm.num_vcs
         depth = sim.config.vc_depth(num_vcs)
         for engine in sim.engines:

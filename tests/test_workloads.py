@@ -260,6 +260,27 @@ class TestClosedLoopIdleSkip:
         assert result.kernel.idle_cycles_skipped == 0
 
 
+class TestDestinationRangeCheck:
+    """Workload destinations come from outside the simulator, so each
+    message's destination is range-checked before it picks an ejection
+    router: a negative one would otherwise index from the end."""
+
+    @pytest.mark.parametrize("dst", [16, -1], ids=["n", "minus-one"])
+    def test_out_of_range_destination_raises(self, dst):
+        class StrayDestination(Workload):
+            name = "stray-destination"
+
+            def messages(self, now):
+                return [Message(0, dst)] if now == 3 else []
+
+        sim = Simulator(
+            FlattenedButterfly(4, 2), MinimalAdaptive(), StrayDestination(),
+            SimulationConfig(seed=1),
+        )
+        with pytest.raises(ValueError, match="outside 0..15"):
+            sim.run_workload(warmup=10, measure=10, drain_max=100)
+
+
 DATACENTER_WORKLOADS = {
     "hotspot": lambda: HotSpotSkew(0.2, racks=4, heavy_racks=1),
     "incast": lambda: Incast(epoch=16, burst=2, fan_racks=2, racks=4,
