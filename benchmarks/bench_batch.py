@@ -34,7 +34,7 @@ largest grids.  Emits ``BENCH_batch.json``,
 with a ``machine`` record (CPU count, CPU model, Python and numpy
 versions) beside the timings.
 
-Asserted (here and in the pytest CI smoke entry point):
+Asserted:
 
 * the batch side is at least :data:`MIN_SPEEDUP` times faster at full
   windows for MIN AD and UGAL (the paper-relevant claim the batch
@@ -61,10 +61,6 @@ Usage::
 
     python benchmarks/bench_batch.py [--out BENCH_batch.json]
         [--repeat 3] [--quick] [--check-against BENCH_batch.json]
-
-or via pytest (CI smoke: quick windows, one repeat)::
-
-    python -m pytest benchmarks/bench_batch.py -q
 """
 
 import argparse
@@ -519,16 +515,6 @@ def _print(report):
         + ", ".join(f"{key} {ratios[key]:.2f}x" for key in ratios)
         + f"; finalize share {scaling['finalize_share']:.1%}"
     )
-
-
-def test_batch_benchmark():
-    """CI smoke: quick windows, one repetition."""
-    import pytest
-
-    pytest.importorskip("numpy")
-    report = collect(repeat=1, quick=True)
-    check(report)
-    _print(report)
 
 
 def main(argv=None):

@@ -39,10 +39,6 @@ Refreshing the committed baseline also records the ``--quick``
 windows' deterministic values::
 
     python benchmarks/bench_simulator.py --out BENCH_simulator.json
-
-or via pytest (quick windows, deterministic check only)::
-
-    python -m pytest benchmarks/bench_simulator.py -q
 """
 
 import argparse
@@ -63,9 +59,6 @@ from repro.network import SimulationConfig, Simulator
 from repro.traffic import UniformRandom
 
 from _machine import machine
-
-#: The committed baseline, next to the repository root.
-BASELINE = os.path.join(os.path.dirname(__file__), "..", "BENCH_simulator.json")
 
 #: (label, offered load): low, mid, and saturation points.
 LOADS = (("low", 0.1), ("mid", 0.5), ("saturation", 1.0))
@@ -271,14 +264,6 @@ def _print(report):
         )
 
 
-def test_kernel_benchmark():
-    """Quick windows, one repetition, deterministic check only."""
-    report = collect(repeat=1, quick=True)
-    with open(BASELINE) as handle:
-        check_deterministic(report, json.load(handle))
-    _print(report)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -314,7 +299,8 @@ def main(argv=None):
     report = collect(repeat=args.repeat, quick=args.quick)
     if not args.quick:
         # The committed report also pins the quick windows' results,
-        # so the pytest smoke entry has a deterministic baseline.
+        # so a --quick --check-against run has a deterministic
+        # baseline.
         report["quick_points"] = [
             _deterministic(p) for p in collect(repeat=1, quick=True)["points"]
         ]

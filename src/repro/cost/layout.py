@@ -15,8 +15,8 @@ length of every inter-router channel:
 * :func:`measure_folded_clos` — leaf cabinets around central router
   cabinets (Figure 9(a)).
 
-The ablation benchmark compares these measured averages against the
-closed forms used by the census.
+The ``ext_layout`` experiment compares these measured averages
+against the closed forms used by the census.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def measure_flattened_butterfly(
         # (Figure 8(c)); with two, cells form a near-square grid (the
         # one global dimension then spans both axes — which is why the
         # E/3 heuristic is optimistic for 2-dimensional machines, see
-        # the layout ablation benchmark).
+        # the ext_layout experiment).
         total_cells = max(1, cfg.num_routers // m1)
         if cfg.n_prime >= 3:
             cells_x = cfg.dims[1]

@@ -60,13 +60,15 @@ the decision *and* the routing inside the wave-ranked sequential
 emulation, so same-cycle decisions at one router see each other's
 allocator debits.
 
-Supported envelope: single-flit packets, no faults, ``speedup=None``,
+Supported envelope: single-flit packets, no faults,
 ``UniformRandom``/``GroupShift`` traffic, and the algorithms listed by
 :func:`supported_algorithms` (DOR, torus-DOR, dest-tag, MIN AD,
 clos-adaptive, VAL, UGAL, UGAL-S).  Everything else raises
 ``NotImplementedError`` cleanly, naming ``kernel='event'`` as the
 fallback; :func:`unsupported_reason` exposes the same check without
-raising so sweep layers can filter configurations up front.
+raising so sweep layers can filter configurations up front.  The
+config fields the model neither honours nor refuses are the gaps
+``docs/BATCH.md`` lists.
 
 Randomness: run ``i`` draws everything (injection gaps, destinations,
 tie-breaks, Valiant intermediates) from one ``numpy`` Generator seeded
@@ -377,11 +379,6 @@ def _validate_config(config: SimulationConfig) -> None:
         raise NotImplementedError(
             f"multi-flit packets: use kernel='event' (kernel='batch' is "
             f"single-flit only, got packet_size={config.packet_size})"
-        )
-    if config.speedup is not None:
-        raise NotImplementedError(
-            "finite switch speedup: use kernel='event' (kernel='batch' "
-            "models sufficient speedup only, speedup=None)"
         )
     faults = config.faults
     if faults is not None and not faults.trivial:

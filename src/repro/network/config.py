@@ -78,6 +78,11 @@ def replica_seeds(base: int, count: int) -> tuple:
 class SimulationConfig:
     """Knobs of the cycle-accurate simulator.
 
+    The router itself has no knobs: it has the paper's "sufficient
+    switch speedup" (switch sub-iterations repeat until no flit can
+    move), with fixed staging and injection buffers (see
+    :mod:`repro.network.router`).
+
     Attributes:
         buffer_per_port: total flit buffering per input port, divided
             evenly among the virtual channels (the paper holds this
@@ -86,15 +91,6 @@ class SimulationConfig:
         channel_latency: cycles a flit spends on an inter-router
             channel.
         credit_latency: cycles for a credit to return upstream.
-        injection_queue_capacity: flit capacity of the injection-port
-            buffer inside the router (the terminal-side source queue is
-            unbounded, per the open-loop methodology).
-        speedup: switch speedup — sub-iterations of the switch
-            allocator per cycle.  ``None`` (default) means "sufficient
-            speedup" as in the paper: sub-iterations repeat until no
-            flit can move, so the router is never the bottleneck.
-        staging_depth: per-VC output staging FIFO depth that decouples
-            the sped-up switch from the one-flit-per-cycle channel.
         channel_period: cycles per flit on inter-router channels.  The
             default 1 is a full-bandwidth channel; 2 models a
             half-bandwidth channel, which is how the paper's
@@ -130,9 +126,6 @@ class SimulationConfig:
     packet_size: int = 1
     channel_latency: int = 1
     credit_latency: int = 1
-    injection_queue_capacity: int = 4
-    speedup: Optional[int] = None
-    staging_depth: int = 32
     channel_period: int = 1
     seed: int = 1
     rng_streams: str = "legacy"
@@ -148,15 +141,6 @@ class SimulationConfig:
             raise ValueError(f"channel_latency must be >= 1, got {self.channel_latency}")
         if self.credit_latency < 1:
             raise ValueError(f"credit_latency must be >= 1, got {self.credit_latency}")
-        if self.injection_queue_capacity < 1:
-            raise ValueError(
-                f"injection_queue_capacity must be >= 1, "
-                f"got {self.injection_queue_capacity}"
-            )
-        if self.speedup is not None and self.speedup < 1:
-            raise ValueError(f"speedup must be >= 1 or None, got {self.speedup}")
-        if self.staging_depth < 1:
-            raise ValueError(f"staging_depth must be >= 1, got {self.staging_depth}")
         if self.channel_period < 1:
             raise ValueError(f"channel_period must be >= 1, got {self.channel_period}")
         if self.rng_streams not in ("legacy", "mixed"):

@@ -10,10 +10,11 @@ speedup): in each, every output port accepts at most one flit from the
 head of a requesting input VC into its per-VC output staging FIFO, and
 newly exposed heads are routed between sub-iterations.  Afterwards the
 *wire phase* moves at most one staged flit per channel onto the wire
-(the channel is the serialization point).  With unbounded speedup the
-router is never the bottleneck, which is the paper's stated
-configuration ("we use input-queued routers but provide sufficient
-switch speedup").
+(the channel is the serialization point).  Sub-iterations repeat until
+no flit can move, so the router is never the bottleneck, which is the
+paper's stated configuration ("we use input-queued routers but provide
+sufficient switch speedup").  The speedup is not configurable, and
+neither are the two buffer sizes below.
 
 Engines are not polled: they publish their activation transitions to
 the simulator — ``sim._busy_engines`` tracks routers holding buffered
@@ -43,6 +44,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .simulator import Simulator
 
 _order = attrgetter("order")
+
+#: Per-VC output staging FIFO depth (flits): decouples the sped-up
+#: switch from the one-flit-per-cycle channel.
+STAGING_DEPTH = 32
+
+#: Flit capacity of each injection-port buffer inside the router (the
+#: terminal-side source queue is unbounded, per the open-loop
+#: methodology).
+INJECTION_QUEUE_CAPACITY = 4
 
 
 def round_robin_order(
@@ -166,7 +176,9 @@ class RouterEngine:
         self.in_port_source.append(channel_index)
         return port
 
-    def add_injection_input(self, terminal: int, depth: int) -> int:
+    def add_injection_input(
+        self, terminal: int, depth: int = INJECTION_QUEUE_CAPACITY
+    ) -> int:
         port = len(self.in_ports)
         self.in_ports.append([InputVC(port, 0, depth, self._num_invcs)])
         self._port_order.append(self._num_invcs)
@@ -176,7 +188,7 @@ class RouterEngine:
         return port
 
     def add_channel_output(
-        self, channel_index: int, num_vcs: int, vc_depth: int, staging_depth: int
+        self, channel_index: int, num_vcs: int, vc_depth: int
     ) -> int:
         port = len(self.out_ports)
         self.out_ports.append(
@@ -185,17 +197,17 @@ class RouterEngine:
                 CHANNEL_PORT,
                 num_vcs,
                 vc_depth,
-                staging_depth,
+                STAGING_DEPTH,
                 channel_index=channel_index,
             )
         )
         self._port_of_channel[channel_index] = port
         return port
 
-    def add_ejection_output(self, terminal: int, num_vcs: int, staging_depth: int) -> int:
+    def add_ejection_output(self, terminal: int, num_vcs: int) -> int:
         port = len(self.out_ports)
         self.out_ports.append(
-            OutPort(port, EJECTION_PORT, num_vcs, 0, staging_depth, terminal=terminal)
+            OutPort(port, EJECTION_PORT, num_vcs, 0, STAGING_DEPTH, terminal=terminal)
         )
         self._ej_port_of_terminal[terminal] = port
         return port

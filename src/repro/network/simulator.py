@@ -275,10 +275,10 @@ class Simulator:
         for r, engine in enumerate(self.engines):
             for channel in topo.out_channels(r):
                 src_port[channel.index] = engine.add_channel_output(
-                    channel.index, num_vcs, vc_depth, cfg.staging_depth
+                    channel.index, num_vcs, vc_depth
                 )
             for terminal in topo.ejecting_terminals(r):
-                engine.add_ejection_output(terminal, num_vcs, cfg.staging_depth)
+                engine.add_ejection_output(terminal, num_vcs)
         # Input side.
         dst_in_port: Dict[int, int] = {}
         self._injection_port: Dict[int, Tuple[int, int]] = {}
@@ -288,9 +288,7 @@ class Simulator:
                     channel.index, num_vcs, vc_depth
                 )
             for terminal in topo.injecting_terminals(r):
-                port = engine.add_injection_input(
-                    terminal, cfg.injection_queue_capacity
-                )
+                port = engine.add_injection_input(terminal)
                 self._injection_port[terminal] = (r, port)
 
         self.pipes: List[ChannelPipe] = [
@@ -629,7 +627,8 @@ class Simulator:
         """Advance the network by one cycle: deliver, inject (create
         the running workload's packets for this cycle, then move source
         queues into injection FIFOs), fused route+switch
-        sub-iterations, wire.
+        sub-iterations until no flit can move (the paper's sufficient
+        switch speedup), wire.
 
         Only routers that can possibly do something are visited, in
         ascending router id per sub-iteration, so every shared-RNG draw
@@ -665,21 +664,13 @@ class Simulator:
                 movers: List[RouterEngine] = list(busy.values())
             else:
                 movers = [busy[r] for r in sorted(busy)]
-            speedup = self.config.speedup
             phase_calls = 0
-            iteration = 0
-            while True:
+            while movers:
                 # Only engines reporting possible follow-up work (2)
                 # are swept again: one reporting 0 or 1 would route and
                 # switch nothing in a further sub-iteration.
-                next_movers = [e for e in movers if e.route_switch(now) == 2]
                 phase_calls += len(movers)
-                iteration += 1
-                if not next_movers or (
-                    speedup is not None and iteration >= speedup
-                ):
-                    break
-                movers = next_movers
+                movers = [e for e in movers if e.route_switch(now) == 2]
             self._phase_calls += phase_calls
         if profile is not None:
             t3 = perf()

@@ -14,6 +14,7 @@ selection plumbing, and exact output pinned to the committed
 fingerprints in ``tests/golden/batch_fingerprints.json``.
 """
 
+import dataclasses
 import json
 import os
 
@@ -31,7 +32,7 @@ from repro.core import (
 )
 from repro.core.flattened_butterfly import FlattenedButterfly
 from repro.experiments import ext_resilience
-from repro.faults import FaultModel
+from repro.faults import FaultAwareMinimalAdaptive, FaultModel
 from repro.network import (
     KERNELS,
     SimulationConfig,
@@ -48,6 +49,7 @@ from repro.network.batch import (
     unsupported_reason,
 )
 from repro.network.config import derive_seed
+from repro.network.workload import WorkloadSpec
 from repro.topologies import Butterfly, FoldedClos
 from repro.topologies.routing import DestinationTag, FoldedClosAdaptive
 from repro.traffic import RandomPermutation, UniformRandom, adversarial
@@ -441,6 +443,104 @@ class TestUnsupportedFeatures:
         with pytest.raises(RuntimeError, match="already executed"):
             backend.run_load_grid([0.2], (1, 2), warmup=50, measure=50,
                                   drain_max=1000)
+
+
+#: ``SimulationConfig`` fields the batch kernel models, each with a
+#: non-default value that must move its output.
+BATCH_MODELLED = {
+    "channel_latency": 3,
+    "credit_latency": 4,
+    "channel_period": 2,
+    "seed": 2,
+}
+
+#: Fields whose values outside the batch envelope are refused: the
+#: value probed and the pinned refusal text.
+BATCH_REFUSED = {
+    "packet_size": (2, "multi-flit packets: use kernel='event'"),
+    "faults": (
+        FaultModel(link_failure_fraction=0.05),
+        "fault injection: use kernel='event'",
+    ),
+    "workload": (
+        WorkloadSpec.of("permutation_churn", load=0.2),
+        "cannot run the workload 'permutation-churn'",
+    ),
+}
+
+#: Fields the batch kernel ignores, each with a non-default value that
+#: must leave its output alone; docs/BATCH.md lists each as a gap.
+BATCH_GAPS = {"buffer_per_port": 8, "rng_streams": "mixed"}
+
+
+def _inventory_run(config):
+    # UGAL reads the credit-lagged occupancy estimate; a fault-aware
+    # algorithm gets a faulted config past the Simulator's own check,
+    # so the batch backend's refusal is what is probed.
+    sim = Simulator(
+        FlattenedButterfly(4, 2),
+        FaultAwareMinimalAdaptive() if config.faults else UGAL(),
+        None if config.workload else UniformRandom(), config,
+        kernel="batch",
+    )
+    window = dict(warmup=50, measure=50, drain_max=1000)
+    if config.workload is not None:
+        return sim.run_workload(**window)
+    return sim.run_open_loop(0.4, **window)
+
+
+class TestConfigInventory:
+    """Every ``SimulationConfig`` field is modelled, refused or a
+    documented gap under ``kernel='batch'`` — exactly one of them."""
+
+    def test_every_field_in_exactly_one_class(self):
+        classes = (set(BATCH_MODELLED), set(BATCH_REFUSED), set(BATCH_GAPS))
+        fields = [f.name for f in dataclasses.fields(SimulationConfig)]
+        for name in fields:
+            owners = [c for c in classes if name in c]
+            assert len(owners) == 1, (
+                f"SimulationConfig.{name} needs exactly one batch-kernel "
+                f"class (modelled, refused or gap), has {len(owners)}"
+            )
+        assert set().union(*classes) == set(fields)
+
+    @pytest.mark.parametrize("name", sorted(BATCH_MODELLED))
+    def test_modelled_field_moves_the_result(self, name):
+        default = _fingerprint(_inventory_run(SimulationConfig()))
+        changed = SimulationConfig(**{name: BATCH_MODELLED[name]})
+        assert _fingerprint(_inventory_run(changed)) != default
+
+    @pytest.mark.parametrize("name", sorted(BATCH_REFUSED))
+    def test_refusal_pinned(self, name):
+        value, message = BATCH_REFUSED[name]
+        with pytest.raises(NotImplementedError, match=message):
+            _inventory_run(SimulationConfig(**{name: value}))
+
+    @pytest.mark.parametrize("name", sorted(BATCH_GAPS))
+    def test_gap_leaves_the_result_alone(self, name):
+        # What makes a gap a gap: the field is silently ignored, so
+        # it must be documented.
+        default = _fingerprint(_inventory_run(SimulationConfig()))
+        changed = SimulationConfig(**{name: BATCH_GAPS[name]})
+        assert _fingerprint(_inventory_run(changed)) == default
+
+    def test_docs_table_matches(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "docs", "BATCH.md")
+        with open(path) as handle:
+            text = handle.read()
+        section = text.split("### `SimulationConfig` fields", 1)[1]
+        section = section.split("\n#", 1)[0]
+        documented = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                field, treatment = line.split("|")[1:3]
+                documented[field.strip().strip("`")] = (
+                    treatment.split()[0].rstrip(":")
+                )
+        expected = {name: "modelled" for name in BATCH_MODELLED}
+        expected.update({name: "refused" for name in BATCH_REFUSED})
+        expected.update({name: "gap" for name in BATCH_GAPS})
+        assert documented == expected
 
 
 class TestKernelSelection:

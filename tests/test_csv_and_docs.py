@@ -247,3 +247,26 @@ class TestNoUnreachableCode:
             for line in _unreachable_lines(tree)
         ]
         assert found == []
+
+
+class TestBenchmarksRunInCI:
+    def test_every_benchmark_script_is_a_ci_step(self):
+        """Each ``benchmarks/*.py`` script (``_machine.py`` is a helper
+        they import) is run by a step of the CI workflow, so no
+        benchmark can pass unrun."""
+        import glob
+
+        with open(os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")) as handle:
+            steps = "".join(
+                line for line in handle if not line.lstrip().startswith("#")
+            )
+        scripts = sorted(
+            os.path.basename(path)
+            for path in glob.glob(os.path.join(REPO_ROOT, "benchmarks", "*.py"))
+        )
+        assert "_machine.py" in scripts
+        unrun = [
+            name for name in scripts
+            if name != "_machine.py" and f"python benchmarks/{name}" not in steps
+        ]
+        assert unrun == []

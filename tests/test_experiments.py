@@ -5,12 +5,14 @@ tiny custom scale so the suite stays fast while still exercising every
 code path end-to-end.
 """
 
+import csv
 import math
+import os
 
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, resolve_scale
-from repro.experiments.common import Scale, Table
+from repro.experiments.common import CI_SCALE, Scale, Table
 from repro.runner import ResultCache, SweepRunner
 from repro.experiments import (
     fig02_scalability,
@@ -124,6 +126,7 @@ class TestAnalyticExperiments:
         last = fraction.rows[-1]  # N = 64K
         headers = list(fraction.headers)
         assert last[headers.index("FB")] > 0.7
+        assert last[headers.index("folded Clos")] > 0.7
         assert last[headers.index("hypercube")] < 0.6
 
     def test_fig10_cable_length_ordering(self):
@@ -145,6 +148,7 @@ class TestAnalyticExperiments:
             fb = row[headers.index("FB")]
             clos = row[headers.index("folded Clos")]
             assert 0.20 <= 1 - fb / clos <= 0.70
+            assert row[headers.index("hypercube")] > clos
 
     def test_fig13_monotone(self):
         result = fig13_cost_vs_n.run("ci")
@@ -163,12 +167,16 @@ class TestAnalyticExperiments:
     def test_table02_prints_all_constants(self):
         result = table02_constants.run("ci")
         text = result.to_text()
-        for anchor in ("$390", "$1.95", "$220.00", "40 W", "200 mW"):
+        for anchor in ("$390", "$90", "$300", "$1.95", "$220.00", "40 W",
+                       "200 mW", "160 mW", "40 mW"):
             assert anchor in text
 
     def test_table04_matches_paper(self):
         result = table04_configs.run("ci")
         assert "matches the paper exactly" in result.to_text()
+        rows = {tuple(row) for row in result.tables[0].rows}
+        assert (64, 2, 127, 1) in rows
+        assert (16, 3, 46, 2) in rows
 
     def test_ext_layout_heuristic_validated(self):
         from repro.experiments import ext_layout
@@ -272,6 +280,104 @@ class TestSimulationExperiments:
         assert all(0.35 < t < 0.6 for t in throughputs)
         latencies = val.column("low-load latency")
         assert latencies == sorted(latencies)  # grows with n'
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def committed_csv(path):
+    """A committed results CSV as ``{first column: {header: value}}``,
+    in file order, with every value after the first column a float."""
+    with open(os.path.join(REPO_ROOT, path)) as handle:
+        reader = csv.reader(handle)
+        headers = next(reader)
+        return {
+            row[0]: dict(zip(headers[1:], map(float, row[1:])))
+            for row in reader
+        }
+
+
+def saturation_csv(path):
+    """``{row name: accepted throughput}`` of a saturation CSV."""
+    return {
+        name: row["accepted throughput"]
+        for name, row in committed_csv(path).items()
+    }
+
+
+class TestCommittedCIResults:
+    """Headline shapes of the committed CI-scale (8-ary 2-flat)
+    simulation results.  ``tests/golden/`` is byte-checked against the
+    code by ``tests/test_golden.py``; ``results/ci/`` is what
+    ``python -m repro.experiments all --csv results/ci`` writes."""
+
+    K = CI_SCALE.fb_k
+
+    def test_fig04_saturation(self):
+        ur = saturation_csv(
+            "tests/golden/fig04_saturation-throughput-ur-traffic.csv"
+        )
+        wc = saturation_csv(
+            "tests/golden/fig04_saturation-throughput-wc-traffic.csv"
+        )
+        # Figure 4(a): all but VAL ~100%; VAL ~50%.
+        assert ur["MIN AD"] > 0.85
+        assert ur["CLOS AD"] > 0.85
+        assert 0.4 < ur["VAL"] < 0.6
+        # Figure 4(b): MIN AD collapses to 1/k; non-minimal ~50%.
+        assert wc["MIN AD"] == pytest.approx(1 / self.K, abs=0.02)
+        for name in ("VAL", "UGAL", "UGAL-S", "CLOS AD"):
+            assert wc[name] > 0.4
+
+    def test_fig05_batch(self):
+        table = committed_csv(
+            "tests/golden/fig05_batch-latency-batch-size-wc-traffic.csv"
+        )
+        small, large = table["1"], list(table.values())[-1]
+        # Greedy UGAL suffers transient imbalance at batch 1; the
+        # sequential allocator fixes it and CLOS AD is best overall.
+        assert small["UGAL-S"] <= small["UGAL"]
+        assert small["CLOS AD"] <= small["UGAL-S"]
+        # The allocator's advantage fades as batches grow.
+        mid = table["8"]
+        assert abs(mid["UGAL"] - mid["UGAL-S"]) < 0.25 * mid["UGAL"]
+        # Asymptotes approach the inverse throughputs.
+        assert large["MIN AD"] > 2.5 * large["CLOS AD"]
+
+    def test_fig06_saturation(self):
+        ur = saturation_csv(
+            "results/ci/fig06_saturation-throughput-ur-traffic.csv"
+        )
+        wc = saturation_csv(
+            "results/ci/fig06_saturation-throughput-wc-traffic.csv"
+        )
+        # Figure 6(a): the equal-bisection folded Clos ~50%, the rest
+        # ~100%.
+        assert ur["folded Clos"] < 0.7 < ur["FB (CLOS AD)"]
+        assert ur["butterfly"] > 0.85
+        assert ur["hypercube"] > 0.85
+        # Figure 6(b): butterfly == minimally routed FB ~ 1/k; the
+        # adaptive FB, the Clos and the hypercube all reach ~50%.
+        assert wc["butterfly"] == pytest.approx(wc["FB (MIN)"], abs=0.02)
+        assert wc["butterfly"] == pytest.approx(1 / self.K, abs=0.02)
+        assert wc["FB (CLOS AD)"] == pytest.approx(0.5, abs=0.05)
+        assert wc["folded Clos"] == pytest.approx(0.5, abs=0.08)
+        assert wc["hypercube"] == pytest.approx(0.5, abs=0.08)
+
+    def test_fig12_design(self):
+        val = committed_csv("results/ci/fig12_a-val-on-ur-traffic.csv")
+        throughputs = [row["saturation throughput"] for row in val.values()]
+        # VAL delivers ~50% of capacity for every configuration, and
+        # latency grows with dimensionality.
+        assert all(0.35 < t < 0.6 for t in throughputs)
+        latencies = [row["low-load latency"] for row in val.values()]
+        assert latencies == sorted(latencies)
+        min_ad = committed_csv(
+            "results/ci/fig12_b-min-ad-on-ur-traffic-64-flits-per-pc.csv"
+        )
+        assert all(
+            row["saturation throughput"] > 0.8 for row in min_ad.values()
+        )
 
 
 class TestCLI:

@@ -43,9 +43,6 @@ class TestSimulationConfig:
             {"packet_size": 0},
             {"channel_latency": 0},
             {"credit_latency": 0},
-            {"injection_queue_capacity": 0},
-            {"speedup": 0},
-            {"staging_depth": 0},
             {"channel_period": 0},
         ],
     )

@@ -184,28 +184,3 @@ class TestWirePhase:
         # Pacing must slow the batch versus full-bandwidth channels.
         fast = build(algorithm=DimensionOrder()).run_batch(2)
         assert result.completion_cycles >= fast.completion_cycles
-
-    def test_speedup_bound_respected(self):
-        """A speedup-1 router (no sub-iteration repeats) still delivers
-        everything, just slower."""
-        limited = build(algorithm=DimensionOrder(), speedup=1)
-        unlimited = build(algorithm=DimensionOrder())
-        r_limited = limited.run_batch(8)
-        r_unlimited = unlimited.run_batch(8)
-        assert limited.packets_delivered == 128
-        assert r_limited.completion_cycles >= r_unlimited.completion_cycles
-
-    def test_hol_blocking_with_speedup_one(self):
-        """Speedup 1 exhibits the classic ~59% head-of-line limit on
-        uniform traffic; sufficient speedup lifts it."""
-        k = 8
-        slow = Simulator(
-            FlattenedButterfly(k, 2), MinimalAdaptive(), UniformRandom(),
-            SimulationConfig(speedup=1, staging_depth=1, seed=1),
-        ).measure_saturation_throughput(600, 600)
-        fast = Simulator(
-            FlattenedButterfly(k, 2), MinimalAdaptive(), UniformRandom(),
-            SimulationConfig(seed=1),
-        ).measure_saturation_throughput(600, 600)
-        assert slow < 0.75
-        assert fast > 0.9

@@ -188,6 +188,19 @@ class TestClosADDecisions:
         port, _ = sim.algorithm.route(engine, packet)
         assert port == engine.port_for_channel(topo.channel_to(0, 1, 2))
 
+    def test_zero_threshold_misroutes_around_one_flit(self):
+        # Without a minimal-path bias one queued flit on the productive
+        # channel already loses to an empty middle stage (low-load
+        # misrouting); the default bias of 1 keeps the packet minimal.
+        for threshold, minimal in ((0, False), (1, True)):
+            sim = build(ClosAD(threshold=threshold))
+            engine = sim.engines[0]
+            direct = sim.topology.channel_to(0, 1, 3)
+            load_channel(engine, direct, 1)
+            packet = make_packet(sim, src=0, dst=12)
+            port, _ = sim.algorithm.route(engine, packet)
+            assert (port == engine.port_for_channel(direct)) is minimal
+
     def test_descent_is_deterministic(self):
         sim = build(ClosAD())
         packet = make_packet(sim, src=0, dst=12)

@@ -95,7 +95,6 @@ def test_tiny_buffers_do_not_wedge(packet_size):
         adversarial(),
         SimulationConfig(
             packet_size=packet_size, buffer_per_port=packet_size, seed=5,
-            staging_depth=1,
         ),
     )
     result = sim.run_batch(8, max_cycles=300_000)
