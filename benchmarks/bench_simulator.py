@@ -1,8 +1,8 @@
 """Event-kernel benchmark on the CI-scale 8-ary 2-flat.
 
 Runs one open-loop measurement (MIN AD, uniform-random traffic,
-CI-scale windows) at low, mid and saturation load, plus one faulted
-point with transient outages, and emits ``BENCH_simulator.json`` with
+CI-scale windows) at low, mid and saturation load, plus one point
+with 5% failed links under fault-aware MIN AD, and emits ``BENCH_simulator.json`` with
 a ``machine`` record (CPU count, CPU model, Python version) and, per
 point:
 
@@ -20,12 +20,10 @@ point:
 Checked against a committed report (``--check-against``):
 
 * hard: every point's ``result_digest`` and ``router_phase_calls``
-  equal the committed values for the same windows (full windows in
-  ``points``, ``--quick`` windows in ``quick_points``), so the kernel
-  simulates exactly what it did when the baseline was recorded, with
-  the same router-phase work;
+  equal the committed values, so the kernel simulates exactly what it
+  did when the baseline was recorded, with the same router-phase work;
 * coarse: the best ``cycles_per_second`` stays within ``--tolerance``
-  (default 25%) of the committed full-window value at every point.
+  (default 25%) of the committed value at every point.
 
 The report is written and printed before either gate runs, so a
 failing run keeps its numbers.
@@ -33,12 +31,7 @@ failing run keeps its numbers.
 Usage::
 
     python benchmarks/bench_simulator.py [--out BENCH_simulator.json]
-        [--repeat 3] [--quick] [--check-against BENCH_simulator.json]
-
-Refreshing the committed baseline also records the ``--quick``
-windows' deterministic values::
-
-    python benchmarks/bench_simulator.py --out BENCH_simulator.json
+        [--repeat 3] [--check-against BENCH_simulator.json]
 """
 
 import argparse
@@ -70,46 +63,18 @@ MEASURE = 500
 DRAIN_MAX = 6000
 SEED = 1
 
-#: Fault scenario of the faulted-transient point: a few permanent link
-#: failures plus mid-run transient outages, mirroring the resilience
-#: experiment's regime.  Window-relative timing keeps the outages
-#: inside the measured run under ``--quick`` too.
-FAULT_SEED = 2007
+#: Fault scenario of the faulted point: permanent link failures, the
+#: regime the resilience experiment sweeps, at its fault seed.
+FAULTED_MODEL = FaultModel(link_failure_fraction=0.05, seed=2007)
 FAULTED_LOAD = 0.5
 
-
-def _faulted_model(warmup, measure):
-    return FaultModel(
-        link_failure_fraction=0.05,
-        transient_links=4,
-        transient_start=warmup // 2,
-        transient_span=warmup + measure // 2,
-        transient_duration=max(1, measure // 5),
-        seed=FAULT_SEED,
-    )
+#: (label, load, algorithm, fault model) for every benchmark point.
+POINTS = tuple(
+    (label, load, MinimalAdaptive, None) for label, load in LOADS
+) + (("faulted", FAULTED_LOAD, FaultAwareMinimalAdaptive, FAULTED_MODEL),)
 
 
-def _points(warmup, measure):
-    """(label, load, algorithm, fault model) for every benchmark point."""
-    points = [(label, load, MinimalAdaptive, None) for label, load in LOADS]
-    points.append(
-        (
-            "faulted-transient",
-            FAULTED_LOAD,
-            FaultAwareMinimalAdaptive,
-            _faulted_model(warmup, measure),
-        )
-    )
-    return points
-
-
-def _windows(quick):
-    if quick:
-        return 100, 100, 1500
-    return WARMUP, MEASURE, DRAIN_MAX
-
-
-def _run(load, warmup, measure, drain_max, algorithm, faults):
+def _run(load, algorithm, faults):
     sim = Simulator(
         FlattenedButterfly(FB_K, 2),
         algorithm(),
@@ -118,7 +83,7 @@ def _run(load, warmup, measure, drain_max, algorithm, faults):
         kernel="event",
     )
     result = sim.run_open_loop(
-        load, warmup=warmup, measure=measure, drain_max=drain_max
+        load, warmup=WARMUP, measure=MEASURE, drain_max=DRAIN_MAX
     )
     return sim, result
 
@@ -138,16 +103,14 @@ def _digest(sim, result):
     return hashlib.sha256(repr(observed).encode()).hexdigest()[:16]
 
 
-def collect(repeat=3, quick=False):
+def collect(repeat=3):
     """Measure every point; returns the report dict."""
-    warmup, measure, drain_max = _windows(quick)
     points = []
-    for label, load, algorithm, faults in _points(warmup, measure):
+    for label, load, algorithm, faults in POINTS:
         best = None
         rates = []
         for _ in range(repeat):
-            sim, result = _run(load, warmup, measure, drain_max,
-                               algorithm, faults)
+            sim, result = _run(load, algorithm, faults)
             stats = result.kernel
             rates.append(stats.cycles_per_second)
             if best is None or stats.cycles_per_second > best["cycles_per_second"]:
@@ -182,11 +145,10 @@ def collect(repeat=3, quick=False):
             "algorithm": "MIN AD",
             "pattern": "UR",
             "seed": SEED,
-            "warmup": warmup,
-            "measure": measure,
-            "drain_max": drain_max,
+            "warmup": WARMUP,
+            "measure": MEASURE,
+            "drain_max": DRAIN_MAX,
             "repeat": repeat,
-            "quick": quick,
         },
         "points": points,
     }
@@ -203,15 +165,8 @@ def _deterministic(point):
 
 def check_deterministic(report, baseline):
     """Hard gate: each point's result digest and router-phase calls
-    equal the baseline's for the same windows."""
-    quick = report["config"]["quick"]
-    expected = {
-        p["label"]: p
-        for p in (
-            baseline["quick_points"] if quick
-            else map(_deterministic, baseline["points"])
-        )
-    }
+    equal the baseline's."""
+    expected = {p["label"]: _deterministic(p) for p in baseline["points"]}
     failures = []
     for point in report["points"]:
         got = _deterministic(point)
@@ -233,9 +188,7 @@ def check_throughput(report, baseline, tolerance=0.25):
     The baseline was measured on a development machine, so absolute
     rates differ from CI runners; the generous default tolerance is
     meant to catch structural regressions (an accidental O(N) loop in
-    the hot path, a disabled fast path), not scheduler noise.  The
-    committed rates are full-window numbers, so ``--quick`` runs skip
-    this gate.
+    the hot path, a disabled fast path), not scheduler noise.
     """
     base_points = {p["label"]: p for p in baseline["points"]}
     failures = []
@@ -273,9 +226,6 @@ def main(argv=None):
         "--repeat", type=int, default=3, help="timing repetitions per point"
     )
     parser.add_argument(
-        "--quick", action="store_true", help="shorter windows (CI smoke)"
-    )
-    parser.add_argument(
         "--check-against",
         metavar="BASELINE_JSON",
         default=None,
@@ -296,14 +246,7 @@ def main(argv=None):
     if args.check_against:
         with open(args.check_against) as handle:
             baseline = json.load(handle)
-    report = collect(repeat=args.repeat, quick=args.quick)
-    if not args.quick:
-        # The committed report also pins the quick windows' results,
-        # so a --quick --check-against run has a deterministic
-        # baseline.
-        report["quick_points"] = [
-            _deterministic(p) for p in collect(repeat=1, quick=True)["points"]
-        ]
+    report = collect(repeat=args.repeat)
     # Written and printed before the gates, so a failing run keeps its
     # numbers.
     with open(args.out, "w") as handle:
@@ -313,12 +256,11 @@ def main(argv=None):
     if baseline is not None:
         check_deterministic(report, baseline)
         print(f"deterministic gate passed: matches {args.check_against}")
-        if not args.quick:
-            check_throughput(report, baseline, tolerance=args.tolerance)
-            print(
-                f"throughput gate passed: within {args.tolerance:.0%} of "
-                f"{args.check_against}"
-            )
+        check_throughput(report, baseline, tolerance=args.tolerance)
+        print(
+            f"throughput gate passed: within {args.tolerance:.0%} of "
+            f"{args.check_against}"
+        )
 
 
 if __name__ == "__main__":

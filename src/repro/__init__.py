@@ -43,7 +43,7 @@ from .network import (
     SimulationConfig,
     Simulator,
 )
-from .faults import FaultedTopologyView, FaultModel, FaultSet, TransientFault
+from .faults import FaultedTopologyView, FaultModel, FaultSet
 from .runner import ResultCache, SimSpec, SweepRunner
 from .topologies import (
     Butterfly,
@@ -76,7 +76,6 @@ __all__ = [
     "FaultModel",
     "FaultSet",
     "FaultedTopologyView",
-    "TransientFault",
     "ResultCache",
     "SimSpec",
     "SweepRunner",

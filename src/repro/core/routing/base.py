@@ -76,15 +76,14 @@ class RoutingAlgorithm(abc.ABC):
 
     def deliverable(self, src_terminal: int, dst_terminal: int) -> bool:
         """Whether this algorithm can route the terminal pair under the
-        simulation's permanent faults.
+        simulation's failed links.
 
         Consulted at packet creation: a ``False`` answer makes the
         simulator account the packet as *undeliverable* instead of
         injecting it, so the drain phase terminates on disconnected
         networks.  Fault-free algorithms can always deliver; fault-aware
         subclasses override this with their path-discipline-specific
-        reachability test (transient outages heal, so they never make a
-        pair undeliverable).
+        reachability test.
         """
         return True
 

@@ -1,71 +1,36 @@
 """Deterministic fault models and sampled fault sets.
 
 A :class:`FaultModel` *describes* a failure scenario — what fraction of
-links and routers fail permanently at t=0, and which links suffer
-scheduled mid-run transient outages — without referencing any concrete
+links fail permanently at t=0 — without referencing any concrete
 topology.  It is a frozen dataclass of primitives, so it travels inside
 :class:`~repro.network.SimulationConfig`, pickles across process
 boundaries, and hashes into the sweep runner's cache key like every
 other simulation knob.
 
 :meth:`FaultModel.sample` instantiates the model against a topology,
-producing a :class:`FaultSet`: the concrete channels and routers that
-failed.  Sampling is a pure function of ``(model, topology)`` — the
-RNG streams are derived from the model's own seed via
+producing a :class:`FaultSet`: the concrete channels that failed.
+Sampling is a pure function of ``(model, topology)`` — the RNG stream
+is derived from the model's own seed via
 :func:`~repro.network.config.derive_seed`, never from the simulation
 seed — so the same model yields the same fault set no matter which
 process samples it or what traffic runs over it, and different
 simulation seeds can be averaged over one fixed fault set.
 
-Semantics (also documented in ``docs/FAULTS.md``):
-
-* A **permanently failed channel** exists structurally but never
-  carries a flit.  Fault-aware routing algorithms exclude it from
-  every candidate set; the wire phase refuses to transmit on it.
-* A **failed router** fails all channels entering or leaving it, and
-  every terminal that injects or ejects there is *dead*: it neither
-  sources packets nor can be reached.
-* A **transient link fault** makes one channel refuse *new* flits
-  during ``[start, end)``.  Flits already in flight when the fault
-  begins are delivered (the failure is at the transmitter); flits
-  staged behind the channel simply wait, and routing treats the
-  channel as maximally congested, steering adaptive traffic around
-  the outage without ever dead-ending a packet.
+Semantics (also documented in ``docs/FAULTS.md``): a **failed
+channel** exists structurally but never carries a flit.  Fault-aware
+routing algorithms exclude it from every candidate set, and routing is
+the only place an output channel is chosen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet
 
 from ..network.config import derive_seed
 from ..topologies.base import Topology
 
 import random
-
-#: Occupancy penalty added to a transiently-down channel's cost in
-#: fault-aware adaptive routing: large enough to dominate any real
-#: queue length, small enough to keep cost arithmetic exact in floats.
-TRANSIENT_COST_PENALTY = 1 << 20
-
-
-@dataclass(frozen=True)
-class TransientFault:
-    """One scheduled outage of one channel during ``[start, end)``."""
-
-    channel: int
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if self.channel < 0:
-            raise ValueError(f"channel index must be >= 0, got {self.channel}")
-        if self.start < 0:
-            raise ValueError(f"start must be >= 0, got {self.start}")
-        if self.end <= self.start:
-            raise ValueError(
-                f"empty outage [{self.start}, {self.end}); end must exceed start"
-            )
 
 
 @dataclass(frozen=True)
@@ -75,31 +40,12 @@ class FaultModel:
     Attributes:
         link_failure_fraction: fraction of inter-router channels failed
             permanently at t=0, sampled without replacement.
-        router_failure_fraction: fraction of routers failed permanently
-            at t=0; a failed router fails all its channels and kills
-            its attached terminals.
-        transient_links: number of randomly scheduled transient link
-            outages, sampled over the channels that survive the
-            permanent failures.
-        transient_start: earliest cycle a sampled outage may begin.
-        transient_span: width of the start-time sampling window;
-            sampled outages begin in
-            ``[transient_start, transient_start + transient_span)``.
-        transient_duration: length in cycles of each sampled outage.
-        transients: explicitly scheduled outages, applied verbatim on
-            top of any sampled ones.
-        seed: base seed of the sampling streams.  Independent of the
+        seed: base seed of the sampling stream.  Independent of the
             simulation seed so one fault set can be held fixed while
             traffic seeds vary.
     """
 
     link_failure_fraction: float = 0.0
-    router_failure_fraction: float = 0.0
-    transient_links: int = 0
-    transient_start: int = 0
-    transient_span: int = 1000
-    transient_duration: int = 50
-    transients: Tuple[TransientFault, ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -108,192 +54,38 @@ class FaultModel:
                 f"link_failure_fraction must be in [0, 1), "
                 f"got {self.link_failure_fraction}"
             )
-        if not 0.0 <= self.router_failure_fraction < 1.0:
-            raise ValueError(
-                f"router_failure_fraction must be in [0, 1), "
-                f"got {self.router_failure_fraction}"
-            )
-        if self.transient_links < 0:
-            raise ValueError(
-                f"transient_links must be >= 0, got {self.transient_links}"
-            )
-        if self.transient_links:
-            if self.transient_start < 0:
-                raise ValueError(
-                    f"transient_start must be >= 0, got {self.transient_start}"
-                )
-            if self.transient_span < 1:
-                raise ValueError(
-                    f"transient_span must be >= 1, got {self.transient_span}"
-                )
-            if self.transient_duration < 1:
-                raise ValueError(
-                    f"transient_duration must be >= 1, got {self.transient_duration}"
-                )
-        # Tolerate a bare TransientFault or a list; normalize to tuple.
-        if isinstance(self.transients, TransientFault):
-            object.__setattr__(self, "transients", (self.transients,))
-        elif not isinstance(self.transients, tuple):
-            object.__setattr__(self, "transients", tuple(self.transients))
-        for item in self.transients:
-            if not isinstance(item, TransientFault):
-                raise TypeError(
-                    f"transients must contain TransientFault entries, "
-                    f"got {type(item).__name__}"
-                )
 
     @property
     def trivial(self) -> bool:
         """Whether this model injects no fault at all."""
-        return (
-            self.link_failure_fraction == 0.0
-            and self.router_failure_fraction == 0.0
-            and self.transient_links == 0
-            and not self.transients
-        )
+        return self.link_failure_fraction == 0.0
 
     def sample(self, topology: Topology) -> "FaultSet":
         """Instantiate the model against ``topology`` deterministically."""
         num_channels = len(topology.channels)
-        failed_routers: List[int] = []
-        if self.router_failure_fraction > 0.0:
-            count = round(self.router_failure_fraction * topology.num_routers)
-            rng = random.Random(derive_seed(self.seed, "faults", "routers"))
-            failed_routers = sorted(
-                rng.sample(range(topology.num_routers), count)
-            )
-        router_set = frozenset(failed_routers)
-
-        failed_channels: List[int] = []
+        failed = ()
         if self.link_failure_fraction > 0.0:
             count = round(self.link_failure_fraction * num_channels)
             rng = random.Random(derive_seed(self.seed, "faults", "links"))
-            failed_channels = sorted(rng.sample(range(num_channels), count))
-        # A failed router takes every incident channel down with it.
-        effective = set(failed_channels)
-        for channel in topology.channels:
-            if channel.src in router_set or channel.dst in router_set:
-                effective.add(channel.index)
-
-        transients: List[TransientFault] = list(self.transients)
-        for fault in transients:
-            if fault.channel >= num_channels:
-                raise ValueError(
-                    f"scheduled transient names channel {fault.channel}, but "
-                    f"the topology has only {num_channels} channels"
-                )
-        if self.transient_links:
-            rng = random.Random(derive_seed(self.seed, "faults", "transients"))
-            alive = [c for c in range(num_channels) if c not in effective]
-            if alive:
-                for _ in range(self.transient_links):
-                    channel = alive[rng.randrange(len(alive))]
-                    start = self.transient_start + rng.randrange(
-                        self.transient_span
-                    )
-                    transients.append(
-                        TransientFault(
-                            channel, start, start + self.transient_duration
-                        )
-                    )
-        transients.sort(key=lambda f: (f.start, f.channel, f.end))
-
+            failed = sorted(rng.sample(range(num_channels), count))
         return FaultSet(
-            failed_channels=frozenset(effective),
-            failed_routers=router_set,
-            transients=tuple(transients),
-            num_channels=num_channels,
-            num_routers=topology.num_routers,
+            failed_channels=frozenset(failed), num_channels=num_channels
         )
 
 
 @dataclass(frozen=True)
 class FaultSet:
-    """The concrete faults a model produced for one topology."""
+    """The concrete channels a model failed on one topology."""
 
     failed_channels: FrozenSet[int] = frozenset()
-    failed_routers: FrozenSet[int] = frozenset()
-    transients: Tuple[TransientFault, ...] = ()
     num_channels: int = 0
-    num_routers: int = 0
 
     @property
     def empty(self) -> bool:
-        """No permanent failure and no scheduled outage."""
-        return (
-            not self.failed_channels
-            and not self.failed_routers
-            and not self.transients
-        )
+        """No failed channel."""
+        return not self.failed_channels
 
     def describe(self) -> str:
         return (
-            f"{len(self.failed_channels)}/{self.num_channels} channels failed, "
-            f"{len(self.failed_routers)}/{self.num_routers} routers failed, "
-            f"{len(self.transients)} transient outages"
+            f"{len(self.failed_channels)}/{self.num_channels} channels failed"
         )
-
-
-class FaultState:
-    """Per-simulation runtime view of a :class:`FaultSet`.
-
-    Precomputes the cheap queries the hot paths need: permanent
-    channel death (a frozenset lookup), per-channel transient
-    schedules (consulted only for the handful of channels that have
-    one), and the dead-terminal set implied by failed routers.
-    """
-
-    __slots__ = (
-        "fault_set",
-        "failed_channels",
-        "failed_routers",
-        "dead_terminals",
-        "_transient_windows",
-        "last_transient_end",
-    )
-
-    def __init__(self, fault_set: FaultSet, topology: Topology) -> None:
-        self.fault_set = fault_set
-        self.failed_channels = fault_set.failed_channels
-        self.failed_routers = fault_set.failed_routers
-        dead = set()
-        for terminal in range(topology.num_terminals):
-            if (
-                topology.injection_router(terminal) in self.failed_routers
-                or topology.ejection_router(terminal) in self.failed_routers
-            ):
-                dead.add(terminal)
-        self.dead_terminals = frozenset(dead)
-        windows: Dict[int, List[Tuple[int, int]]] = {}
-        last = 0
-        for fault in fault_set.transients:
-            windows.setdefault(fault.channel, []).append(
-                (fault.start, fault.end)
-            )
-            last = max(last, fault.end)
-        self._transient_windows = windows
-        self.last_transient_end = last
-
-    def channel_failed(self, index: int) -> bool:
-        """Permanently failed (never usable)."""
-        return index in self.failed_channels
-
-    def channel_down(self, index: int, now: int) -> bool:
-        """Unusable at cycle ``now`` — permanently failed or inside a
-        transient outage window."""
-        if index in self.failed_channels:
-            return True
-        windows = self._transient_windows.get(index)
-        if windows is None:
-            return False
-        for start, end in windows:
-            if start <= now < end:
-                return True
-        return False
-
-    def transient_channels(self) -> FrozenSet[int]:
-        """Channels with at least one scheduled outage."""
-        return frozenset(self._transient_windows)
-
-    def terminal_dead(self, terminal: int) -> bool:
-        return terminal in self.dead_terminals

@@ -4,25 +4,21 @@ Each class here wraps one of the library's routing algorithms with the
 minimum machinery needed to survive a :class:`~repro.faults.model.
 FaultSet`:
 
-* **Permanent failures** are excluded from every candidate set, and
+* **Failed channels** are excluded from every candidate set, and
   candidates are additionally filtered to next-hops from which the
   destination remains reachable under the algorithm's own path
-  discipline (minimal for MIN AD, dimension-order per phase for VAL,
-  up/down for the folded Clos) — a packet is never routed into a dead
-  end.
-* **Transient outages** never change a candidate set (they heal, so
-  reachability is unaffected); a transiently-down channel instead has
-  :data:`~repro.faults.model.TRANSIENT_COST_PENALTY` added to its
-  queue estimate, so adaptive algorithms steer around the outage when
-  any alternative exists and simply wait it out when none does.
+  discipline (minimal for MIN AD, dimension-order per phase for
+  UGAL's Valiant mode, up/down for the folded Clos) — a packet is
+  never routed into a dead end.  Routing is the only place an output
+  channel is chosen, so no flit ever crosses a failed channel.
 * :meth:`~repro.core.routing.base.RoutingAlgorithm.deliverable`
   reports whether the algorithm can route a terminal pair at all under
-  the permanent faults.  The simulator consults it at packet creation
-  and accounts an undeliverable packet instead of injecting it, which
-  is what keeps the drain phase terminating on disconnected networks.
+  the failures.  The simulator consults it at packet creation and
+  accounts an undeliverable packet instead of injecting it, which is
+  what keeps the drain phase terminating on disconnected networks.
 
 Every wrapper degrades to its base algorithm bit-for-bit when the
-simulation carries no fault state, so a trivial
+simulation carries no fault set, so a trivial
 :class:`~repro.faults.model.FaultModel` reproduces fault-free results
 exactly.
 """
@@ -40,41 +36,19 @@ from ..core.routing.ugal import (
     PHASE_TO_INTERMEDIATE,
     UGAL,
 )
-from ..core.routing.valiant import Valiant
 from ..topologies.base import Channel
 from ..topologies.routing import DestinationTag, FoldedClosAdaptive
-from .model import TRANSIENT_COST_PENALTY, FaultState
+from .model import FaultSet
 
 
-def _fault_state(simulator) -> Optional[FaultState]:
-    """The simulator's fault state, if any (None on fault-free runs)."""
-    return getattr(simulator, "fault_state", None)
-
-
-class _ChannelCoster:
-    """Occupancy estimator that surcharges transiently-down channels."""
-
-    __slots__ = ("faults", "penalized")
-
-    def __init__(self, faults: Optional[FaultState]) -> None:
-        self.faults = faults
-        # Channels with scheduled outages; everything else costs the
-        # plain occupancy with no per-decision schedule lookup.
-        self.penalized = (
-            faults.transient_channels() if faults is not None else frozenset()
-        )
-
-    def cost(self, engine, channel: Channel) -> int:
-        occupancy = engine.channel_occupancy(channel)
-        if channel.index in self.penalized and self.faults.channel_down(
-            channel.index, engine.sim.now
-        ):
-            occupancy += TRANSIENT_COST_PENALTY
-        return occupancy
+def _fault_set(simulator) -> Optional[FaultSet]:
+    """The simulator's fault set, if any (None on fault-free runs)."""
+    return getattr(simulator, "fault_set", None)
 
 
 class _DorFaultHelper:
-    """Shared dimension-order path analysis under permanent faults.
+    """Dimension-order path analysis under failed links (UGAL's
+    Valiant mode).
 
     DOR visits dimensions in ascending order and uses, per hop, the
     first *surviving* channel toward the required digit.  The path is
@@ -82,15 +56,15 @@ class _DorFaultHelper:
     hop has at least one surviving channel.
     """
 
-    def _dor_init(self, topology, faults: FaultState) -> None:
+    def _dor_init(self, topology, faults: FaultSet) -> None:
         self._dor_topology = topology
         self._dor_faults = faults
         self._dor_alive_cache: Dict[Tuple[int, int], bool] = {}
         self._feasible_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         # (current, target) -> (channel | None, remaining): the masked
-        # counterpart of RouteTable.dor_next.  Permanent faults are
-        # fixed for the simulation, so the surviving hop is a pure
-        # function of the pair and safe to memoize.
+        # counterpart of RouteTable.dor_next.  The failures are fixed
+        # for the simulation, so the surviving hop is a pure function
+        # of the pair and safe to memoize.
         self._dor_hop_cache: Dict[Tuple[int, int], Tuple[Optional[Channel], int]] = {}
 
     def _alive_channel_to(
@@ -134,16 +108,12 @@ class _DorFaultHelper:
         return entry
 
     def _dor_alive(self, src_router: int, dst_router: int) -> bool:
-        """Whether the unique DOR route survives the permanent faults."""
+        """Whether the unique DOR route survives the failures."""
         key = (src_router, dst_router)
         cached = self._dor_alive_cache.get(key)
         if cached is not None:
             return cached
-        failed_routers = self._dor_faults.failed_routers
-        alive = (
-            src_router not in failed_routers
-            and dst_router not in failed_routers
-        )
+        alive = True
         current = src_router
         while alive and current != dst_router:
             channel, _ = self._dor_next_alive(current, dst_router)
@@ -158,16 +128,14 @@ class _DorFaultHelper:
         self, src_router: int, dst_router: int
     ) -> Tuple[int, ...]:
         """Routers usable as a Valiant intermediate: both DOR phases
-        survive the permanent faults."""
+        survive the failures."""
         key = (src_router, dst_router)
         cached = self._feasible_cache.get(key)
         if cached is None:
-            failed_routers = self._dor_faults.failed_routers
             cached = tuple(
                 i
                 for i in range(self._dor_topology.num_routers)
-                if i not in failed_routers
-                and self._dor_alive(src_router, i)
+                if self._dor_alive(src_router, i)
                 and self._dor_alive(i, dst_router)
             )
             self._feasible_cache[key] = cached
@@ -190,15 +158,12 @@ class FaultAwareMinimalAdaptive(MinimalAdaptive):
 
     def attach(self, simulator) -> None:
         super().attach(simulator)
-        self._faults = _fault_state(simulator)
-        self._coster = _ChannelCoster(self._faults)
+        self._faults = _fault_set(simulator)
         self._reach_cache: Dict[Tuple[int, int], bool] = {}
         # (current, dst_router) -> (vc, ((port, channel), ...)): the
         # fault mask over RouteTable.minimal — surviving, non-dead-end
         # candidates in the table's order.  Only the candidate *set* is
-        # cached (it depends on permanent faults alone); costs, with
-        # their transient-outage surcharges, are still read per
-        # decision.
+        # cached; costs are still read per decision.
         self._masked_cache: Dict[Tuple[int, int], Tuple[int, tuple]] = {}
 
     # ------------------------------------------------------------------
@@ -207,7 +172,7 @@ class FaultAwareMinimalAdaptive(MinimalAdaptive):
         if self._faults is None:
             return True
         if current == dst_router:
-            return current not in self._faults.failed_routers
+            return True
         key = (current, dst_router)
         cached = self._reach_cache.get(key)
         if cached is None:
@@ -231,7 +196,7 @@ class FaultAwareMinimalAdaptive(MinimalAdaptive):
 
     def _masked_minimal(self, current: int, dst_router: int):
         """``(vc, ((port, channel), ...))``: the shared table's minimal
-        entry masked by the permanent faults — the surviving candidates
+        entry masked by the failures — the surviving candidates
         that do not dead-end, in the table's order."""
         key = (current, dst_router)
         entry = self._masked_cache.get(key)
@@ -261,108 +226,27 @@ class FaultAwareMinimalAdaptive(MinimalAdaptive):
                 f"{packet.dst_router}; packet {packet.pid} should have been "
                 f"accounted undeliverable at creation"
             )
-        cost = self._coster.cost
+        occupancy = engine.channel_occupancy
         return (
             pick_min_cost(
-                ((cost(engine, ch), 0, port) for port, ch in pairs), self.rng
+                ((occupancy(ch), 0, port) for port, ch in pairs), self.rng
             ),
             vc,
         )
 
     def route_event(self, engine, packet) -> Tuple[int, int]:
-        # The memoized fault-free fast path is invalid once transient
-        # outages make costs time-dependent; take the reference
-        # ``route()`` decision instead.
+        # The table fast path serves the healthy candidate row; under
+        # faults take the masked reference ``route()`` decision.
         if self._faults is None:
             return super().route_event(engine, packet)
         return self.route(engine, packet)
 
     def deliverable(self, src_terminal: int, dst_terminal: int) -> bool:
-        faults = self._faults
-        if faults is None:
+        if self._faults is None:
             return True
-        if faults.terminal_dead(src_terminal) or faults.terminal_dead(
-            dst_terminal
-        ):
-            return False
         return self.minimally_reachable(
             self.topology.injection_router(src_terminal),
             self.topology.ejection_router(dst_terminal),
-        )
-
-
-class FaultAwareValiant(Valiant, _DorFaultHelper):
-    """VAL with the intermediate drawn from the feasible set.
-
-    An intermediate is feasible when both of its dimension-order
-    phases survive the permanent faults; the draw is uniform over the
-    feasible routers, so VAL keeps its load-balancing character on the
-    surviving network.
-    """
-
-    name = "VAL (FT)"
-    fault_aware = True
-
-    def attach(self, simulator) -> None:
-        super().attach(simulator)
-        self._faults = _fault_state(simulator)
-        if self._faults is not None:
-            self._dor_init(self.topology, self._faults)
-
-    def on_packet_created(self, packet) -> None:
-        if self._faults is None:
-            return super().on_packet_created(packet)
-        src_router = self.topology.injection_router(packet.src)
-        feasible = self._feasible_intermediates(src_router, packet.dst_router)
-        if not feasible:
-            raise AssertionError(
-                f"packet {packet.pid} created for an unroutable pair "
-                f"({packet.src} -> {packet.dst}); deliverable() should have "
-                f"gated it"
-            )
-        packet.intermediate = feasible[self.rng.randrange(len(feasible))]
-        packet.phase = PHASE_TO_INTERMEDIATE
-
-    def route(self, engine, packet) -> Tuple[int, int]:
-        if self._faults is None:
-            return super().route(engine, packet)
-        current = engine.router_id
-        if packet.phase == PHASE_TO_INTERMEDIATE and current == packet.intermediate:
-            packet.phase = PHASE_TO_DESTINATION
-        if packet.phase == PHASE_TO_DESTINATION and current == packet.dst_router:
-            return engine.ejection_port(packet.dst), 0
-        if packet.phase == PHASE_TO_INTERMEDIATE:
-            target, vc = packet.intermediate, 1
-        else:
-            target, vc = packet.dst_router, 0
-        channel, _ = self._dor_hop(current, target)
-        if channel is None:
-            raise AssertionError(
-                f"router {current}: DOR hop toward {target} has no surviving "
-                f"channel despite feasibility filtering"
-            )
-        return engine.port_for_channel(channel), vc
-
-    def route_event(self, engine, packet) -> Tuple[int, int]:
-        # Valiant's table route_event takes the *healthy* DOR hop, so
-        # under faults the masked path in route() must run instead.
-        if self._faults is None:
-            return super().route_event(engine, packet)
-        return self.route(engine, packet)
-
-    def deliverable(self, src_terminal: int, dst_terminal: int) -> bool:
-        faults = self._faults
-        if faults is None:
-            return True
-        if faults.terminal_dead(src_terminal) or faults.terminal_dead(
-            dst_terminal
-        ):
-            return False
-        return bool(
-            self._feasible_intermediates(
-                self.topology.injection_router(src_terminal),
-                self.topology.ejection_router(dst_terminal),
-            )
         )
 
 
@@ -388,8 +272,7 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         self.num_vcs = self.topology.num_dims + 1
         self._minimal = FaultAwareMinimalAdaptive()
         self._minimal.attach(simulator)
-        self._faults = _fault_state(simulator)
-        self._coster = _ChannelCoster(self._faults)
+        self._faults = _fault_set(simulator)
         self._route_table = shared_route_table(self.topology)
         if self._faults is not None:
             self._dor_init(self.topology, self._faults)
@@ -402,7 +285,7 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
     # ------------------------------------------------------------------
     def _feasible_proper(self, current: int, dst: int) -> List[int]:
         """Feasible intermediates excluding the degenerate endpoints,
-        memoized (pure function of the permanent faults)."""
+        memoized (pure function of the failures)."""
         key = (current, dst)
         feasible = self._feasible_proper_cache.get(key)
         if feasible is None:
@@ -420,7 +303,7 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         topo = self.topology
         current = engine.router_id
         dst = packet.dst_router
-        coster = self._coster
+        occupancy = engine.channel_occupancy
         min_candidates = [
             ch for _port, ch in self._minimal._masked_minimal(current, dst)[1]
         ]
@@ -444,16 +327,16 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         # over fault-filtered candidates.
         h_min = topo.min_router_hops(current, dst)
         min_channel = pick_min_cost(
-            ((coster.cost(engine, ch), 0, ch) for ch in min_candidates),
+            ((occupancy(ch), 0, ch) for ch in min_candidates),
             self.rng,
         )
-        q_min = coster.cost(engine, min_channel)
+        q_min = occupancy(min_channel)
         intermediate = feasible[self.rng.randrange(len(feasible))]
         h_val = topo.min_router_hops(current, intermediate) + topo.min_router_hops(
             intermediate, dst
         )
         val_channel, _ = self._dor_hop(current, intermediate)
-        q_val = coster.cost(engine, val_channel)
+        q_val = occupancy(val_channel)
         if q_min * h_min <= q_val * h_val + self.threshold:
             packet.minimal = True
         else:
@@ -502,13 +385,8 @@ class FaultAwareUGAL(UGAL, _DorFaultHelper):
         return self.route(engine, packet)
 
     def deliverable(self, src_terminal: int, dst_terminal: int) -> bool:
-        faults = self._faults
-        if faults is None:
+        if self._faults is None:
             return True
-        if faults.terminal_dead(src_terminal) or faults.terminal_dead(
-            dst_terminal
-        ):
-            return False
         src_router = self.topology.injection_router(src_terminal)
         dst_router = self.topology.ejection_router(dst_terminal)
         if self._minimal.minimally_reachable(src_router, dst_router):
@@ -533,7 +411,7 @@ class FaultAwareDestinationTag(DestinationTag):
 
     def attach(self, simulator) -> None:
         super().attach(simulator)
-        self._faults = _fault_state(simulator)
+        self._faults = _fault_set(simulator)
         self._path_cache: Dict[Tuple[int, int], bool] = {}
 
     def _path_alive(self, src_router: int, dst_terminal: int) -> bool:
@@ -543,11 +421,9 @@ class FaultAwareDestinationTag(DestinationTag):
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
-        faults = self._faults
-        failed_channels = faults.failed_channels
-        failed_routers = faults.failed_routers
+        failed_channels = self._faults.failed_channels
         current = src_router
-        alive = current not in failed_routers
+        alive = True
         while alive and topo.stage_of(current) < topo.n - 1:
             channel = topo.destination_tag_next(current, dst_terminal)
             if channel.index in failed_channels:
@@ -558,13 +434,8 @@ class FaultAwareDestinationTag(DestinationTag):
         return alive
 
     def deliverable(self, src_terminal: int, dst_terminal: int) -> bool:
-        faults = self._faults
-        if faults is None:
+        if self._faults is None:
             return True
-        if faults.terminal_dead(src_terminal) or faults.terminal_dead(
-            dst_terminal
-        ):
-            return False
         return self._path_alive(
             self.topology.injection_router(src_terminal), dst_terminal
         )
@@ -574,8 +445,7 @@ class FaultAwareFoldedClosAdaptive(FoldedClosAdaptive):
     """Folded-Clos adaptive routing over the surviving spines.
 
     An uplink is a candidate only if it survives and its spine still
-    has a surviving downlink to the destination leaf; transiently-down
-    uplinks are surcharged, not excluded.
+    has a surviving downlink to the destination leaf.
     """
 
     name = "clos-adaptive (FT)"
@@ -583,10 +453,9 @@ class FaultAwareFoldedClosAdaptive(FoldedClosAdaptive):
 
     def attach(self, simulator) -> None:
         super().attach(simulator)
-        self._faults = _fault_state(simulator)
-        self._coster = _ChannelCoster(self._faults)
+        self._faults = _fault_set(simulator)
         # (leaf, dst_leaf) -> surviving uplinks; the candidate set
-        # depends only on the permanent faults, so it is computed once
+        # depends only on the failures, so it is computed once
         # per pair (costs stay per-decision).
         self._uplink_cache: Dict[Tuple[int, int], List[Channel]] = {}
 
@@ -596,19 +465,13 @@ class FaultAwareFoldedClosAdaptive(FoldedClosAdaptive):
         if usable is not None:
             return usable
         topo = self.topology
-        faults = self._faults
-        failed_channels = faults.failed_channels
-        failed_routers = faults.failed_routers
-        usable = []
-        for uplink in topo.uplinks(leaf):
-            if uplink.index in failed_channels:
-                continue
-            spine = uplink.dst
-            if spine in failed_routers:
-                continue
-            if topo.downlink(spine, dst_leaf).index in failed_channels:
-                continue
-            usable.append(uplink)
+        failed_channels = self._faults.failed_channels
+        usable = [
+            uplink
+            for uplink in topo.uplinks(leaf)
+            if uplink.index not in failed_channels
+            and topo.downlink(uplink.dst, dst_leaf).index not in failed_channels
+        ]
         self._uplink_cache[key] = usable
         return usable
 
@@ -629,21 +492,16 @@ class FaultAwareFoldedClosAdaptive(FoldedClosAdaptive):
                 f"packet {packet.pid} should have been accounted "
                 f"undeliverable at creation"
             )
-        coster = self._coster
+        occupancy = engine.channel_occupancy
         uplink = pick_min_cost(
-            ((coster.cost(engine, ch), 0, ch) for ch in usable),
+            ((occupancy(ch), 0, ch) for ch in usable),
             self.rng,
         )
         return engine.port_for_channel(uplink), 0
 
     def deliverable(self, src_terminal: int, dst_terminal: int) -> bool:
-        faults = self._faults
-        if faults is None:
+        if self._faults is None:
             return True
-        if faults.terminal_dead(src_terminal) or faults.terminal_dead(
-            dst_terminal
-        ):
-            return False
         topo = self.topology
         src_leaf = topo.leaf_of_terminal(src_terminal)
         dst_leaf = topo.leaf_of_terminal(dst_terminal)

@@ -1,12 +1,11 @@
 """Fault-masked topology view and connectivity analysis.
 
 A :class:`FaultedTopologyView` presents the surviving structure of a
-topology under the *permanent* faults of a :class:`~repro.faults.model.
-FaultSet` (transient outages heal, so they never disconnect anything).
-It answers the graph-level questions — which channels survive, which
-router pairs stay connected, which terminal pairs are severed — that
-the resilience experiments report alongside the routing-level
-undeliverable-packet accounting.
+topology under the failed links of a :class:`~repro.faults.model.
+FaultSet`.  It answers the graph-level questions — which channels
+survive, which router pairs stay connected, which terminal pairs are
+severed — that the resilience experiments report alongside the
+routing-level undeliverable-packet accounting.
 
 Graph connectivity is necessary but not sufficient for deliverability:
 a minimal-only algorithm may be unable to reach a destination that is
@@ -22,7 +21,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from ..topologies.base import Channel, Topology
-from .model import FaultSet, FaultState
+from .model import FaultSet
 
 
 class FaultedTopologyView:
@@ -31,8 +30,7 @@ class FaultedTopologyView:
     def __init__(self, topology: Topology, fault_set: FaultSet) -> None:
         self.topology = topology
         self.fault_set = fault_set
-        self.state = FaultState(fault_set, topology)
-        failed = self.state.failed_channels
+        failed = fault_set.failed_channels
         self.alive_channels: List[Channel] = [
             channel
             for channel in topology.channels
@@ -49,12 +47,11 @@ class FaultedTopologyView:
     # Structure
     # ------------------------------------------------------------------
     def out_channels(self, router: int) -> Sequence[Channel]:
-        """Surviving channels leaving ``router`` (empty for a failed
-        router, whose channels are all down)."""
+        """Surviving channels leaving ``router``."""
         return self._out_alive[router]
 
     def channel_alive(self, channel: Channel) -> bool:
-        return channel.index not in self.state.failed_channels
+        return channel.index not in self.fault_set.failed_channels
 
     # ------------------------------------------------------------------
     # Connectivity
@@ -86,13 +83,8 @@ class FaultedTopologyView:
         self, src_terminal: int, dst_terminal: int
     ) -> bool:
         """Whether traffic from ``src_terminal`` can structurally reach
-        ``dst_terminal``: both endpoints alive and the ejection router
-        reachable from the injection router."""
-        state = self.state
-        if state.terminal_dead(src_terminal) or state.terminal_dead(
-            dst_terminal
-        ):
-            return False
+        ``dst_terminal``: the ejection router is reachable from the
+        injection router."""
         return self.connected(
             self.topology.injection_router(src_terminal),
             self.topology.ejection_router(dst_terminal),
@@ -107,20 +99,11 @@ class FaultedTopologyView:
         BFS runs.
         """
         topo = self.topology
-        state = self.state
-        dead = state.dead_terminals
-        num_alive = topo.num_terminals - len(dead)
-        # Ordered pairs with a dead endpoint (s != d).
-        disconnected = (
-            topo.num_terminals * (topo.num_terminals - 1)
-            - num_alive * (num_alive - 1)
-        )
-        # Alive terminals grouped by injection / ejection router.
+        disconnected = 0
+        # Terminals grouped by injection / ejection router.
         inject_count: Dict[int, int] = {}
         eject_count: Dict[int, int] = {}
         for t in range(topo.num_terminals):
-            if t in dead:
-                continue
             inject_count[topo.injection_router(t)] = (
                 inject_count.get(topo.injection_router(t), 0) + 1
             )
@@ -135,8 +118,8 @@ class FaultedTopologyView:
                 disconnected += n_src * n_dst
         # Unreachable self-pairs were never counted: (s, s) is excluded
         # by definition, and same-terminal injection/ejection routers
-        # are reachable from themselves (hop count 0) whenever the
-        # terminal is alive, for every topology in this library.
+        # are reachable from themselves (hop count 0), for every
+        # topology in this library.
         return disconnected
 
     def severed_pairs(self) -> Iterator[Tuple[int, int]]:

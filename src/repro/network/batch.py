@@ -101,6 +101,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import SimulationConfig
 from .stats import KernelStats, LatencySummary, OpenLoopResult, _window_end
+from .workload import batch_refusal
 
 #: Whether numpy can be imported.  Found without importing it: the
 #: module loads on first use (see :class:`_NumpyOnFirstUse`).
@@ -553,14 +554,19 @@ def unsupported_reason(
 ) -> Optional[str]:
     """Why ``kernel='batch'`` cannot run this combination, or ``None``
     if it can.  Checks the algorithm class, traffic-pattern class, and
-    config envelope without compiling anything, so sweep layers can
-    filter configurations up front; topology-specific export gaps
-    (e.g. UGAL on a torus) still raise at build time."""
+    config envelope (a ``config.workload`` is built and must reduce to
+    open-loop Bernoulli traffic) without compiling anything, so sweep
+    layers can filter configurations up front; topology-specific
+    export gaps (e.g. UGAL on a torus) still raise at build time."""
     if config is not None:
         try:
             _validate_config(config)
         except NotImplementedError as exc:
             return str(exc)
+        if config.workload is not None:
+            workload = config.workload.build()
+            if workload.batch_delegate() is None:
+                return batch_refusal(workload)
     if algorithm is not None and type(algorithm) not in _builder_registry():
         return (
             f"kernel='batch' does not implement {algorithm.name!r} "

@@ -108,7 +108,7 @@ class SimulationConfig:
             each stream via :func:`derive_seed` (SHA-256 of the seed
             plus a stream label), which has neither defect.
         faults: optional :class:`repro.faults.model.FaultModel`
-            describing permanent and transient failures to inject.
+            describing the permanent link failures to inject.
             ``None`` (default) simulates a fault-free network.  Being a
             config field, the fault scenario travels through
             ``SimSpec`` pickling and into the result-cache key like any

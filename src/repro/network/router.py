@@ -101,7 +101,6 @@ class RouterEngine:
         "_credit_latency",
         "_channel_latency",
         "_period",
-        "_fault_state",
         "_base_vcs",
     )
 
@@ -160,7 +159,6 @@ class RouterEngine:
         self._credit_latency = cfg.credit_latency
         self._channel_latency = cfg.channel_latency
         self._period = cfg.channel_period
-        self._fault_state = sim.fault_state
         # VCs per message class: routing algorithms pick a vc within
         # their own count, and a packet's msg_class shifts it into that
         # class's disjoint VC partition on inter-router channels.
@@ -522,10 +520,9 @@ class RouterEngine:
         onto the event wheel.
 
         A port whose staged flits cannot move this cycle — every VC
-        credit-starved, the channel still paced by ``next_free``, or
-        the channel transiently down — simply stays in the staged set
-        and is retried on later cycles; it leaves the set only once its
-        staging FIFOs are empty.
+        credit-starved, or the channel still paced by ``next_free`` —
+        simply stays in the staged set and is retried on later cycles;
+        it leaves the set only once its staging FIFOs are empty.
         """
         staged_ports = self._staged_ports
         if not staged_ports:
@@ -535,19 +532,12 @@ class RouterEngine:
         arrival = now + self._channel_latency
         pipes = self._pipes
         wheel = self._wheel
-        faults = self._fault_state
         eject = sim.on_flit_ejected
         done = None
         for out in staged_ports:
             is_channel = out.kind == CHANNEL_PORT
-            if is_channel:
-                if now < out.next_free:
-                    continue
-                # A transiently-down channel refuses new flits.
-                if faults is not None and faults.channel_down(
-                    out.channel_index, now
-                ):
-                    continue
+            if is_channel and now < out.next_free:
+                continue
             staging = out.staging
             num_vcs = out.num_vcs
             credits = out.credits

@@ -52,7 +52,12 @@ from .stats import (
     OpenLoopResult,
     _window_end,
 )
-from .workload import SyntheticWorkload, UnsupportedWorkloadError, Workload
+from .workload import (
+    SyntheticWorkload,
+    UnsupportedWorkloadError,
+    Workload,
+    batch_refusal,
+)
 
 #: Recognized kernel names: the exact event kernel, and ``"batch"``,
 #: the vectorized structure-of-arrays backend
@@ -166,11 +171,10 @@ class Simulator:
 
         # Fault injection: sample the configured fault model against
         # the topology before the algorithm attaches (fault-aware
-        # algorithms read ``fault_state`` during attach).  A trivial
+        # algorithms read ``fault_set`` during attach).  A trivial
         # model is treated exactly like no model, so fault-aware
         # wrappers degrade to their fault-free behavior bit-for-bit.
         self.fault_set = None
-        self.fault_state = None
         faults = self.config.faults
         if faults is not None and not faults.trivial:
             if not algorithm.fault_aware:
@@ -179,10 +183,7 @@ class Simulator:
                     f"non-trivial FaultModel would route packets into failed "
                     f"channels (wrap it with a repro.faults algorithm)"
                 )
-            from ..faults.model import FaultState
-
             self.fault_set = faults.sample(topology)
-            self.fault_state = FaultState(self.fault_set, topology)
 
         self.now = 0
         self.packets_created = 0
@@ -486,7 +487,7 @@ class Simulator:
         active_sources = self._active_sources
         window = self._window
         algorithm = self.algorithm
-        check_faults = self.fault_state is not None
+        check_faults = self.fault_set is not None
         ejection_router = self._ejection_router
         num_terminals = len(ejection_router)
         default_size = self.config.packet_size
@@ -1015,14 +1016,7 @@ class Simulator:
         if self.kernel == "batch":
             delegate = wl.batch_delegate()
             if delegate is None:
-                raise UnsupportedWorkloadError(
-                    f"kernel='batch' cannot run the workload {wl.name!r}: "
-                    f"the vectorized backend implements only open-loop "
-                    f"Bernoulli traffic over a compiled pattern "
-                    f"(closed-loop and timed sources need the event "
-                    f"kernel's delivery hooks and per-cycle timing); use "
-                    f"kernel='event'"
-                )
+                raise UnsupportedWorkloadError(batch_refusal(wl))
             load, pattern = delegate
             return self._batch_backend("run_workload", pattern).run_load_grid(
                 [load], (self.config.seed,), warmup=warmup,

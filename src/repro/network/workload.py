@@ -64,6 +64,21 @@ class UnsupportedWorkloadError(NotImplementedError):
     per-cycle message timing."""
 
 
+def batch_refusal(workload: "Workload") -> str:
+    """Why ``kernel="batch"`` refuses ``workload`` (one whose
+    :meth:`Workload.batch_delegate` is ``None``): the text of the
+    :class:`UnsupportedWorkloadError` ``Simulator.run_workload`` raises
+    and of :func:`repro.network.batch.unsupported_reason`."""
+    return (
+        f"kernel='batch' cannot run the workload {workload.name!r}: "
+        f"the vectorized backend implements only open-loop "
+        f"Bernoulli traffic over a compiled pattern "
+        f"(closed-loop and timed sources need the event "
+        f"kernel's delivery hooks and per-cycle timing); use "
+        f"kernel='event'"
+    )
+
+
 class Message(namedtuple("Message", "src dst msg_class size", defaults=(0, None))):
     """One typed traffic event: terminal ``src`` sends a
     ``msg_class``-class packet of ``size`` flits to terminal ``dst``

@@ -513,8 +513,11 @@ class TestConfigInventory:
     @pytest.mark.parametrize("name", sorted(BATCH_REFUSED))
     def test_refusal_pinned(self, name):
         value, message = BATCH_REFUSED[name]
-        with pytest.raises(NotImplementedError, match=message):
-            _inventory_run(SimulationConfig(**{name: value}))
+        config = SimulationConfig(**{name: value})
+        with pytest.raises(NotImplementedError, match=message) as refusal:
+            _inventory_run(config)
+        # The up-front probe gives the same refusal, without a run.
+        assert unsupported_reason(config=config) == str(refusal.value)
 
     @pytest.mark.parametrize("name", sorted(BATCH_GAPS))
     def test_gap_leaves_the_result_alone(self, name):

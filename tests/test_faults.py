@@ -9,23 +9,20 @@ cache-key sensitivity of fault parameters, and the empty-measurement-
 window NaN regression the undeliverable path makes reachable.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.core import MinimalAdaptive, UGAL
 from repro.faults import (
-    TRANSIENT_COST_PENALTY,
     FaultAwareDestinationTag,
     FaultAwareFoldedClosAdaptive,
     FaultAwareMinimalAdaptive,
     FaultAwareUGAL,
-    FaultAwareValiant,
     FaultModel,
     FaultSet,
-    FaultState,
     FaultedTopologyView,
-    TransientFault,
 )
 from repro.network import SimulationConfig, Simulator
 from repro.network.stats import LatencySummary, _percentile
@@ -50,40 +47,33 @@ class TestFaultModel:
 
     def test_nontrivial_detection(self):
         assert not FaultModel(link_failure_fraction=0.1).trivial
-        assert not FaultModel(router_failure_fraction=0.1).trivial
-        assert not FaultModel(transient_links=1).trivial
-        assert not FaultModel(
-            transients=(TransientFault(0, 10, 20),)
-        ).trivial
+        assert FaultModel(seed=5).trivial
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"link_failure_fraction": -0.1},
             {"link_failure_fraction": 1.0},
-            {"router_failure_fraction": 1.5},
-            {"transient_links": -1},
-            {"transient_links": 1, "transient_span": 0},
-            {"transient_links": 1, "transient_duration": 0},
+            {"link_failure_fraction": 1.5},
+            {"link_failure_fraction": float("nan")},
+            {"link_failure_fraction": float("inf")},
+            {"link_failure_fraction": float("-inf")},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FaultModel(**kwargs)
 
-    def test_transient_fault_validation(self):
-        with pytest.raises(ValueError, match="empty outage"):
-            TransientFault(0, 10, 10)
-        with pytest.raises(ValueError):
-            TransientFault(-1, 0, 10)
+    def test_link_failures_are_the_only_fault_kind(self):
+        assert [f.name for f in dataclasses.fields(FaultModel)] == [
+            "link_failure_fraction",
+            "seed",
+        ]
+        with pytest.raises(TypeError):
+            FaultModel(0.1, 0, 0.1)
 
     def test_sampling_deterministic(self):
-        model = FaultModel(
-            link_failure_fraction=0.1,
-            router_failure_fraction=0.1,
-            transient_links=2,
-            seed=42,
-        )
+        model = FaultModel(link_failure_fraction=0.1, seed=42)
         topo = _fb(8)
         assert model.sample(topo) == model.sample(_fb(8))
 
@@ -111,60 +101,6 @@ class TestFaultModel:
         fs = FaultModel(link_failure_fraction=0.05, seed=1).sample(topo)
         assert len(fs.failed_channels) == round(0.05 * len(topo.channels))
 
-    def test_failed_router_takes_incident_channels(self):
-        topo = _fb(4)
-        fs = FaultModel(router_failure_fraction=0.3, seed=1).sample(topo)
-        assert fs.failed_routers
-        for channel in topo.channels:
-            if (
-                channel.src in fs.failed_routers
-                or channel.dst in fs.failed_routers
-            ):
-                assert channel.index in fs.failed_channels
-
-    def test_failed_router_kills_attached_terminals(self):
-        topo = _fb(4)
-        fs = FaultModel(router_failure_fraction=0.3, seed=1).sample(topo)
-        state = FaultState(fs, topo)
-        for terminal in range(topo.num_terminals):
-            expected = (
-                topo.injection_router(terminal) in fs.failed_routers
-                or topo.ejection_router(terminal) in fs.failed_routers
-            )
-            assert state.terminal_dead(terminal) == expected
-
-    def test_sampled_transients_avoid_failed_channels(self):
-        model = FaultModel(
-            link_failure_fraction=0.2, transient_links=5, seed=9
-        )
-        fs = model.sample(_fb(8))
-        for fault in fs.transients:
-            assert fault.channel not in fs.failed_channels
-            assert fault.end == fault.start + model.transient_duration
-
-    def test_explicit_transient_out_of_range_rejected(self):
-        model = FaultModel(transients=(TransientFault(10_000, 0, 10),))
-        with pytest.raises(ValueError, match="only"):
-            model.sample(_fb(4))
-
-    def test_channel_down_windows(self):
-        fs = FaultSet(
-            failed_channels=frozenset({7}),
-            transients=(TransientFault(3, 100, 150),),
-            num_channels=20,
-            num_routers=4,
-        )
-        state = FaultState(fs, _fb(4))
-        assert state.channel_failed(7)
-        assert state.channel_down(7, 0) and state.channel_down(7, 10**6)
-        assert not state.channel_failed(3)
-        assert not state.channel_down(3, 99)
-        assert state.channel_down(3, 100)
-        assert state.channel_down(3, 149)
-        assert not state.channel_down(3, 150)
-        assert state.transient_channels() == frozenset({3})
-        assert state.last_transient_end == 150
-
 
 # ----------------------------------------------------------------------
 # FaultedTopologyView
@@ -185,15 +121,11 @@ class TestFaultedTopologyView:
                 FaultModel(link_failure_fraction=0.05, seed=3),
             ),
             (
-                lambda: _fb(4),
-                FaultModel(router_failure_fraction=0.3, seed=1),
-            ),
-            (
                 lambda: FoldedClos(16, 4),
                 FaultModel(link_failure_fraction=0.2, seed=5),
             ),
         ],
-        ids=["fb-links", "butterfly-links", "fb-routers", "clos-links"],
+        ids=["fb-links", "butterfly-links", "clos-links"],
     )
     def test_aggregate_matches_enumeration(self, topo_factory, model):
         topo = topo_factory()
@@ -212,7 +144,6 @@ class TestFaultedTopologyView:
         fs = FaultSet(
             failed_channels=frozenset({channel.index}),
             num_channels=len(bf.channels),
-            num_routers=bf.num_routers,
         )
         view = FaultedTopologyView(bf, fs)
         # k src terminals at the channel's source router x k dst
@@ -223,16 +154,8 @@ class TestFaultedTopologyView:
         fs_fb = FaultSet(
             failed_channels=frozenset({0}),
             num_channels=len(fb.channels),
-            num_routers=fb.num_routers,
         )
         assert FaultedTopologyView(fb, fs_fb).disconnected_terminal_pairs() == 0
-
-    def test_transients_do_not_disconnect(self):
-        topo = _fb(4)
-        model = FaultModel(transient_links=5, seed=1)
-        view = FaultedTopologyView(topo, model.sample(topo))
-        assert view.disconnected_terminal_pairs() == 0
-        assert len(view.alive_channels) == len(topo.channels)
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +174,7 @@ class TestFaultAwareRouting:
             _fb(4), UGAL(), UniformRandom(),
             SimulationConfig(faults=FaultModel()),
         )
-        assert sim.fault_state is None
+        assert sim.fault_set is None
 
     @pytest.mark.parametrize(
         "base_cls,aware_cls",
@@ -276,26 +199,11 @@ class TestFaultAwareRouting:
         """MIN AD's deliverability is stricter than graph connectivity:
         killing the single direct channel of a 1-D flat severs the
         minimal route even though a two-hop detour exists."""
-        topo = _fb(4)
-        direct = topo.channels_between(0, 1)[0]
-        model = FaultModel()  # sampled set replaced below
-        sim = Simulator(
-            topo, FaultAwareMinimalAdaptive(), UniformRandom(),
-            SimulationConfig(
-                faults=FaultModel(
-                    transients=(TransientFault(direct.index, 1, 2),)
-                )
-            ),
-        )
-        # Transients never affect deliverability...
-        algo = sim.algorithm
-        assert algo.deliverable(0, 4)
-        # ...but a permanent failure of the only minimal channel does.
         sim2 = Simulator(
             _fb(4), FaultAwareMinimalAdaptive(), UniformRandom(),
             SimulationConfig(faults=FaultModel(link_failure_fraction=0.09, seed=3)),
         )
-        failed = sim2.fault_state.failed_channels
+        failed = sim2.fault_set.failed_channels
         assert failed
         algo2 = sim2.algorithm
         t = sim2.topology
@@ -318,22 +226,6 @@ class TestFaultAwareRouting:
         for s in range(t.num_terminals):
             for d in range(t.num_terminals):
                 assert algo.deliverable(s, d)
-
-    def test_transient_penalty_magnitude(self):
-        assert TRANSIENT_COST_PENALTY > 10**5  # dominates any real queue
-
-    def test_valiant_intermediates_avoid_failed_routers(self):
-        model = FaultModel(router_failure_fraction=0.3, seed=1)
-        sim = Simulator(
-            _fb(4), FaultAwareValiant(), UniformRandom(),
-            SimulationConfig(seed=5, faults=model),
-        )
-        failed = sim.fault_state.failed_routers
-        assert failed
-        result = sim.run_open_loop(0.2, warmup=50, measure=80, drain_max=1500)
-        assert result.packets_delivered > 0
-        # Dead terminals only source undeliverable packets.
-        assert result.packets_undeliverable > 0
 
 
 # ----------------------------------------------------------------------
@@ -432,40 +324,6 @@ class TestResilienceClaim:
 
 
 # ----------------------------------------------------------------------
-# Transient outages
-# ----------------------------------------------------------------------
-class TestTransients:
-    def test_transient_blocks_then_heals(self):
-        """A staged flit behind a transiently-down channel waits out
-        the outage and is delivered afterwards; nothing is lost."""
-        outage = TransientFault(channel=0, start=0, end=120)
-        sim = Simulator(
-            _fb(4), FaultAwareUGAL(), UniformRandom(),
-            SimulationConfig(seed=3, faults=FaultModel(transients=(outage,))),
-        )
-        result = sim.run_open_loop(0.2, warmup=60, measure=60, drain_max=2000)
-        assert not result.saturated
-        assert result.packets_undeliverable == 0
-        assert sim.packets_created == sim.packets_delivered + sim.in_flight
-
-    def test_transient_only_model_delivers_everything(self):
-        model = FaultModel(
-            transient_links=4,
-            transient_start=50,
-            transient_span=100,
-            transient_duration=60,
-            seed=11,
-        )
-        sim = Simulator(
-            _fb(8), FaultAwareUGAL(), UniformRandom(),
-            SimulationConfig(seed=7, faults=model),
-        )
-        result = sim.run_open_loop(0.3, warmup=100, measure=100, drain_max=2500)
-        assert not result.saturated
-        assert result.packets_undeliverable == 0
-
-
-# ----------------------------------------------------------------------
 # Cache-key sensitivity
 # ----------------------------------------------------------------------
 class TestFaultCacheKeys:
@@ -497,22 +355,8 @@ class TestFaultCacheKeys:
             FaultModel(),
             FaultModel(link_failure_fraction=0.02, seed=3),
             FaultModel(link_failure_fraction=0.05, seed=4),
-            FaultModel(link_failure_fraction=0.05, seed=3, transient_links=1),
-            FaultModel(
-                link_failure_fraction=0.05,
-                seed=3,
-                transients=(TransientFault(0, 10, 20),),
-            ),
-            FaultModel(
-                link_failure_fraction=0.05,
-                seed=3,
-                router_failure_fraction=0.05,
-            ),
         ],
-        ids=[
-            "no-model", "trivial", "fraction", "fault-seed", "transient-count",
-            "explicit-transient", "router-fraction",
-        ],
+        ids=["no-model", "trivial", "fraction", "fault-seed"],
     )
     def test_any_fault_parameter_change_misses(self, other):
         base = self._job(FaultModel(link_failure_fraction=0.05, seed=3))
@@ -553,13 +397,15 @@ class TestEmptyWindowNaN:
             assert math.isnan(value)
 
     def test_fully_severed_run_reports_nan_not_crash(self):
-        """Both ejection routers of a 2-ary 2-fly fail (seed 3 at 50%
-        router failures), so *every* packet is undeliverable: the
+        """All four inter-router channels of a 2-ary 2-fly fail (90%
+        of 4 rounds to 4), so *every* packet is undeliverable: the
         measurement window ejects zero labeled packets and the result
         must carry NaN latencies and zero throughput, not raise."""
-        model = FaultModel(router_failure_fraction=0.5, seed=3)
+        model = FaultModel(link_failure_fraction=0.9, seed=3)
         bf = Butterfly(2, 2)
-        assert model.sample(bf).failed_routers == frozenset({2, 3})
+        assert model.sample(bf).failed_channels == frozenset(
+            channel.index for channel in bf.channels
+        )
         sim = Simulator(
             Butterfly(2, 2), FaultAwareDestinationTag(), UniformRandom(),
             SimulationConfig(seed=1, faults=model),
